@@ -1,0 +1,109 @@
+"""Continuous-variable teleportation toolkit.
+
+Builds Schmidt-diagonal entangled resources (twin-beams, heralded
+noiseless-amplifier outputs, photon-subtracted baselines), quantifies
+their entanglement, EPR correlation and non-Gaussianity, and evaluates
+coherent-state teleportation fidelity through the transfer-operator
+description of the protocol.
+"""
+
+from .errors import BoundaryMassWarning, NumericsError, TruncationWarning, ValidationError
+from .metrics import (
+    CovarianceSummary,
+    MetricsReport,
+    covariance_summary,
+    cross_moment,
+    entanglement_entropy,
+    epr_correlation,
+    h_function,
+    mean_photon,
+    metrics_report,
+    non_gaussianity,
+    non_gaussianity_additive,
+    twb_entropy_closed,
+)
+from .resources import (
+    NlaConfig,
+    TwbParams,
+    make_added_then_subtracted_twb,
+    make_amplified_twb,
+    make_photon_subtracted_twb,
+    make_twb,
+    success_probability,
+)
+from .schmidt import (
+    DEFAULT_POLICY,
+    SchmidtState,
+    TruncationPolicy,
+    dense_two_mode,
+    required_dimension,
+    schmidt_probabilities,
+)
+from .teleport import (
+    ConditionalOutput,
+    CrossoverReport,
+    GainScanResult,
+    QuadratureSpec,
+    average_fidelity_grid2d,
+    average_fidelity_radial,
+    average_fidelity_sampled,
+    average_fidelity_series,
+    classify_fidelity,
+    conditional_fidelity,
+    crossover_find,
+    displaced_number_overlap,
+    gain_scan,
+    outcome_probability,
+    transfer_apply,
+    twb_average_fidelity_closed,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BoundaryMassWarning",
+    "ConditionalOutput",
+    "CovarianceSummary",
+    "CrossoverReport",
+    "DEFAULT_POLICY",
+    "GainScanResult",
+    "MetricsReport",
+    "NlaConfig",
+    "NumericsError",
+    "QuadratureSpec",
+    "SchmidtState",
+    "TruncationPolicy",
+    "TruncationWarning",
+    "TwbParams",
+    "ValidationError",
+    "average_fidelity_grid2d",
+    "average_fidelity_radial",
+    "average_fidelity_sampled",
+    "average_fidelity_series",
+    "classify_fidelity",
+    "conditional_fidelity",
+    "covariance_summary",
+    "cross_moment",
+    "crossover_find",
+    "dense_two_mode",
+    "displaced_number_overlap",
+    "entanglement_entropy",
+    "epr_correlation",
+    "gain_scan",
+    "h_function",
+    "make_added_then_subtracted_twb",
+    "make_amplified_twb",
+    "make_photon_subtracted_twb",
+    "make_twb",
+    "mean_photon",
+    "metrics_report",
+    "non_gaussianity",
+    "non_gaussianity_additive",
+    "outcome_probability",
+    "required_dimension",
+    "schmidt_probabilities",
+    "success_probability",
+    "transfer_apply",
+    "twb_average_fidelity_closed",
+    "twb_entropy_closed",
+]

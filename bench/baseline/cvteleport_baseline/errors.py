@@ -1,0 +1,18 @@
+"""Exception and warning types shared across the package."""
+
+
+class ValidationError(ValueError):
+    """Invalid parameter domain (chi outside (0,1), empty grid, bad spec...)."""
+
+
+class NumericsError(RuntimeError):
+    """Numerical guard tripped: truncation overflow, unphysical covariance,
+    vanishing conditional probability."""
+
+
+class TruncationWarning(UserWarning):
+    """Probability mass pushed against a Fock-space truncation edge."""
+
+
+class BoundaryMassWarning(UserWarning):
+    """Integrand not negligible at the boundary of a quadrature grid."""

@@ -1,0 +1,116 @@
+"""Truncated Schmidt-diagonal bipartite pure states.
+
+Every entangled resource handled by this package is of the form
+N * sum_n k_n |n, n>, with non-negative coefficients k_n and a separate
+normalization constant N. States are stored truncated to a finite Fock
+dimension D with an explicit bound on the discarded probability mass, so
+that downstream tolerances are never polluted by truncation error.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NumericsError, ValidationError
+
+# Hard cap on the dense D x D representation (memory guard).
+DENSE_DIM_LIMIT = 2048
+
+# Floating-point grace added on top of declared tail bounds.
+_FLOAT_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Controls how aggressively Fock space is truncated.
+
+    epsilon: maximum probability mass that may be discarded (default 1e-12,
+        well below every tolerance used by the metrics and fidelity paths).
+    max_dim: hard cap on the truncation dimension.
+    """
+
+    epsilon: float = 1e-12
+    max_dim: int = 1024
+
+    def __post_init__(self):
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.max_dim < 8:
+            raise ValidationError(f"max_dim must be >= 8, got {self.max_dim}")
+
+
+DEFAULT_POLICY = TruncationPolicy()
+
+
+@dataclass(frozen=True)
+class SchmidtState:
+    """Truncated Schmidt-diagonal pure state N * sum_n k_n |n, n>.
+
+    coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
+    separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
+    the recorded upper bound on the discarded probability mass.
+    """
+
+    coeffs: np.ndarray
+    norm_const: float
+    tail_bound: float = 0.0
+    label: str = ""
+
+    def __post_init__(self):
+        k = np.asarray(self.coeffs, dtype=float)
+        k.setflags(write=False)
+        object.__setattr__(self, "coeffs", k)
+        if k.ndim != 1 or k.size < 1:
+            raise ValidationError("coeffs must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(k)) or np.any(k < 0):
+            raise ValidationError("coeffs must be finite and non-negative")
+        if not (math.isfinite(self.norm_const) and self.norm_const > 0):
+            raise ValidationError(f"norm_const must be positive, got {self.norm_const}")
+        if self.tail_bound < 0:
+            raise ValidationError("tail_bound must be non-negative")
+        total = self.norm_const**2 * float(np.dot(k, k))
+        if abs(total - 1.0) > self.tail_bound + _FLOAT_SLACK:
+            raise ValidationError(
+                f"state not normalized within tail_bound: |{total} - 1| > {self.tail_bound}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return int(self.coeffs.size)
+
+
+def schmidt_probabilities(state: SchmidtState) -> np.ndarray:
+    """Probabilities p_n = N^2 k_n^2 of finding n photons in either mode."""
+    return (state.norm_const * state.coeffs) ** 2
+
+
+def required_dimension(chi: float, policy: TruncationPolicy = DEFAULT_POLICY, p: int = 0) -> int:
+    """Smallest truncation dimension D for a geometric chi^n coefficient tail.
+
+    Picks the smallest D > p with chi^(2D) <= policy.epsilon, capped at
+    policy.max_dim. When the cap binds the caller must record the larger
+    tail bound chi^(2*max_dim) on the state it builds.
+    """
+    if not (0.0 < chi < 1.0):
+        raise ValidationError(f"chi must lie in (0, 1), got {chi}")
+    return _geometric_dimension(chi, policy.epsilon, p + 1, policy.max_dim)
+
+
+def _geometric_dimension(chi: float, epsilon: float, min_dim: int, max_dim: int) -> int:
+    # smallest D >= min_dim with chi^(2D) <= epsilon
+    d_tail = math.ceil(math.log(epsilon) / (2.0 * math.log(chi)))
+    return min(max(min_dim, d_tail, 1), max_dim)
+
+
+def dense_two_mode(state: SchmidtState) -> np.ndarray:
+    """Dense D x D two-mode coefficient matrix M[m, n] = <m, n|state>.
+
+    Schmidt-diagonal by construction: M is diag(N * k_n). Bridge to the
+    brute-force cross-check engine.
+    """
+    if state.dim > DENSE_DIM_LIMIT:
+        raise NumericsError(
+            f"dense matrix of dim {state.dim} exceeds the {DENSE_DIM_LIMIT} memory guard"
+        )
+    return np.diag(state.norm_const * state.coeffs).astype(complex)
