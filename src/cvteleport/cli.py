@@ -1,8 +1,7 @@
 """Command-line front end: sweeps, figure datasets, crossover reports.
 
 Emits CSV or JSON only (no plotting). All commands are deterministic:
-identical arguments and seed produce byte-identical output files
-regardless of the worker count.
+identical arguments and seed produce byte-identical output files.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard failure,
 4 I/O error.
@@ -13,8 +12,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +47,6 @@ from .teleport import (
 )
 
 SWEEP_METRICS = ("entropy", "epr", "ng", "pdist", "fbar", "fbar_grid2d", "psucc")
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 _SWEEP_DEFAULTS = {
     "chi_start": 0.05,
@@ -64,8 +61,13 @@ _SWEEP_DEFAULTS = {
     "format": "csv",
     "out": "sweep.csv",
     "seed": 12345,
-    "jobs": 1,
 }
+
+
+def chi_grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop (inclusive), rounded to 12 decimals."""
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [round(start + i * step, 12) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,9 @@ class SweepSpec:
             raise ValidationError(f"chi range must lie inside (0, 1), got {self.chi_range}")
         if not self.gains or any(g < 1.0 for g in self.gains):
             raise ValidationError("gains must be a non-empty list of values >= 1")
-        if not self.thresholds or any(p < 0 for p in self.thresholds):
+        if not self.thresholds or any(p < 0 or not float(p).is_integer() for p in self.thresholds):
             raise ValidationError("thresholds must be a non-empty list of non-negative integers")
+        object.__setattr__(self, "thresholds", tuple(int(p) for p in self.thresholds))
         if not self.outputs:
             raise ValidationError("outputs must be non-empty")
         for m in self.outputs:
@@ -99,11 +102,6 @@ class SweepSpec:
                 raise ValidationError(f"unknown output {m!r}; choose from {SWEEP_METRICS}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format}")
-
-    def chi_grid(self) -> list[float]:
-        start, stop, step = self.chi_range
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 12) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -141,90 +139,121 @@ def _round12(x):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to a fresh temp file beside path, then rename it into place.
+
+    The temp name is unique per call, so concurrent writers to one path
+    never share a temp file; it is removed if anything fails.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def _rows_to_csv(rows, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append("chi,g,p,metric,value,extra")
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.chi)},{_fmt(r.g)},{_fmt(r.p)},{r.metric},{_fmt(r.value)},{_fmt(r.extra)}"
-        )
+    lines += [",".join(_fmt(v) for v in vars(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_to_json(rows) -> str:
-    payload = [
-        {
-            "chi": _round12(r.chi),
-            "g": _round12(r.g),
-            "p": r.p,
-            "metric": r.metric,
-            "value": _round12(r.value),
-            "extra": _round12(r.extra),
-        }
-        for r in rows
-    ]
+    payload = [{k: _round12(v) for k, v in vars(r).items()} for r in rows]
     return json.dumps(payload, indent=1) + "\n"
 
 
-def _resource_state(chi: float, g: float, p: int, policy: TruncationPolicy) -> SchmidtState:
-    params = TwbParams(chi)
-    if g == 1.0:
-        return make_twb(params, policy)
-    return make_amplified_twb(params, NlaConfig(gain=g, threshold=p), policy)[0]
+# ---------------------------------------------------------------------------
+# resource families and metrics
+#
+# Builders and metrics name the resources/metrics/teleport functions inside
+# their bodies, so each call looks them up in this module's globals: code
+# that rebinds those names here (a profiler or tracer) sees every call.
 
 
-def _eval_sweep_point(task) -> list[SweepRow]:
-    metric, p, g, chi, spec = task
-    params = TwbParams(chi)
-    if metric == "psucc":
-        value = success_probability(params, NlaConfig(gain=g, threshold=p))
-        return [SweepRow(chi, g, p, metric, value)]
-    state = _resource_state(chi, g, p, spec.truncation)
-    psucc = success_probability(params, NlaConfig(gain=g, threshold=p))
-    if metric == "entropy":
-        return [SweepRow(chi, g, p, metric, entanglement_entropy(state))]
-    if metric == "epr":
-        return [SweepRow(chi, g, p, metric, epr_correlation(state))]
-    if metric == "ng":
-        return [SweepRow(chi, g, p, metric, non_gaussianity(state))]
-    if metric == "pdist":
-        probs = schmidt_probabilities(state)
-        return [SweepRow(chi, g, p, metric, float(v), n) for n, v in enumerate(probs)]
-    if metric == "fbar":
-        return [SweepRow(chi, g, p, metric, average_fidelity_series(state), psucc)]
-    if metric == "fbar_grid2d":
-        value = average_fidelity_grid2d(state, spec.alpha, spec.quadrature)
-        return [SweepRow(chi, g, p, metric, value, psucc)]
-    raise ValidationError(f"unknown metric {metric!r}")
+def _amplified(params: TwbParams, nla: NlaConfig, policy: TruncationPolicy):
+    if nla.gain == 1.0:  # the unit-gain amplifier is the identity
+        return make_twb(params, policy), None
+    return make_amplified_twb(params, nla, policy)
 
 
-def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+# --resource name -> (fig5 tag, builder). A builder takes (params, nla,
+# policy) and returns (state, success probability or None); only the
+# amplified family reads nla.
+FAMILIES = {
+    "twb": ("twb", lambda params, nla, policy: (make_twb(params, policy), None)),
+    "amplified": ("nla", _amplified),
+    "subtracted": (
+        "photsub",
+        lambda params, nla, policy: (make_photon_subtracted_twb(params, policy), None),
+    ),
+    "added-subtracted": (
+        "addsub",
+        lambda params, nla, policy: (make_added_then_subtracted_twb(params, policy), None),
+    ),
+}
+
+# metric name -> value of a resource state
+METRICS = {
+    "entropy": lambda state: entanglement_entropy(state),
+    "epr": lambda state: epr_correlation(state),
+    "ng": lambda state: non_gaussianity(state),
+    "fbar": lambda state: average_fidelity_series(state),
+}
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
+def _metric_rows(metric, configs, chis, policy, extra=None, alpha=None, quadrature=None):
+    """Rows of one metric at every (config, chi), in that order.
+
+    configs are (family, gain, threshold). extra fills the last column:
+    None, "tag" (the family's fig5 tag) or "psucc". pdist gives one row per
+    Fock level.
+    """
+    rows = []
+    for family, g, p in configs:
+        tag, build = FAMILIES[family]
+        nla = NlaConfig(gain=g, threshold=p)
+        for chi in chis:
+            params = TwbParams(chi)
+            if metric == "psucc":
+                rows.append(SweepRow(chi, g, p, metric, success_probability(params, nla)))
+                continue
+            state, psucc = build(params, nla, policy)
+            if metric == "pdist":
+                probs = schmidt_probabilities(state)
+                rows += [SweepRow(chi, g, p, metric, float(v), n) for n, v in enumerate(probs)]
+                continue
+            if metric == "fbar_grid2d":
+                value = average_fidelity_grid2d(state, alpha, quadrature)
+            else:
+                value = METRICS[metric](state)
+            if extra == "psucc" and psucc is None:
+                psucc = success_probability(params, nla)
+            rows.append(SweepRow(chi, g, p, metric, value, {"tag": tag, "psucc": psucc}.get(extra)))
+    return rows
+
+
+def _nla_configs(gains, thresholds) -> tuple:
+    return tuple(("amplified", g, p) for p in thresholds for g in gains)
+
+
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the grid, write the output file atomically, return the rows.
 
-    Rows are ordered by (metric, p, g, chi) independent of the worker
-    count; repeated runs produce byte-identical files.
+    Rows are ordered by (metric, p, g, chi); repeated runs produce
+    byte-identical files.
     """
-    tasks = [
-        (metric, p, g, chi, spec)
-        for metric in sorted(spec.outputs)
-        for p in sorted(spec.thresholds)
-        for g in sorted(spec.gains)
-        for chi in spec.chi_grid()
-    ]
-    rows = [row for group in _map_tasks(_eval_sweep_point, tasks, jobs) for row in group]
+    configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
+    chis = chi_grid(*spec.chi_range)
+    rows = []
+    for metric in sorted(spec.outputs):
+        extra = "psucc" if metric in ("fbar", "fbar_grid2d") else None
+        rows += _metric_rows(
+            metric, configs, chis, spec.truncation, extra, spec.alpha, spec.quadrature
+        )
     text = _rows_to_csv(rows) if spec.format == "csv" else _rows_to_json(rows)
     _atomic_write(spec.out_path, text)
     return rows
@@ -234,20 +263,70 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
 # figure datasets
 
 
-def _figure_chi_grid(step: float) -> list[float]:
-    count = int(math.floor((0.95 - step) / step + 1e-9)) + 1
-    return [round(step + i * step, 12) for i in range(count)]
+@dataclass(frozen=True)
+class FigureSpec:
+    """One figure: a metric at (config, chi) points, as _metric_rows takes them.
+
+    configs are listed in output order; chis None means the chi grid of
+    the run's step.
+    """
+
+    caption: str
+    configs: tuple
+    metric: str
+    extra: str | None = None
+    chis: tuple | None = None
 
 
-def _fig_metric_rows(metric_fn, metric, configs, chi_grid, policy, jobs):
-    tasks = [(chi, g, p) for g, p in configs for chi in chi_grid]
+_NLA = _nla_configs((2.0, 3.0, 4.0), (2, 4))
 
-    def work(task):
-        chi, g, p = task
-        return SweepRow(chi, g, p, metric, metric_fn(_resource_state(chi, g, p, policy)))
 
-    flat = _map_tasks(work, tasks, jobs)
-    return sorted(flat, key=lambda r: (r.p, r.g, r.chi))
+def _standard_and_nla(quantity: str, metric: str) -> FigureSpec:
+    return FigureSpec(
+        f"{quantity} vs chi, standard (g=1) and amplified twin-beams, gains 2,3,4, thresholds 2,4",
+        (("twb", 1.0, 0), *_NLA),
+        metric,
+    )
+
+
+FIGURE_TABLE = {
+    "fig1": FigureSpec(
+        "photon number distribution, chi=0.6, p=2, gains 1,2,3",
+        _nla_configs((1.0, 2.0, 3.0), (2,)),
+        "pdist",
+        chis=(0.6,),
+    ),
+    "fig2": FigureSpec(
+        "entropic non-Gaussianity vs chi, p=2, gains 1.5,2,3,4",
+        _nla_configs((1.5, 2.0, 3.0, 4.0), (2,)),
+        "ng",
+    ),
+    "fig3": _standard_and_nla("entanglement entropy", "entropy"),
+    "fig4": _standard_and_nla("EPR correlation", "epr"),
+    "fig5": FigureSpec(
+        "average fidelity vs chi for the standard, photon-subtracted, "
+        "added-then-subtracted and amplified twin-beams, gains 2,3,4, thresholds 2,4",
+        # ordered by tag: addsub, nla, photsub, twb
+        (("added-subtracted", 1.0, 0), *_NLA, ("subtracted", 1.0, 0), ("twb", 1.0, 0)),
+        "fbar",
+        extra="tag",
+    ),
+    "fig6": FigureSpec(
+        "average fidelity vs gain, chi 0.22,0.4,0.6,0.8, thresholds 2,4",
+        _nla_configs([round(1.0 + 0.05 * i, 12) for i in range(61)], (2, 4)),
+        "fbar",
+        extra="psucc",
+        chis=(0.22, 0.4, 0.6, 0.8),
+    ),
+    # figure_data adds the closed-form twin-beam rows and the classification
+    "fig7": FigureSpec(
+        "average fidelity vs chi, standard twin-beam against the amplified "
+        "resource at g=2 p=4, with security classification",
+        (("amplified", 2.0, 4),),
+        "fbar",
+    ),
+}
+FIGURES = tuple(FIGURE_TABLE)
 
 
 def figure_data(
@@ -255,7 +334,6 @@ def figure_data(
     out_path: str | None = None,
     step: float = 0.005,
     policy: TruncationPolicy = TruncationPolicy(),
-    jobs: int = 1,
 ) -> str:
     """Emit the dataset behind one reference figure as CSV; returns the path."""
     if figure_id not in FIGURES:
@@ -263,112 +341,28 @@ def figure_data(
     if step <= 0 or step >= 0.5:
         raise ValidationError(f"step must lie in (0, 0.5), got {step}")
     out_path = out_path or f"{figure_id}.csv"
-    chi_grid = _figure_chi_grid(step)
-    rows: list[SweepRow] = []
-    comments: list[str] = []
-
-    if figure_id == "fig1":
-        comments = ["figure:fig1 caption:photon number distribution, chi=0.6, p=2, gains 1,2,3"]
-        chi, p = 0.6, 2
-        states = [(g, _resource_state(chi, g, p, policy)) for g in (1.0, 2.0, 3.0)]
-        dmax = max(s.dim for _, s in states)
-        for g, state in states:
-            probs = schmidt_probabilities(state)
-            for n in range(dmax):
-                v = float(probs[n]) if n < state.dim else 0.0
-                rows.append(SweepRow(chi, g, p, "pdist", v, n))
-    elif figure_id == "fig2":
-        comments = ["figure:fig2 caption:entropic non-Gaussianity vs chi, p=2, gains 1.5,2,3,4"]
-        configs = [(g, 2) for g in (1.5, 2.0, 3.0, 4.0)]
-        rows = _fig_metric_rows(non_gaussianity, "ng", configs, chi_grid, policy, jobs)
-    elif figure_id == "fig3":
-        comments = [
-            "figure:fig3 caption:entanglement entropy vs chi, standard (g=1) and "
-            "amplified twin-beams, gains 2,3,4, thresholds 2,4"
+    fig = FIGURE_TABLE[figure_id]
+    chis = fig.chis or chi_grid(step, 0.95, step)
+    rows = _metric_rows(fig.metric, fig.configs, chis, policy, fig.extra)
+    comments = [f"figure:{figure_id} caption:{fig.caption}"]
+    if figure_id == "fig1":  # zero-pad every distribution to the largest dimension
+        probs = {(r.g, r.extra): r.value for r in rows}
+        dmax = max(n for _, n in probs) + 1
+        rows = [
+            SweepRow(chis[0], g, p, "pdist", probs.get((g, n), 0.0), n)
+            for _, g, p in fig.configs
+            for n in range(dmax)
         ]
-        configs = [(1.0, 0)] + [(g, p) for p in (2, 4) for g in (2.0, 3.0, 4.0)]
-        rows = _fig_metric_rows(entanglement_entropy, "entropy", configs, chi_grid, policy, jobs)
-    elif figure_id == "fig4":
-        comments = [
-            "figure:fig4 caption:EPR correlation vs chi, standard (g=1) and "
-            "amplified twin-beams, gains 2,3,4, thresholds 2,4"
-        ]
-        configs = [(1.0, 0)] + [(g, p) for p in (2, 4) for g in (2.0, 3.0, 4.0)]
-        rows = _fig_metric_rows(epr_correlation, "epr", configs, chi_grid, policy, jobs)
-    elif figure_id == "fig5":
-        comments = [
-            "figure:fig5 caption:average fidelity vs chi for the standard, "
-            "photon-subtracted, added-then-subtracted and amplified twin-beams, "
-            "gains 2,3,4, thresholds 2,4"
-        ]
-        rows = _fig5_rows(chi_grid, policy, jobs)
-    elif figure_id == "fig6":
-        comments = [
-            "figure:fig6 caption:average fidelity vs gain, chi 0.22,0.4,0.6,0.8, "
-            "thresholds 2,4"
-        ]
-        g_grid = [round(1.0 + 0.05 * i, 12) for i in range(61)]
-        tasks = [(chi, g, p) for p in (2, 4) for g in g_grid for chi in (0.22, 0.4, 0.6, 0.8)]
-
-        def work(task):
-            chi, g, p = task
-            state = _resource_state(chi, g, p, policy)
-            psucc = success_probability(TwbParams(chi), NlaConfig(gain=g, threshold=p))
-            return SweepRow(chi, g, p, "fbar", average_fidelity_series(state), psucc)
-
-        rows = sorted(
-            _map_tasks(work, tasks, jobs), key=lambda r: (r.p, r.g, r.chi)
-        )
-    elif figure_id == "fig7":
-        g, p = 2.0, 4
-        report = crossover_find(p, g, chi_grid)
-        interval = (
-            f"{report.secure_only[0]:.12g},{report.secure_only[1]:.12g}"
-            if report.secure_only
-            else "none"
-        )
-        comments = [
-            "figure:fig7 caption:average fidelity vs chi, standard twin-beam against "
-            "the amplified resource at g=2 p=4, with security classification",
-            f"secure_only_interval:{interval}",
-        ]
-
-        def work(task):
-            chi, gg, pp = task
-            if gg == 1.0:
-                fbar = twb_average_fidelity_closed(TwbParams(chi))
-            else:
-                fbar = average_fidelity_series(_resource_state(chi, gg, pp, policy))
-            return SweepRow(chi, gg, pp, "fbar", fbar, classify_fidelity(fbar))
-
-        tasks = [(chi, gg, pp) for gg, pp in ((1.0, 0), (g, p)) for chi in chi_grid]
-        rows = sorted(_map_tasks(work, tasks, jobs), key=lambda r: (r.p, r.g, r.chi))
-
+    if figure_id == "fig7":
+        (_, g, p), = fig.configs
+        window = crossover_find(p, g, chis).secure_only
+        interval = f"{window[0]:.12g},{window[1]:.12g}" if window else "none"
+        comments.append(f"secure_only_interval:{interval}")
+        closed = [twb_average_fidelity_closed(TwbParams(chi)) for chi in chis]
+        rows = [SweepRow(chi, 1.0, 0, "fbar", f) for chi, f in zip(chis, closed)] + rows
+        rows = [replace(r, extra=classify_fidelity(r.value)) for r in rows]
     _atomic_write(out_path, _rows_to_csv(rows, comments))
     return out_path
-
-
-def _fig5_rows(chi_grid, policy, jobs):
-    specs = [("twb", 1.0, 0), ("photsub", 1.0, 0), ("addsub", 1.0, 0)] + [
-        ("nla", g, p) for p in (2, 4) for g in (2.0, 3.0, 4.0)
-    ]
-    tasks = [(tag, g, p, chi) for tag, g, p in specs for chi in chi_grid]
-
-    def work(task):
-        tag, g, p, chi = task
-        params = TwbParams(chi)
-        if tag == "twb":
-            state = make_twb(params, policy)
-        elif tag == "photsub":
-            state = make_photon_subtracted_twb(params, policy)
-        elif tag == "addsub":
-            state = make_added_then_subtracted_twb(params, policy)
-        else:
-            state = make_amplified_twb(params, NlaConfig(gain=g, threshold=p), policy)[0]
-        return SweepRow(chi, g, p, "fbar", average_fidelity_series(state), tag)
-
-    flat = _map_tasks(work, tasks, jobs)
-    return sorted(flat, key=lambda r: (r.extra, r.p, r.g, r.chi))
 
 
 def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
@@ -381,18 +375,22 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     """
     if step <= 0 or step >= 0.5:
         raise ValidationError(f"step must lie in (0, 0.5), got {step}")
-    NlaConfig(gain=g, threshold=p)  # domain check
-    chi_grid = _figure_chi_grid(step)
+    nla = NlaConfig(gain=g, threshold=p)
+    chis = chi_grid(step, 0.95, step)
     policy = TruncationPolicy()
     chi_c1 = None
-    for chi in chi_grid:
+    for chi in chis:
         params = TwbParams(chi)
-        epr_amp = epr_correlation(_resource_state(chi, g, p, policy))
+        epr_amp = epr_correlation(_amplified(params, nla, policy)[0])
         epr_twb = epr_correlation(make_twb(params, policy))
         if epr_amp > epr_twb + 1e-9:
             chi_c1 = chi
             break
-    fid = crossover_find(p, g, chi_grid)
+    fid = crossover_find(p, g, chis)
+
+    def region(chi_c):
+        return [chis[0], round(chi_c - step, 12)] if chi_c is not None and chi_c > chis[0] else None
+
     return {
         "gain": g,
         "threshold": p,
@@ -400,105 +398,16 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
         "chi_c1": chi_c1,
         "chi_c2": fid.chi_c2,
         "secure_only": list(fid.secure_only) if fid.secure_only else None,
-        "regions": {
-            "epr_improved": [chi_grid[0], round(chi_c1 - step, 12)]
-            if chi_c1 is not None and chi_c1 > chi_grid[0]
-            else None,
-            "fidelity_improved": [chi_grid[0], round(fid.chi_c2 - step, 12)]
-            if fid.chi_c2 is not None and fid.chi_c2 > chi_grid[0]
-            else None,
-        },
+        "regions": {"epr_improved": region(chi_c1), "fidelity_improved": region(fid.chi_c2)},
     }
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-
-def _common_flags(sub):
-    sub.add_argument("--chi", type=float, help="squeezing parameter in (0,1)")
-    sub.add_argument("--gain", type=float, default=None, help="amplifier gain >= 1")
-    sub.add_argument("--threshold", type=int, default=None, help="amplifier Fock threshold >= 0")
-    sub.add_argument("--alpha-re", type=float, default=None, help="input amplitude, real part")
-    sub.add_argument("--alpha-im", type=float, default=None, help="input amplitude, imag part")
-    sub.add_argument("--epsilon", type=float, default=None, help="truncation tail tolerance")
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="file format")
-    sub.add_argument("--seed", type=int, default=None, help="random seed (Monte Carlo paths)")
-    sub.add_argument("--jobs", type=int, default=None, help="worker threads for grids")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvteleport",
-        description="Entangled-resource engineering and coherent-state "
-        "teleportation fidelity, on the command line.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("twb", "summarize a twin-beam resource"),
-        ("amplify", "summarize an amplified twin-beam and its success probability"),
-        ("metrics", "entanglement, EPR and non-Gaussianity metrics of a resource"),
-        ("teleport", "average teleportation fidelity of a resource"),
-        ("sweep", "evaluate metrics over a parameter grid and write csv/json"),
-        ("figure", "emit the dataset behind one reference figure"),
-        ("crossover", "report EPR and fidelity crossovers for one amplifier setting"),
-    ):
-        sub = subs.add_parser(name, help=desc)
-        _common_flags(sub)
-        if name == "metrics":
-            sub.add_argument(
-                "--resource",
-                choices=("twb", "amplified", "subtracted", "added-subtracted"),
-                default=None,
-                help="resource family (default: amplified when gain > 1, else twb)",
-            )
-            sub.add_argument(
-                "--debug-ng",
-                action="store_true",
-                help="also emit the additive-moment non-Gaussianity variant",
-            )
-        if name == "teleport":
-            sub.add_argument(
-                "--method",
-                choices=("series", "radial", "grid2d", "mc"),
-                default="series",
-                help="fidelity estimator",
-            )
-        if name == "sweep":
-            sub.add_argument("--config", default=None, help="JSON config file")
-            sub.add_argument("--chi-start", type=float, default=None)
-            sub.add_argument("--chi-stop", type=float, default=None)
-            sub.add_argument("--chi-step", type=float, default=None)
-            sub.add_argument("--gains", default=None, help="comma-separated gains")
-            sub.add_argument("--thresholds", default=None, help="comma-separated thresholds")
-            sub.add_argument(
-                "--outputs", default=None, help=f"comma-separated subset of {SWEEP_METRICS}"
-            )
-        if name == "figure":
-            sub.add_argument("figure_id", choices=FIGURES)
-            sub.add_argument("--step", type=float, default=0.005, help="chi grid step")
-        if name == "crossover":
-            sub.add_argument("--step", type=float, default=0.005, help="chi grid step")
-    return parser
+# command handlers
 
 
 def _policy(args) -> TruncationPolicy:
-    if getattr(args, "epsilon", None) is not None:
-        return TruncationPolicy(epsilon=args.epsilon)
-    return TruncationPolicy()
-
-
-def _alpha(args, default=2.0 + 0.0j) -> complex:
-    re = args.alpha_re if args.alpha_re is not None else default.real
-    im = args.alpha_im if args.alpha_im is not None else default.imag
-    return complex(re, im)
-
-
-def _need_chi(args) -> float:
-    if args.chi is None:
-        raise ValidationError("--chi is required for this command")
-    return args.chi
+    return TruncationPolicy() if args.epsilon is None else TruncationPolicy(epsilon=args.epsilon)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -520,16 +429,31 @@ def _state_payload(state: SchmidtState) -> dict:
     }
 
 
+def _cli_resource(args, policy):
+    """(state, psucc or None) of the resource the flags name.
+
+    --resource names the family; without it, --gain or --threshold selects
+    the amplified twin-beam and neither the plain one. Gain and threshold
+    belong to the amplified family alone.
+    """
+    nla_given = args.gain is not None or args.threshold is not None
+    family = getattr(args, "resource", None) or ("amplified" if nla_given else "twb")
+    if nla_given and family != "amplified":
+        raise ValidationError(f"--gain and --threshold do not apply to the {family} resource")
+    nla = NlaConfig(gain=args.gain, threshold=args.threshold) if family == "amplified" else None
+    return FAMILIES[family][1](TwbParams(args.chi), nla, policy)
+
+
 def _cmd_twb(args) -> None:
-    state = make_twb(TwbParams(_need_chi(args)), _policy(args))
+    """Summarize a twin-beam resource."""
+    state = make_twb(TwbParams(args.chi), _policy(args))
     _emit({"chi": args.chi, **_state_payload(state)}, args.out)
 
 
 def _cmd_amplify(args) -> None:
-    if args.gain is None or args.threshold is None:
-        raise ValidationError("--gain and --threshold are required for amplify")
+    """Summarize an amplified twin-beam and its success probability."""
     nla = NlaConfig(gain=args.gain, threshold=args.threshold)
-    state, psucc = make_amplified_twb(TwbParams(_need_chi(args)), nla, _policy(args))
+    state, psucc = make_amplified_twb(TwbParams(args.chi), nla, _policy(args))
     payload = {
         "chi": args.chi,
         "gain": args.gain,
@@ -540,55 +464,33 @@ def _cmd_amplify(args) -> None:
     _emit(payload, args.out)
 
 
-def _select_resource(args, policy) -> SchmidtState:
-    chi = _need_chi(args)
-    params = TwbParams(chi)
-    kind = getattr(args, "resource", None)
-    if kind is None:
-        kind = "amplified" if (args.gain or 1.0) != 1.0 else "twb"
-    if kind == "twb":
-        return make_twb(params, policy)
-    if kind == "subtracted":
-        return make_photon_subtracted_twb(params, policy)
-    if kind == "added-subtracted":
-        return make_added_then_subtracted_twb(params, policy)
-    nla = NlaConfig(gain=args.gain or 1.0, threshold=args.threshold or 0)
-    return make_amplified_twb(params, nla, policy)[0]
-
-
 def _cmd_metrics(args) -> None:
-    state = _select_resource(args, _policy(args))
-    report = metrics_report(state)
-    payload = {
-        "label": state.label,
-        "chi": args.chi,
-        "entropy": _round12(report.entropy),
-        "epr": _round12(report.epr),
-        "non_gaussianity": _round12(report.non_gaussianity),
-        "mean_photon": _round12(report.mean_photon),
-        "cross_moment": _round12(report.cross_moment),
-        "dim": state.dim,
-        "photon_distribution": [_round12(float(v)) for v in report.photon_distribution],
-    }
-    if getattr(args, "debug_ng", False):
+    """Entanglement, EPR and non-Gaussianity metrics of a resource."""
+    state, _ = _cli_resource(args, _policy(args))
+    report = dict(vars(metrics_report(state)))
+    probs = report.pop("photon_distribution")
+    payload = {"label": state.label, "chi": args.chi}
+    payload.update((k, _round12(v)) for k, v in report.items())
+    payload.update(dim=state.dim, photon_distribution=[_round12(float(v)) for v in probs])
+    if args.debug_ng:
         payload["non_gaussianity_additive"] = _round12(non_gaussianity_additive(state))
     _emit(payload, args.out)
 
 
 def _cmd_teleport(args) -> None:
-    policy = _policy(args)
-    state = _select_resource(args, policy)
-    alpha = _alpha(args)
+    """Average teleportation fidelity of a resource."""
+    state, psucc = _cli_resource(args, _policy(args))
+    alpha = complex(
+        2.0 if args.alpha_re is None else args.alpha_re,
+        0.0 if args.alpha_im is None else args.alpha_im,
+    )
     quad = QuadratureSpec(rng_seed=args.seed if args.seed is not None else 12345)
-    std_error = None
-    if args.method == "series":
-        fbar = average_fidelity_series(state)
-    elif args.method == "radial":
-        fbar = average_fidelity_radial(state, quad)
-    elif args.method == "grid2d":
-        fbar = average_fidelity_grid2d(state, alpha, quad)
-    else:
-        fbar, std_error = average_fidelity_sampled(state, alpha, quad)
+    fbar, std_error = {
+        "series": lambda: (average_fidelity_series(state), None),
+        "radial": lambda: (average_fidelity_radial(state, quad), None),
+        "grid2d": lambda: (average_fidelity_grid2d(state, alpha, quad), None),
+        "mc": lambda: average_fidelity_sampled(state, alpha, quad),
+    }[args.method]()
     payload = {
         "label": state.label,
         "chi": args.chi,
@@ -597,25 +499,24 @@ def _cmd_teleport(args) -> None:
         "average_fidelity": _round12(fbar),
         "classification": classify_fidelity(min(max(fbar, 0.0), 1.0)),
     }
-    if (args.gain or 1.0) != 1.0:
-        psucc = success_probability(
-            TwbParams(_need_chi(args)), NlaConfig(args.gain, args.threshold or 0)
-        )
+    if psucc is not None:
         payload["success_probability"] = _round12(psucc)
     if std_error is not None:
         payload["std_error"] = _round12(std_error)
     _emit(payload, args.out)
 
 
-def _parse_list(raw, cast):
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return [cast(v) for v in raw]
-    return [cast(v) for v in str(raw).split(",") if v != ""]
+def _parse_list(raw, cast) -> tuple:
+    """A JSON list or a comma-separated string, each item passed through cast."""
+    items = raw if isinstance(raw, (list, tuple)) else [v for v in str(raw).split(",") if v]
+    try:
+        return tuple(cast(v) for v in items)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad list {raw!r}: {exc}") from None
 
 
 def _cmd_sweep(args) -> None:
+    """Evaluate metrics over a parameter grid and write csv/json."""
     config = {}
     if args.config:
         with open(args.config) as fh:
@@ -623,73 +524,110 @@ def _cmd_sweep(args) -> None:
         unknown = set(config) - set(_SWEEP_DEFAULTS)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(_SWEEP_DEFAULTS)
-    merged.update(config)
-    overrides = {
-        "chi_start": args.chi_start,
-        "chi_stop": args.chi_stop,
-        "chi_step": args.chi_step,
-        "gains": _parse_list(args.gains, float),
-        "thresholds": _parse_list(args.thresholds, int),
-        "outputs": _parse_list(args.outputs, str),
-        "alpha_re": args.alpha_re,
-        "alpha_im": args.alpha_im,
-        "epsilon": args.epsilon,
-        "format": args.format,
-        "out": args.out,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    # each sweep flag's dest is its config key; explicit flags win
+    flags = {k: getattr(args, k) for k in _SWEEP_DEFAULTS if getattr(args, k) is not None}
+    merged = {**_SWEEP_DEFAULTS, **config, **flags}
     spec = SweepSpec(
         chi_range=(merged["chi_start"], merged["chi_stop"], merged["chi_step"]),
-        gains=tuple(float(g) for g in _parse_list(merged["gains"], float)),
-        thresholds=tuple(int(p) for p in _parse_list(merged["thresholds"], int)),
+        gains=_parse_list(merged["gains"], float),
+        thresholds=_parse_list(merged["thresholds"], float),
         alpha=complex(merged["alpha_re"], merged["alpha_im"]),
         truncation=TruncationPolicy(epsilon=merged["epsilon"]),
         quadrature=QuadratureSpec(rng_seed=int(merged["seed"])),
-        outputs=tuple(_parse_list(merged["outputs"], str)),
+        outputs=_parse_list(merged["outputs"], str),
         format=merged["format"],
         out_path=merged["out"],
     )
-    rows = run_sweep(spec, jobs=int(merged["jobs"]))
+    rows = run_sweep(spec)
     sys.stdout.write(f"wrote {len(rows)} rows to {spec.out_path}\n")
 
 
 def _cmd_figure(args) -> None:
-    path = figure_data(
-        args.figure_id,
-        out_path=args.out,
-        step=args.step,
-        policy=_policy(args),
-        jobs=args.jobs or 1,
-    )
+    """Emit the dataset behind one reference figure."""
+    path = figure_data(args.figure_id, out_path=args.out, step=args.step, policy=_policy(args))
     sys.stdout.write(f"wrote {path}\n")
 
 
 def _cmd_crossover(args) -> None:
-    if args.gain is None or args.threshold is None:
-        raise ValidationError("--gain and --threshold are required for crossover")
-    report = report_crossover(args.gain, args.threshold, args.step)
-    _emit(report, args.out)
+    """Report EPR and fidelity crossovers for one amplifier setting."""
+    _emit(report_crossover(args.gain, args.threshold, args.step), args.out)
 
 
-_HANDLERS = {
-    "twb": _cmd_twb,
-    "amplify": _cmd_amplify,
-    "metrics": _cmd_metrics,
-    "teleport": _cmd_teleport,
-    "sweep": _cmd_sweep,
-    "figure": _cmd_figure,
-    "crossover": _cmd_crossover,
+# ---------------------------------------------------------------------------
+# argument parsing and dispatch
+
+_FLAGS = {
+    "--chi": dict(type=float, required=True, help="squeezing parameter in (0,1)"),
+    "--gain": dict(type=float, help="amplifier gain >= 1"),
+    "--threshold": dict(type=int, help="amplifier Fock threshold >= 0"),
+    "--resource": dict(
+        choices=tuple(FAMILIES),
+        help="resource family (default: amplified when --gain or --threshold is given, else twb)",
+    ),
+    "--debug-ng": dict(
+        action="store_true", help="also emit the additive-moment non-Gaussianity variant"
+    ),
+    "--method": dict(
+        choices=("series", "radial", "grid2d", "mc"), default="series", help="fidelity estimator"
+    ),
+    "--alpha-re": dict(type=float, help="input amplitude, real part"),
+    "--alpha-im": dict(type=float, help="input amplitude, imag part"),
+    "--epsilon": dict(type=float, help="truncation tail tolerance"),
+    "--seed": dict(type=int, help="random seed (Monte Carlo paths)"),
+    "--config": dict(help="JSON config file"),
+    "--chi-start": dict(type=float),
+    "--chi-stop": dict(type=float),
+    "--chi-step": dict(type=float),
+    "--gains": dict(help="comma-separated gains"),
+    "--thresholds": dict(help="comma-separated thresholds"),
+    "--outputs": dict(help=f"comma-separated subset of {SWEEP_METRICS}"),
+    "--format": dict(choices=("csv", "json"), help="file format"),
+    "figure_id": dict(choices=FIGURES),
+    "--step": dict(type=float, default=0.005, help="chi grid step"),
+    "--out": dict(help="output file path"),
+}
+
+# subcommand -> (handler, the flags it reads); the handler's docstring is its help
+_COMMANDS = {
+    "twb": (_cmd_twb, ("--chi", "--epsilon", "--out")),
+    "amplify": (_cmd_amplify, ("--chi", "--gain", "--threshold", "--epsilon", "--out")),
+    "metrics": (
+        _cmd_metrics,
+        ("--chi", "--resource", "--gain", "--threshold", "--debug-ng", "--epsilon", "--out"),
+    ),
+    "teleport": (
+        _cmd_teleport,
+        ("--chi", "--gain", "--threshold", "--method", "--alpha-re", "--alpha-im", "--seed",
+         "--epsilon", "--out"),
+    ),
+    "sweep": (
+        _cmd_sweep,
+        ("--config", "--chi-start", "--chi-stop", "--chi-step", "--gains", "--thresholds",
+         "--outputs", "--alpha-re", "--alpha-im", "--epsilon", "--seed", "--format", "--out"),
+    ),
+    "figure": (_cmd_figure, ("figure_id", "--step", "--epsilon", "--out")),
+    "crossover": (_cmd_crossover, ("--gain", "--threshold", "--step", "--out")),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cvteleport",
+        description="Entangled-resource engineering and coherent-state "
+        "teleportation fidelity, on the command line.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=handler.__doc__)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _HANDLERS[args.command](args)
+        _COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

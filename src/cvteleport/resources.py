@@ -52,6 +52,8 @@ class NlaConfig:
     threshold: int
 
     def __post_init__(self):
+        if self.gain is None or self.threshold is None:
+            raise ValidationError("an amplifier needs both a gain and a threshold")
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValidationError(f"gain must be >= 1, got {self.gain}")
         if self.threshold < 0 or int(self.threshold) != self.threshold:

@@ -63,6 +63,8 @@ class QuadratureSpec:
             raise ValidationError("quadrature counts must be positive")
         if self.grid_half_width <= 0:
             raise ValidationError("grid_half_width must be positive")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

@@ -65,9 +65,9 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
         thresholds=(4, 2),
         outputs=("epr", "entropy"),
     )
-    run_sweep(spec, jobs=1)
+    run_sweep(spec)
     first = open(spec.out_path, "rb").read()
-    run_sweep(spec, jobs=8)
+    run_sweep(spec)
     second = open(spec.out_path, "rb").read()
     assert first == second
     parsed = _read_rows(spec.out_path)
@@ -128,7 +128,7 @@ def test_figure_fig3_standard_series_is_twb_entropy(tmp_path):
 
 
 def test_figure_fig6_unit_gain_intercepts(tmp_path):
-    path = figure_data("fig6", str(tmp_path / "fig6.csv"), jobs=4)
+    path = figure_data("fig6", str(tmp_path / "fig6.csv"))
     rows = [r for r in _read_rows(path) if float(r["g"]) == 1.0]
     assert rows
     for rec in rows:
@@ -155,8 +155,8 @@ def test_figure_rejects_unknown_id(tmp_path):
 
 
 def test_figure_determinism_across_jobs(tmp_path):
-    a = figure_data("fig2", str(tmp_path / "a.csv"), step=0.05, jobs=1)
-    b = figure_data("fig2", str(tmp_path / "b.csv"), step=0.05, jobs=8)
+    a = figure_data("fig2", str(tmp_path / "a.csv"), step=0.05)
+    b = figure_data("fig2", str(tmp_path / "b.csv"), step=0.05)
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
@@ -194,13 +194,50 @@ def test_main_numerics_exit_code(capsys):
     assert main(["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "5000"]) == 3
 
 
+SMALL_SWEEP = ["sweep", "--chi-start", "0.2", "--chi-stop", "0.2", "--chi-step", "0.1",
+               "--outputs", "entropy"]
+
+
 def test_main_io_exit_code(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
-    rc = main(
-        ["sweep", "--chi-start", "0.2", "--chi-stop", "0.2", "--chi-step", "0.1",
-         "--outputs", "entropy", "--out", str(missing)]
-    )
-    assert rc == 4
+    assert main([*SMALL_SWEEP, "--out", str(missing)]) == 4
+    # a failed rename (the target is a directory) leaves no temp file behind
+    (tmp_path / "isdir").mkdir()
+    assert main([*SMALL_SWEEP, "--out", str(tmp_path / "isdir")]) == 4
+    # a stale <out>.tmp directory does not block the write
+    (tmp_path / "out.csv.tmp").mkdir()
+    assert main([*SMALL_SWEEP, "--out", str(tmp_path / "out.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["isdir", "out.csv", "out.csv.tmp"]
+    assert len(_read_rows(tmp_path / "out.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--chi", "0.5", "--method", "mc", "--seed", "-1"],
+        [*SMALL_SWEEP, "--thresholds", "2.5"],
+        [*SMALL_SWEEP, "--gains", "abc"],
+        [*SMALL_SWEEP, "--config", "CONFIG"],
+        ["figure", "fig2", "--format", "json"],
+        ["twb", "--chi", "0.3", "--gain", "2"],
+        ["metrics", "--chi", "0.5", "--resource", "twb", "--gain", "3", "--threshold", "2"],
+        ["teleport", "--chi", "0.5", "--gain", "2"],
+        [*SMALL_SWEEP, "--jobs", "2"],
+    ],
+    ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
+         "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs"],
+)
+def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thresholds": [2.5]}))
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    try:
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        rc = exc.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_twb_json_payload(capsys):
