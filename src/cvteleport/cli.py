@@ -86,7 +86,7 @@ class SweepSpec:
 
     def __post_init__(self):
         start, stop, step = self.chi_range
-        if step <= 0:
+        if not step > 0:
             raise ValidationError(f"chi step must be positive, got {step}")
         if not (0.0 < start <= stop < 1.0):
             raise ValidationError(f"chi range must lie inside (0, 1), got {self.chi_range}")
@@ -338,7 +338,7 @@ def figure_data(
     """Emit the dataset behind one reference figure as CSV; returns the path."""
     if figure_id not in FIGURES:
         raise ValidationError(f"unknown figure {figure_id!r}; choose from {FIGURES}")
-    if step <= 0 or step >= 0.5:
+    if not (0 < step < 0.5):
         raise ValidationError(f"step must lie in (0, 0.5), got {step}")
     out_path = out_path or f"{figure_id}.csv"
     fig = FIGURE_TABLE[figure_id]
@@ -373,7 +373,7 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     fidelity falls below the standard one; secure_only is the window where
     only the amplified resource beats the 2/3 boundary.
     """
-    if step <= 0 or step >= 0.5:
+    if not (0 < step < 0.5):
         raise ValidationError(f"step must lie in (0, 0.5), got {step}")
     nla = NlaConfig(gain=g, threshold=p)
     chis = chi_grid(step, 0.95, step)
@@ -515,15 +515,38 @@ def _parse_list(raw, cast) -> tuple:
         raise ValidationError(f"bad list {raw!r}: {exc}") from None
 
 
+def _check_config(config) -> None:
+    """Reject a sweep config that is not an object of known, well-typed keys.
+
+    A scalar key takes the type of its default (any real number where the
+    default is a float); list keys are checked item by item by _parse_list.
+    """
+    if not isinstance(config, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = set(config) - set(_SWEEP_DEFAULTS)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        default = _SWEEP_DEFAULTS[key]
+        if isinstance(default, list):
+            continue
+        expected = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ValidationError(
+                f"config key {key!r} must be of type {type(default).__name__}, got {value!r}"
+            )
+
+
 def _cmd_sweep(args) -> None:
     """Evaluate metrics over a parameter grid and write csv/json."""
     config = {}
     if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
-        unknown = set(config) - set(_SWEEP_DEFAULTS)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from None
+        _check_config(config)
     # each sweep flag's dest is its config key; explicit flags win
     flags = {k: getattr(args, k) for k in _SWEEP_DEFAULTS if getattr(args, k) is not None}
     merged = {**_SWEEP_DEFAULTS, **config, **flags}
@@ -533,7 +556,7 @@ def _cmd_sweep(args) -> None:
         thresholds=_parse_list(merged["thresholds"], float),
         alpha=complex(merged["alpha_re"], merged["alpha_im"]),
         truncation=TruncationPolicy(epsilon=merged["epsilon"]),
-        quadrature=QuadratureSpec(rng_seed=int(merged["seed"])),
+        quadrature=QuadratureSpec(rng_seed=merged["seed"]),
         outputs=_parse_list(merged["outputs"], str),
         format=merged["format"],
         out_path=merged["out"],

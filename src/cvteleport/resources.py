@@ -15,6 +15,7 @@ fidelity comparisons.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +138,19 @@ def make_added_then_subtracted_twb(
     return _weighted_geometric_state(params.chi, 2, policy, f"addsub chi={params.chi:g}")
 
 
+@lru_cache(maxsize=8)
+def _ratio_growth(power: int, max_dim: int) -> np.ndarray:
+    """((D+2)/(D+1))^(2*power) for D = 1..max_dim.
+
+    Independent of chi, so it is computed once per (power, max_dim), with
+    Python's scalar pow: numpy's vectorised power can differ from it in the
+    last bit, which could move a bound across the epsilon threshold.
+    """
+    growth = np.array([((d + 2.0) / (d + 1.0)) ** (2 * power) for d in range(1, max_dim + 1)])
+    growth.setflags(write=False)
+    return growth
+
+
 def _weighted_geometric_state(
     chi: float, power: int, policy: TruncationPolicy, label: str
 ) -> SchmidtState:
@@ -146,35 +160,31 @@ def _weighted_geometric_state(
     is bounded by the geometric majorant w_D / (1 - rho_D) with
     rho_D = x ((D+2)/(D+1))^(2*power), which is the ratio bound of the
     decreasing-ratio sequence. D is the smallest dimension whose bounded
-    tail mass is below policy.epsilon.
+    tail mass is below policy.epsilon, or max_dim when none is.
     """
     x = chi * chi
     n = np.arange(policy.max_dim + 1)
     with np.errstate(under="ignore"):
         weights = (n + 1.0) ** (2 * power) * x**n
     partial = np.cumsum(weights)
+    # bounds[D-1]: ratio bound of the tail beyond D, for D = 1..max_dim
+    rho = x * _ratio_growth(power, policy.max_dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.where(rho < 1.0, weights[1:] / (1.0 - rho), np.inf)
 
-    def tail_bound_at(d: int) -> float:
-        rho = x * ((d + 2.0) / (d + 1.0)) ** (2 * power)
-        if rho >= 1.0:
-            return math.inf
-        return weights[d] / (1.0 - rho)
-
-    cap_tail = tail_bound_at(policy.max_dim)
+    cap_tail = bounds[-1]
     if not math.isfinite(cap_tail):
         raise NumericsError(
             f"cannot certify a tail bound for chi={chi} within max_dim={policy.max_dim}"
         )
     total = partial[policy.max_dim - 1] + cap_tail
-    dims = np.arange(1, policy.max_dim + 1)
-    bounds = np.array([tail_bound_at(d) for d in dims])
     ok = bounds <= policy.epsilon * total
-    dim = int(dims[ok][0]) if ok.any() else policy.max_dim
+    dim = int(ok.argmax()) + 1 if ok.any() else policy.max_dim
 
     truncated = partial[dim - 1]
     return SchmidtState(
         coeffs=(n[:dim] + 1.0) ** power * chi ** n[:dim],
         norm_const=1.0 / math.sqrt(truncated),
-        tail_bound=tail_bound_at(dim) / total,
+        tail_bound=bounds[dim - 1] / total,
         label=label,
     )

@@ -182,21 +182,42 @@ def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) 
     return min(max(float(fid), 0.0), 1.0)
 
 
+# Series kernel W[m, n] = C(m+n, n) / 2^(m+n+1), built on first use. Each
+# entry depends only on (m, n), so one matrix serves every dimension D as
+# its top-left block W[:D, :D].
+_series_kernel = np.empty((0, 0))
+
+
+def _series_weights(d: int) -> np.ndarray:
+    """W[:d, :d], first growing the kernel to the next power of two >= d.
+
+    Binomial weights are evaluated through log-gamma, one row at a time, so
+    they stay finite for dimensions in the thousands and no d x d
+    temporaries are allocated beside the kernel itself.
+    """
+    global _series_kernel
+    if _series_kernel.shape[0] < d:
+        size = 1 << (d - 1).bit_length()
+        lg_sum = gammaln(np.arange(2 * size - 1) + 1.0)
+        lg = gammaln(np.arange(size) + 1.0)
+        n = np.arange(size)
+        kernel = np.empty((size, size))
+        with np.errstate(under="ignore"):
+            for m in range(size):
+                kernel[m] = np.exp(lg_sum[m : m + size] - lg[m] - lg - (m + n + 1) * _LOG2)
+        kernel.setflags(write=False)
+        _series_kernel = kernel
+    return _series_kernel[:d, :d]
+
+
 def average_fidelity_series(resource: SchmidtState) -> float:
     """Outcome-averaged fidelity by the exact double series.
 
-    F = N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1). Binomial weights are
-    evaluated through log-gamma so the sum stays finite for dimensions in
-    the thousands. Independent of the input amplitude.
+    F = N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1), with the weights taken
+    from the shared series kernel. Independent of the input amplitude.
     """
     k = resource.coeffs
-    d = resource.dim
-    lg_sum = gammaln(np.arange(2 * d - 1) + 1.0)
-    lg = gammaln(np.arange(d) + 1.0)
-    s = np.add.outer(np.arange(d), np.arange(d))
-    with np.errstate(under="ignore"):
-        weights = np.exp(lg_sum[s] - lg[:, None] - lg[None, :] - (s + 1) * _LOG2)
-    return float(resource.norm_const**2 * (k @ weights @ k))
+    return float(resource.norm_const**2 * (k @ _series_weights(resource.dim) @ k))
 
 
 @lru_cache(maxsize=8)

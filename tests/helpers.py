@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from cvteleport import (
     NlaConfig,
@@ -73,6 +74,19 @@ def nla_fidelity_closed(chi: float, g: float, p: int) -> float:
     return overlap / norm
 
 
+def series_fidelity_direct(state) -> float:
+    """Average fidelity N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1), with the
+    D x D weight matrix built afresh from log-gamma on every call, as one
+    array expression over the index sums m + n (no shared kernel)."""
+    d = state.dim
+    lg_sum = gammaln(np.arange(2 * d - 1) + 1.0)
+    lg = gammaln(np.arange(d) + 1.0)
+    s = np.add.outer(np.arange(d), np.arange(d))
+    with np.errstate(under="ignore"):
+        weights = np.exp(lg_sum[s] - lg[:, None] - lg[None, :] - (s + 1) * math.log(2.0))
+    return float(state.norm_const**2 * (state.coeffs @ weights @ state.coeffs))
+
+
 def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
     """Gain in (g_lo, g_hi) where dF/dg = 0, from the closed-form derivative.
 
@@ -85,6 +99,44 @@ def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
         return d_overlap * norm - overlap * d_norm
 
     return brentq(slope, g_lo, g_hi, xtol=1e-14, rtol=1e-14)
+
+
+def weighted_geometric_truncation(chi: float, power: int, policy: TruncationPolicy):
+    """(dim, tail_bound) that the documented truncation rule gives the state
+    k_n = (n+1)^power chi^n, in plain Python; None when the tail beyond
+    policy.max_dim has no finite bound.
+
+    With x = chi^2, w_n = (n+1)^(2*power) x^n and the ratio bound
+    b_D = w_D / (1 - rho_D), rho_D = x ((D+2)/(D+1))^(2*power) (infinite
+    when rho_D >= 1), the total mass is bounded by the partial sum below
+    max_dim plus b_max_dim. dim is the smallest D in 1..max_dim with
+    b_D <= epsilon * total, or max_dim when none passes; tail_bound is
+    b_dim / total. Sums run left to right, as a cumulative sum does.
+
+    The search is a plain loop; the weights are taken from numpy's power,
+    as the package takes them, because Python's pow can differ from it in
+    the last bit and the rule is checked for exact equality.
+    """
+    x = chi * chi
+    n = np.arange(policy.max_dim + 1)
+    with np.errstate(under="ignore"):
+        weights = ((n + 1.0) ** (2 * power) * x**n).tolist()
+
+    def ratio_bound(d: int) -> float:
+        rho = x * ((d + 2.0) / (d + 1.0)) ** (2 * power)
+        return math.inf if rho >= 1.0 else weights[d] / (1.0 - rho)
+
+    cap = ratio_bound(policy.max_dim)
+    if cap == math.inf:
+        return None
+    total = 0.0
+    for w in weights[: policy.max_dim]:
+        total += w
+    total += cap
+    for d in range(1, policy.max_dim + 1):
+        if ratio_bound(d) <= policy.epsilon * total:
+            return d, ratio_bound(d) / total
+    return policy.max_dim, cap / total
 
 
 def brute_pair_ladder(diag: np.ndarray, add_first: bool) -> np.ndarray:

@@ -223,9 +223,13 @@ def test_main_io_exit_code(tmp_path, capsys):
         ["metrics", "--chi", "0.5", "--resource", "twb", "--gain", "3", "--threshold", "2"],
         ["teleport", "--chi", "0.5", "--gain", "2"],
         [*SMALL_SWEEP, "--jobs", "2"],
+        ["figure", "fig2", "--step", "nan"],
+        ["crossover", "--gain", "2", "--threshold", "4", "--step", "nan"],
+        [*SMALL_SWEEP, "--chi-step", "nan"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
-         "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs"],
+         "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
+         "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -307,3 +311,32 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        b"\xff\xfe{}",
+        "[1, 2]",
+        '"chi_start"',
+        "null",
+        '{"chi_start": "abc"}',
+        '{"seed": "x"}',
+        '{"seed": 1.5}',
+        '{"epsilon": []}',
+        '{"format": true}',
+    ],
+    ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
+         "seed-string", "seed-fractional", "epsilon-list", "format-bool"],
+)
+def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvteleport import (
     NlaConfig,
+    NumericsError,
     TruncationPolicy,
     TwbParams,
     ValidationError,
@@ -14,7 +15,11 @@ from cvteleport import (
     schmidt_probabilities,
     success_probability,
 )
-from helpers import brute_pair_ladder, brute_success_probability
+from helpers import (
+    brute_pair_ladder,
+    brute_success_probability,
+    weighted_geometric_truncation,
+)
 
 
 def test_params_validation():
@@ -153,10 +158,45 @@ def test_weighted_states_vanish_into_vacuum():
 
 
 def test_weighted_states_reject_uncertifiable_truncation():
-    from cvteleport import NumericsError
-
     with pytest.raises(NumericsError):
         make_photon_subtracted_twb(TwbParams(0.9995))
+
+
+# chi >= 0.99 puts the dimension at the max_dim cap; at 0.999 the
+# added-then-subtracted tail has no finite bound within it. At 0.709..0.862
+# that state truncates where numpy's power and Python's pow round
+# ((D+2)/(D+1))^4 differently.
+WEIGHTED_CHIS = (
+    *np.round(np.linspace(0.01, 0.98, 15), 6),
+    0.709, 0.761, 0.818, 0.829, 0.862,
+    0.99, 0.995, 0.998, 0.999,
+)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        TruncationPolicy(epsilon=1e-8),
+        TruncationPolicy(epsilon=1e-12),
+        TruncationPolicy(epsilon=1e-16),
+        TruncationPolicy(epsilon=1e-12, max_dim=64),
+    ],
+    ids=["eps1e-8", "eps1e-12", "eps1e-16", "eps1e-12-max64"],
+)
+def test_weighted_states_pick_the_documented_dimension(policy):
+    outcomes = set()
+    for chi in WEIGHTED_CHIS:
+        for power, maker in ((1, make_photon_subtracted_twb), (2, make_added_then_subtracted_twb)):
+            expected = weighted_geometric_truncation(float(chi), power, policy)
+            if expected is None:
+                with pytest.raises(NumericsError):
+                    maker(TwbParams(chi), policy)
+                outcomes.add("uncertifiable")
+                continue
+            state = maker(TwbParams(chi), policy)
+            assert (state.dim, state.tail_bound) == expected
+            outcomes.add("capped" if state.dim == policy.max_dim else "searched")
+    assert outcomes == {"searched", "capped", "uncertifiable"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,8 +28,9 @@ from cvteleport import (
     transfer_apply,
     twb_average_fidelity_closed,
 )
+import cvteleport.teleport as teleport_module
 from cvteleport.teleport import _overlap_vector, _poisson_sum
-from helpers import TIGHT, fidelity_matrix, nla_fidelity_closed
+from helpers import TIGHT, fidelity_matrix, nla_fidelity_closed, series_fidelity_direct
 
 VACUUM = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0, label="vacuum")
 
@@ -214,6 +215,27 @@ def test_series_vacuum_is_classical_bound():
 def test_series_low_energy_amplified_beats_twb():
     amp = make_amplified_twb(TwbParams(0.22), NlaConfig(4.0, 2), TIGHT)[0]
     assert average_fidelity_series(amp) > 0.61
+
+
+def _unit_state(dim: int) -> SchmidtState:
+    k = 0.9 ** np.arange(dim)
+    return SchmidtState(coeffs=k, norm_const=1.0 / math.sqrt(k @ k), label=f"dim {dim}")
+
+
+def test_series_kernel_is_order_independent_and_bounded(monkeypatch):
+    small, large = make_twb(TwbParams(0.5)), make_twb(TwbParams(0.985))
+    assert (small.dim, large.dim) == (20, 915)
+    states = {s.dim: s for s in (small, large, *map(_unit_state, (1, 2, 32, 33)))}
+    direct = {dim: series_fidelity_direct(s) for dim, s in states.items()}
+    for order in ((915, 20), (20, 915), (20, 20, 915, 915, 20), (1, 2, 32, 33, 32)):
+        monkeypatch.setattr(teleport_module, "_series_kernel", np.empty((0, 0)))
+        largest = 0
+        for dim in order:
+            # bitwise: the kernel slice holds the same floats as a fresh matrix
+            assert average_fidelity_series(states[dim]) == direct[dim]
+            largest = max(largest, dim)
+            # the kernel grows only to the next power of two of the largest D
+            assert teleport_module._series_kernel.shape == (1 << (largest - 1).bit_length(),) * 2
 
 
 def test_radial_matches_series_and_closed_form():
