@@ -64,10 +64,16 @@ _SWEEP_DEFAULTS = {
 }
 
 
+# Largest chi grid any command builds; the figure grid at step 0.005 has 190.
+MAX_GRID_POINTS = 100_000
+
+
 def chi_grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop (inclusive), rounded to 12 decimals."""
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    spans = (stop - start) / step + 1e-9
+    if spans >= MAX_GRID_POINTS:
+        raise ValidationError(f"chi step {step} gives over {MAX_GRID_POINTS} grid points")
+    return [round(start + i * step, 12) for i in range(math.floor(spans) + 1)]
 
 
 @dataclass(frozen=True)

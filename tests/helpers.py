@@ -4,6 +4,7 @@ Oracles here are deliberately independent of the package fast paths:
 brute-force partial sums, dense ladder-operator algebra, explicit grids.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -85,6 +86,25 @@ def series_fidelity_direct(state) -> float:
     with np.errstate(under="ignore"):
         weights = np.exp(lg_sum[s] - lg[:, None] - lg[None, :] - (s + 1) * math.log(2.0))
     return float(state.norm_const**2 * (state.coeffs @ weights @ state.coeffs))
+
+
+def poisson_sum_reference(weights, t: float) -> float:
+    """sum_n w_n e^-t t^n / n!, term by term in 40-digit decimal arithmetic.
+
+    Decimal exponents do not overflow, so each term e^-t t^n / n! is formed
+    directly, with no log-gamma and no float over- or underflow before the
+    final conversion.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = decimal.Decimal(float(t))
+        term = (-t).exp()
+        total = decimal.Decimal(0)
+        for n, w in enumerate(weights):
+            if n:
+                term = term * t / n
+            total += decimal.Decimal(float(w)) * term
+        return float(total)
 
 
 def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:

@@ -226,10 +226,14 @@ def test_main_io_exit_code(tmp_path, capsys):
         ["figure", "fig2", "--step", "nan"],
         ["crossover", "--gain", "2", "--threshold", "4", "--step", "nan"],
         [*SMALL_SWEEP, "--chi-step", "nan"],
+        ["sweep", "--chi-step", "1e-9"],
+        ["figure", "fig2", "--step", "1e-7"],
+        ["crossover", "--gain", "2", "--threshold", "4", "--step", "1e-7"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
          "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
-         "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step"],
+         "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step", "sweep-tiny-chi-step",
+         "figure-tiny-step", "crossover-tiny-step"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -283,6 +287,12 @@ def test_main_teleport_methods_agree(capsys):
     assert fbars["series"] == pytest.approx(fbars["radial"], abs=1e-8)
     assert fbars["series"] == pytest.approx(fbars["grid2d"], abs=1e-5)
     assert fbars["series"] == pytest.approx(fbars["mc"], abs=0.01)
+
+
+def test_main_teleport_mc_at_large_dimension(capsys):
+    assert main(["teleport", "--chi", "0.985", "--method", "mc", "--seed", "7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["average_fidelity"] == pytest.approx(0.9925, abs=1e-3)
 
 
 def test_main_sweep_config_file_with_flag_override(tmp_path, capsys):

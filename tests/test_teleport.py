@@ -22,15 +22,24 @@ from cvteleport import (
     crossover_find,
     displaced_number_overlap,
     gain_scan,
+    make_added_then_subtracted_twb,
     make_amplified_twb,
+    make_photon_subtracted_twb,
     make_twb,
     outcome_probability,
+    schmidt_probabilities,
     transfer_apply,
     twb_average_fidelity_closed,
 )
 import cvteleport.teleport as teleport_module
 from cvteleport.teleport import _overlap_vector, _poisson_sum
-from helpers import TIGHT, fidelity_matrix, nla_fidelity_closed, series_fidelity_direct
+from helpers import (
+    TIGHT,
+    fidelity_matrix,
+    nla_fidelity_closed,
+    poisson_sum_reference,
+    series_fidelity_direct,
+)
 
 VACUUM = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0, label="vacuum")
 
@@ -152,6 +161,25 @@ def test_mixture_density_agrees_with_transfer_apply():
         direct = outcome_probability(transfer_apply(resource, alpha, beta))
         mixture = float(_poisson_sum(pn, abs(alpha - beta) ** 2)) / math.pi
         assert direct == pytest.approx(mixture, rel=1e-12)
+
+
+@pytest.mark.parametrize("chi", [0.5, 0.9, 0.985, 0.998])
+def test_poisson_sum_matches_decimal_reference(chi):
+    # t up to 2000 reaches past the float range of e^t (t > 709) and of the
+    # n! of the largest dimensions (n > 170)
+    ts = [0.0, 1e-3, 1.0, 10.0, 150.0, 300.0, 700.0, 750.0, 1000.0, 2000.0]
+    params = TwbParams(chi)
+    for state in (
+        make_twb(params),
+        make_photon_subtracted_twb(params),
+        make_added_then_subtracted_twb(params),
+    ):
+        for weights in (state.coeffs, schmidt_probabilities(state)):
+            values = _poisson_sum(weights, np.array(ts))
+            assert np.all(np.isfinite(values))
+            for t, value in zip(ts, values):
+                expected = poisson_sum_reference(weights, t)
+                assert abs(value - expected) <= 1e-12 * expected, (state.label, t)
 
 
 def test_conditional_fidelity_twb_closed_form():
@@ -296,6 +324,17 @@ def test_sampled_statistical_contract():
         )
         hits += abs(est - truth) <= 4 * err
     assert hits / len(seeds) >= 0.99
+
+
+def test_sampled_large_dimension():
+    chi = 0.985
+    resource = make_twb(TwbParams(chi))
+    assert resource.dim == 915
+    estimate, err = average_fidelity_sampled(resource, 2.0)
+    assert abs(estimate - 0.5 * (1.0 + chi)) <= 4 * err
+    capped = make_twb(TwbParams(0.995))
+    assert capped.dim == 1024
+    assert np.all(np.isfinite(average_fidelity_sampled(capped, 2.0)))
 
 
 def test_sampled_rejects_small_sample_budget():
