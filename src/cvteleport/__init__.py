@@ -19,7 +19,6 @@ from .metrics import (
     mean_photon,
     metrics_report,
     non_gaussianity,
-    non_gaussianity_additive,
     twb_entropy_closed,
 )
 from .resources import (
@@ -98,7 +97,6 @@ __all__ = [
     "mean_photon",
     "metrics_report",
     "non_gaussianity",
-    "non_gaussianity_additive",
     "outcome_probability",
     "required_dimension",
     "schmidt_probabilities",

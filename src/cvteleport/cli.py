@@ -12,7 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .metrics import (
     mean_photon,
     metrics_report,
     non_gaussianity,
-    non_gaussianity_additive,
 )
 from .resources import (
     NlaConfig,
@@ -108,10 +108,13 @@ class SweepSpec:
                 raise ValidationError(f"unknown output {m!r}; choose from {SWEEP_METRICS}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format}")
+        for name in ("gains", "thresholds", "outputs"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} must not repeat an entry, got {values}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One output record of a sweep or figure run."""
 
     chi: float
@@ -120,20 +123,6 @@ class SweepRow:
     metric: str
     value: float
     extra: object = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NumericsError(f"non-finite value for {self.metric} at chi={self.chi}")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _round12(x):
@@ -160,16 +149,30 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _rows_to_csv(rows, comments=()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append("chi,g,p,metric,value,extra")
-    lines += [",".join(_fmt(v) for v in vars(r).values()) for r in rows]
-    return "\n".join(lines) + "\n"
+def _cell(x, fmt: str) -> str:
+    """One field as CSV text or as a JSON literal; floats keep 12 significant digits."""
+    if isinstance(x, float):
+        return f"{x:.12g}" if fmt == "csv" else repr(float(f"{x:.12g}"))
+    if x is None:
+        return "" if fmt == "csv" else "null"
+    if isinstance(x, str):
+        return x if fmt == "csv" else json.dumps(x)
+    return str(x)
 
 
-def _rows_to_json(rows) -> str:
-    payload = [{k: _round12(v) for k, v in vars(r).items()} for r in rows]
-    return json.dumps(payload, indent=1) + "\n"
+def _rows_text(rows, fmt: str = "csv", comments=()) -> str:
+    """Rows as CSV (header after the `# ` comment lines) or as a JSON list of
+    records laid out as json.dumps(..., indent=1) lays them out."""
+    for r in rows:
+        if not math.isfinite(r.value):
+            raise NumericsError(f"non-finite value for {r.metric} at chi={r.chi}")
+    if fmt == "csv":
+        lines = [*(f"# {c}" for c in comments), ",".join(SweepRow._fields)]
+        lines += [",".join([_cell(x, fmt) for x in r]) for r in rows]
+        return "\n".join(lines) + "\n"
+    keys = [f'  "{k}": ' for k in SweepRow._fields]
+    records = [",\n".join([k + _cell(x, fmt) for k, x in zip(keys, r)]) for r in rows]
+    return "[\n {\n" + "\n },\n {\n".join(records) + "\n }\n]\n" if rows else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -211,35 +214,42 @@ METRICS = {
 }
 
 
-def _metric_rows(metric, configs, chis, policy, extra=None, alpha=None, quadrature=None):
-    """Rows of one metric at every (config, chi), in that order.
+def _metric_rows(metrics, configs, chis, policy, extra=None, alpha=None, quadrature=None):
+    """Rows of each metric at every (config, chi), grouped by metric in the given order.
 
-    configs are (family, gain, threshold). extra fills the last column:
-    None, "tag" (the family's fig5 tag) or "psucc". pdist gives one row per
-    Fock level.
+    configs are (family, gain, threshold). Each (config, chi) state is built
+    once, and not at all when psucc is the only metric. extra fills the last
+    column of the fidelity rows: None, "tag" (the family's fig5 tag) or
+    "psucc". pdist gives one row per Fock level.
     """
-    rows = []
+    groups = {metric: [] for metric in metrics}
+    stateful = set(groups) != {"psucc"}
     for family, g, p in configs:
         tag, build = FAMILIES[family]
         nla = NlaConfig(gain=g, threshold=p)
         for chi in chis:
             params = TwbParams(chi)
-            if metric == "psucc":
-                rows.append(SweepRow(chi, g, p, metric, success_probability(params, nla)))
-                continue
-            state, psucc = build(params, nla, policy)
-            if metric == "pdist":
-                probs = schmidt_probabilities(state)
-                rows += [SweepRow(chi, g, p, metric, float(v), n) for n, v in enumerate(probs)]
-                continue
-            if metric == "fbar_grid2d":
-                value = average_fidelity_grid2d(state, alpha, quadrature)
-            else:
-                value = METRICS[metric](state)
-            if extra == "psucc" and psucc is None:
-                psucc = success_probability(params, nla)
-            rows.append(SweepRow(chi, g, p, metric, value, {"tag": tag, "psucc": psucc}.get(extra)))
-    return rows
+            if stateful:
+                state, psucc = build(params, nla, policy)
+            for metric, rows in groups.items():
+                if metric == "psucc":
+                    rows.append(SweepRow(chi, g, p, metric, success_probability(params, nla)))
+                    continue
+                if metric == "pdist":
+                    probs = schmidt_probabilities(state)
+                    rows += [SweepRow(chi, g, p, metric, float(v), n) for n, v in enumerate(probs)]
+                    continue
+                if metric == "fbar_grid2d":
+                    value = average_fidelity_grid2d(state, alpha, quadrature)
+                else:
+                    value = METRICS[metric](state)
+                cell = None
+                if metric in ("fbar", "fbar_grid2d"):
+                    if extra == "psucc" and psucc is None:
+                        psucc = success_probability(params, nla)
+                    cell = {"tag": tag, "psucc": psucc}.get(extra)
+                rows.append(SweepRow(chi, g, p, metric, value, cell))
+    return [row for rows in groups.values() for row in rows]
 
 
 def _nla_configs(gains, thresholds) -> tuple:
@@ -254,14 +264,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
     chis = chi_grid(*spec.chi_range)
-    rows = []
-    for metric in sorted(spec.outputs):
-        extra = "psucc" if metric in ("fbar", "fbar_grid2d") else None
-        rows += _metric_rows(
-            metric, configs, chis, spec.truncation, extra, spec.alpha, spec.quadrature
-        )
-    text = _rows_to_csv(rows) if spec.format == "csv" else _rows_to_json(rows)
-    _atomic_write(spec.out_path, text)
+    rows = _metric_rows(
+        tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc", spec.alpha,
+        spec.quadrature,
+    )
+    _atomic_write(spec.out_path, _rows_text(rows, spec.format))
     return rows
 
 
@@ -349,7 +356,7 @@ def figure_data(
     out_path = out_path or f"{figure_id}.csv"
     fig = FIGURE_TABLE[figure_id]
     chis = fig.chis or chi_grid(step, 0.95, step)
-    rows = _metric_rows(fig.metric, fig.configs, chis, policy, fig.extra)
+    rows = _metric_rows((fig.metric,), fig.configs, chis, policy, fig.extra)
     comments = [f"figure:{figure_id} caption:{fig.caption}"]
     if figure_id == "fig1":  # zero-pad every distribution to the largest dimension
         probs = {(r.g, r.extra): r.value for r in rows}
@@ -366,8 +373,8 @@ def figure_data(
         comments.append(f"secure_only_interval:{interval}")
         closed = [twb_average_fidelity_closed(TwbParams(chi)) for chi in chis]
         rows = [SweepRow(chi, 1.0, 0, "fbar", f) for chi, f in zip(chis, closed)] + rows
-        rows = [replace(r, extra=classify_fidelity(r.value)) for r in rows]
-    _atomic_write(out_path, _rows_to_csv(rows, comments))
+        rows = [r._replace(extra=classify_fidelity(r.value)) for r in rows]
+    _atomic_write(out_path, _rows_text(rows, "csv", comments))
     return out_path
 
 
@@ -478,8 +485,6 @@ def _cmd_metrics(args) -> None:
     payload = {"label": state.label, "chi": args.chi}
     payload.update((k, _round12(v)) for k, v in report.items())
     payload.update(dim=state.dim, photon_distribution=[_round12(float(v)) for v in probs])
-    if args.debug_ng:
-        payload["non_gaussianity_additive"] = _round12(non_gaussianity_additive(state))
     _emit(payload, args.out)
 
 
@@ -497,13 +502,15 @@ def _cmd_teleport(args) -> None:
         "grid2d": lambda: (average_fidelity_grid2d(state, alpha, quad), None),
         "mc": lambda: average_fidelity_sampled(state, alpha, quad),
     }[args.method]()
+    if not 0.0 <= fbar <= 1.0:
+        raise NumericsError(f"{args.method} average fidelity {fbar!r} lies outside [0, 1]")
     payload = {
         "label": state.label,
         "chi": args.chi,
         "alpha": {"re": alpha.real, "im": alpha.imag},
         "method": args.method,
         "average_fidelity": _round12(fbar),
-        "classification": classify_fidelity(min(max(fbar, 0.0), 1.0)),
+        "classification": classify_fidelity(fbar),
     }
     if psucc is not None:
         payload["success_probability"] = _round12(psucc)
@@ -593,9 +600,6 @@ _FLAGS = {
         choices=tuple(FAMILIES),
         help="resource family (default: amplified when --gain or --threshold is given, else twb)",
     ),
-    "--debug-ng": dict(
-        action="store_true", help="also emit the additive-moment non-Gaussianity variant"
-    ),
     "--method": dict(
         choices=("series", "radial", "grid2d", "mc"), default="series", help="fidelity estimator"
     ),
@@ -621,8 +625,7 @@ _COMMANDS = {
     "twb": (_cmd_twb, ("--chi", "--epsilon", "--out")),
     "amplify": (_cmd_amplify, ("--chi", "--gain", "--threshold", "--epsilon", "--out")),
     "metrics": (
-        _cmd_metrics,
-        ("--chi", "--resource", "--gain", "--threshold", "--debug-ng", "--epsilon", "--out"),
+        _cmd_metrics, ("--chi", "--resource", "--gain", "--threshold", "--epsilon", "--out")
     ),
     "teleport": (
         _cmd_teleport,

@@ -124,18 +124,6 @@ def non_gaussianity(state: SchmidtState) -> float:
     return max(0.0, 2.0 * h_function(covariance_summary(state).d_plus))
 
 
-def non_gaussianity_additive(state: SchmidtState) -> float:
-    """Diagnostic variant evaluating 2 h(sqrt(i1 + i3)).
-
-    Uses the sum of the covariance elements instead of the symplectic
-    eigenvalue, so it does not vanish on the twin-beam. Exposed only for
-    side-by-side inspection (CLI debug output); never used by the
-    acceptance metrics.
-    """
-    s = covariance_summary(state)
-    return 2.0 * h_function(math.sqrt(max(s.i1 + s.i3, 0.25)))
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Bundle of the per-state quantities emitted by sweeps."""

@@ -250,7 +250,13 @@ def average_fidelity_radial(
     degree 2(dim-1), so the rule is exact while dim <= radial_nodes.
     Node contributions are assembled in log space (large nodes carry
     underflowing weights against overflowing polynomial values).
+    Raises NumericsError when dim exceeds radial_nodes.
     """
+    if resource.dim > spec.radial_nodes:
+        raise NumericsError(
+            f"radial rule with {spec.radial_nodes} nodes is exact only up to dim "
+            f"{spec.radial_nodes}, got dim {resource.dim}"
+        )
     u, logw = _laguerre_rule(spec.radial_nodes)
     t = 0.5 * u
     n = np.arange(resource.dim)

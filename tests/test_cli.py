@@ -1,16 +1,20 @@
 import csv
 import json
+import re
 
 import pytest
 
 from cvteleport.cli import (
+    SWEEP_METRICS,
+    SweepRow,
     SweepSpec,
+    _rows_text,
     figure_data,
     main,
     report_crossover,
     run_sweep,
 )
-from cvteleport import QuadratureSpec, TruncationPolicy, ValidationError
+from cvteleport import NumericsError, QuadratureSpec, TruncationPolicy, ValidationError
 
 
 def _read_rows(path):
@@ -82,6 +86,38 @@ def test_sweep_json_mirrors_rows(tmp_path):
     assert len(payload) == len(rows)
     assert payload[0]["metric"] == "fbar"
     assert payload[0]["chi"] == pytest.approx(0.1)
+
+
+def test_sweep_json_matches_stdlib_encoder(tmp_path):
+    spec = _spec(
+        tmp_path,
+        chi_range=(0.1, 0.7, 0.3),
+        gains=(1.0, 2.5),
+        thresholds=(0, 2),
+        outputs=SWEEP_METRICS,
+        format="json",
+        out_path=str(tmp_path / "all.json"),
+    )
+    rows = run_sweep(spec)
+
+    def round12(v):
+        return float(f"{v:.12g}") if isinstance(v, float) else v
+
+    records = [{k: round12(v) for k, v in r._asdict().items()} for r in rows]
+    text = open(spec.out_path).read()
+    # line by line, so that a failure reports the first differing lines at once
+    got = text.splitlines(keepends=True)
+    want = (json.dumps(records, indent=1) + "\n").splitlines(keepends=True)
+    mismatches = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not mismatches, mismatches[:3]
+    # the file exercises every cell kind and both float layouts
+    assert {type(v) for rec in records for v in rec.values()} == {type(None), str, float, int}
+    assert '"extra": 1.0,' not in text and '"extra": 1.0\n' in text
+    assert re.search(r'"value": [0-9.]+e-[0-9]+,', text)
+    for fmt in ("csv", "json"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NumericsError):
+                _rows_text([*rows[:2], SweepRow(0.5, 1.0, 0, "fbar", bad)], fmt)
 
 
 def test_sweep_pdist_rows_cover_fock_levels(tmp_path):
@@ -229,11 +265,16 @@ def test_main_io_exit_code(tmp_path, capsys):
         ["sweep", "--chi-step", "1e-9"],
         ["figure", "fig2", "--step", "1e-7"],
         ["crossover", "--gain", "2", "--threshold", "4", "--step", "1e-7"],
+        ["metrics", "--chi", "0.5", "--debug-ng"],
+        [*SMALL_SWEEP, "--outputs", "entropy,entropy"],
+        [*SMALL_SWEEP, "--gains", "2,2"],
+        [*SMALL_SWEEP, "--thresholds", "2,2.0"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
          "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
          "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step", "sweep-tiny-chi-step",
-         "figure-tiny-step", "crossover-tiny-step"],
+         "figure-tiny-step", "crossover-tiny-step", "debug-ng", "duplicate-outputs",
+         "duplicate-gains", "duplicate-thresholds"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -261,11 +302,11 @@ def test_main_amplify_payload(capsys):
     assert payload["success_probability"] == pytest.approx(0.2272, abs=1e-10)
 
 
-def test_main_metrics_debug_flag(capsys):
-    assert main(["metrics", "--chi", "0.5", "--debug-ng"]) == 0
+def test_main_metrics_twb_payload(capsys):
+    assert main(["metrics", "--chi", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["non_gaussianity"] == pytest.approx(0.0, abs=1e-8)
-    assert payload["non_gaussianity_additive"] > 0.1
+    assert "non_gaussianity_additive" not in payload
 
 
 def test_main_metrics_baseline_resources(capsys):
@@ -293,6 +334,14 @@ def test_main_teleport_mc_at_large_dimension(capsys):
     assert main(["teleport", "--chi", "0.985", "--method", "mc", "--seed", "7"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["average_fidelity"] == pytest.approx(0.9925, abs=1e-3)
+
+
+def test_main_teleport_radial_beyond_node_count_exits_3(capsys):
+    # D = 454 at chi 0.97 exceeds the 200-node rule, which read 2.05e11 when unchecked
+    assert main(["teleport", "--chi", "0.97", "--method", "radial"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical guard" in captured.err and "Traceback" not in captured.err
 
 
 def test_main_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -336,9 +385,10 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
         '{"seed": 1.5}',
         '{"epsilon": []}',
         '{"format": true}',
+        '{"outputs": ["epr", "epr"]}',
     ],
     ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
-         "seed-string", "seed-fractional", "epsilon-list", "format-bool"],
+         "seed-string", "seed-fractional", "epsilon-list", "format-bool", "duplicate-outputs"],
 )
 def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -19,7 +19,6 @@ from cvteleport import (
     mean_photon,
     metrics_report,
     non_gaussianity,
-    non_gaussianity_additive,
     twb_entropy_closed,
 )
 from helpers import TIGHT
@@ -126,13 +125,6 @@ def test_non_gaussianity_single_interior_peak():
     peak = int(np.argmax(values))
     assert 0 < peak < len(grid) - 1
     assert flips == 1
-
-
-def test_non_gaussianity_additive_variant_differs():
-    twb = make_twb(TwbParams(0.5), TIGHT)
-    assert non_gaussianity(twb) <= 1e-9
-    # the additive-moment variant does not vanish on the twin-beam
-    assert non_gaussianity_additive(twb) > 0.5
 
 
 def test_metrics_report_vacuum():

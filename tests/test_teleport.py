@@ -279,6 +279,17 @@ def test_radial_matches_series_and_closed_form():
     )
 
 
+def test_radial_refuses_dimension_above_node_count():
+    resource = make_twb(TwbParams(0.5), TIGHT)
+    exact = QuadratureSpec(radial_nodes=resource.dim)
+    assert average_fidelity_radial(resource, exact) == pytest.approx(0.75, abs=1e-10)
+    with pytest.raises(NumericsError, match="exact only up to dim"):
+        average_fidelity_radial(resource, QuadratureSpec(radial_nodes=resource.dim - 1))
+    # the default 200 nodes stop short of the default-policy twin-beam at chi 0.97 (D = 454)
+    with pytest.raises(NumericsError):
+        average_fidelity_radial(make_twb(TwbParams(0.97)))
+
+
 def test_grid2d_twb_and_state_independence():
     resource = make_twb(TwbParams(0.5), TIGHT)
     assert average_fidelity_grid2d(resource, 2.0) == pytest.approx(0.75, abs=1e-5)
