@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import NumericsError, ValidationError
 from .resources import TwbParams
@@ -42,7 +41,8 @@ def entanglement_entropy(state: SchmidtState) -> float:
     Equals the excess entropy entanglement measure for these pure states.
     """
     p = schmidt_probabilities(state)
-    return max(0.0, -float(np.sum(xlogy(p, p))))
+    p = p[p > 0]  # 0 ln 0 = 0
+    return max(0.0, -float(np.sum(p * np.log(p))))
 
 
 def twb_entropy_closed(params: TwbParams) -> float:
@@ -74,7 +74,7 @@ def h_function(x: float) -> float:
     if x < 0.5 - 1e-12:
         raise ValidationError(f"h_function requires x >= 1/2, got {x}")
     lo = max(x - 0.5, 0.0)
-    return float(xlogy(x + 0.5, x + 0.5) - xlogy(lo, lo))
+    return (x + 0.5) * math.log(x + 0.5) - (lo * math.log(lo) if lo > 0 else 0.0)
 
 
 @dataclass(frozen=True)

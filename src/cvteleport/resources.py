@@ -101,9 +101,11 @@ def make_amplified_twb(
     1/P renormalization so the discarded mass stays within policy.epsilon.
     """
     chi, g, p = params.chi, nla.gain, nla.threshold
-    prob = success_probability(params, nla)
     if p + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
+    prob = success_probability(params, nla)  # a sum of p + 1 terms
+    if prob == 0.0:
+        raise NumericsError(f"success probability underflows to 0 at chi={chi}, g={g}, p={p}")
     dim = _geometric_dimension(chi, policy.epsilon * prob, p + 1, policy.max_dim)
     n = np.arange(dim)
     coeffs = g ** np.minimum(n - float(p), 0.0) * chi**n

@@ -99,6 +99,8 @@ def required_dimension(chi: float, policy: TruncationPolicy = DEFAULT_POLICY, p:
 
 def _geometric_dimension(chi: float, epsilon: float, min_dim: int, max_dim: int) -> int:
     # smallest D >= min_dim with chi^(2D) <= epsilon
+    if epsilon <= 0.0:  # a subnormal policy epsilon times a small norm underflows to 0
+        return max_dim
     d_tail = math.ceil(math.log(epsilon) / (2.0 * math.log(chi)))
     return min(max(min_dim, d_tail, 1), max_dim)
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_laguerre
 
 from .errors import BoundaryMassWarning, NumericsError, TruncationWarning, ValidationError
 from .resources import NlaConfig, TwbParams, make_amplified_twb, make_twb
@@ -117,6 +116,21 @@ def displaced_number_overlap(n: int, beta: complex, alpha: complex) -> complex:
     return complex(_overlap_vector(int(n) + 1, beta, alpha)[n])
 
 
+# math.lgamma(n + 1) table, grown on first use like the series kernel below
+_log_factorial_table = np.empty(0)
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """ln n! for n = 0..size-1, first growing the table to the next power of two."""
+    global _log_factorial_table
+    if _log_factorial_table.size < size:
+        grown = 1 << (size - 1).bit_length()
+        table = np.array([math.lgamma(n + 1.0) for n in range(grown)])
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return _log_factorial_table[:size]
+
+
 def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
     """<n|D(beta)|alpha> for n = 0..dim-1, computed in log space."""
     z = alpha + beta
@@ -126,7 +140,7 @@ def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
         out[0] = phase
         return out
     n = np.arange(dim)
-    out[:] = np.exp(n * np.log(complex(z)) - 0.5 * gammaln(n + 1.0) - abs(z) ** 2 / 2.0)
+    out[:] = np.exp(n * np.log(complex(z)) - 0.5 * _log_factorials(dim) - abs(z) ** 2 / 2.0)
     out *= phase
     return out
 
@@ -150,7 +164,8 @@ def _poisson_sum(weights: np.ndarray, t):
     np.exp(acc, out=acc)
     if big.any():
         tb, log_t = t[big], np.log(t[big])
-        terms = (w * np.exp(n * log_t - tb - gammaln(n + 1.0)) for n, w in enumerate(weights))
+        log_fact = _log_factorials(len(weights))
+        terms = (w * np.exp(n * log_t - tb - log_fact[n]) for n, w in enumerate(weights))
         acc[big] = sum(terms)
     return acc
 
@@ -203,20 +218,27 @@ _series_kernel = np.empty((0, 0))
 def _series_weights(d: int) -> np.ndarray:
     """W[:d, :d], first growing the kernel to the next power of two >= d.
 
-    Binomial weights are evaluated through log-gamma, one row at a time, so
-    they stay finite for dimensions in the thousands and no d x d
-    temporaries are allocated beside the kernel itself.
+    Pascal's rule C(m+n, n) = C(m+n-1, n) + C(m+n-1, n-1) gives
+    W[m, n] = (W[m-1, n] + W[m, n-1]) / 2, so each anti-diagonal m + n = s
+    follows from the one before by adding neighbours and halving: no
+    special functions, and every normal-range entry within a few ulp of
+    the exact binomial. The diagonal is held in one vector and written
+    through a strided slice of the flat kernel (entry (m, s-m) sits at
+    s + m*(size-1)), so no size x size temporaries are allocated.
     """
     global _series_kernel
     if _series_kernel.shape[0] < d:
         size = 1 << (d - 1).bit_length()
-        lg_sum = gammaln(np.arange(2 * size - 1) + 1.0)
-        lg = gammaln(np.arange(size) + 1.0)
-        n = np.arange(size)
         kernel = np.empty((size, size))
-        with np.errstate(under="ignore"):
-            for m in range(size):
-                kernel[m] = np.exp(lg_sum[m : m + size] - lg[m] - lg - (m + n + 1) * _LOG2)
+        flat, step = kernel.reshape(-1), max(size - 1, 1)
+        # diag[m + 1] = W[m, s - m]; diag[0] stays 0, and diag[1] = 1 seeds
+        # W[0, 0] = 1/2 on the first halving
+        diag = np.zeros(size + 1)
+        diag[1] = 1.0
+        for s in range(2 * size - 1):
+            lo, hi = max(0, s - size + 1), min(s, size - 1)
+            diag[lo + 1 : hi + 2] = (diag[lo : hi + 1] + diag[lo + 1 : hi + 2]) * 0.5
+            flat[s + lo * step : s + hi * step + 1 : step] = diag[lo + 1 : hi + 2]
         kernel.setflags(write=False)
         _series_kernel = kernel
     return _series_kernel[:d, :d]
@@ -234,7 +256,15 @@ def average_fidelity_series(resource: SchmidtState) -> float:
 
 @lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int):
-    x, w = roots_laguerre(nodes)
+    """Gauss-Laguerre nodes and log-weights; raises NumericsError when the
+    rule is not finite (scipy's roots_laguerre gives NaN nodes and weights
+    somewhere between 300 and 400 nodes)."""
+    from scipy.special import roots_laguerre
+
+    with np.errstate(all="ignore"):
+        x, w = roots_laguerre(nodes)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise NumericsError(f"Gauss-Laguerre rule with {nodes} nodes is not finite")
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
     return x, logw
@@ -250,8 +280,11 @@ def average_fidelity_radial(
     degree 2(dim-1), so the rule is exact while dim <= radial_nodes.
     Node contributions are assembled in log space (large nodes carry
     underflowing weights against overflowing polynomial values).
-    Raises NumericsError when dim exceeds radial_nodes.
+    Raises NumericsError when dim exceeds radial_nodes or the rule is not
+    finite. scipy is imported here, so only this estimator loads it.
     """
+    from scipy.special import gammaln, logsumexp
+
     if resource.dim > spec.radial_nodes:
         raise NumericsError(
             f"radial rule with {spec.radial_nodes} nodes is exact only up to dim "

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from cvteleport import (
     NlaConfig,
@@ -77,14 +76,20 @@ def nla_fidelity_closed(chi: float, g: float, p: int) -> float:
 
 def series_fidelity_direct(state) -> float:
     """Average fidelity N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1), with the
-    D x D weight matrix built afresh from log-gamma on every call, as one
-    array expression over the index sums m + n (no shared kernel)."""
+    D x D weight matrix built afresh on every call by Pascal's rule
+    W[m][n] = (W[m-1][n] + W[m][n-1]) / 2, in a plain Python loop (no
+    shared kernel, no vectorised diagonals)."""
     d = state.dim
-    lg_sum = gammaln(np.arange(2 * d - 1) + 1.0)
-    lg = gammaln(np.arange(d) + 1.0)
-    s = np.add.outer(np.arange(d), np.arange(d))
-    with np.errstate(under="ignore"):
-        weights = np.exp(lg_sum[s] - lg[:, None] - lg[None, :] - (s + 1) * math.log(2.0))
+    rows = []
+    for m in range(d):
+        above = rows[-1] if rows else [0.0] * d
+        row = []
+        left = 1.0 if m == 0 else 0.0  # seeds W[0][0] = 1/2
+        for n in range(d):
+            left = (above[n] + left) / 2
+            row.append(left)
+        rows.append(row)
+    weights = np.array(rows)
     return float(state.norm_const**2 * (state.coeffs @ weights @ state.coeffs))
 
 

@@ -1,10 +1,23 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cvteleport
 from cvteleport.cli import (
+    _COMMANDS,
+    _FLAGS,
+    FAMILIES,
+    FIGURES,
     SWEEP_METRICS,
     SweepRow,
     SweepSpec,
@@ -14,7 +27,14 @@ from cvteleport.cli import (
     report_crossover,
     run_sweep,
 )
-from cvteleport import NumericsError, QuadratureSpec, TruncationPolicy, ValidationError
+from cvteleport import (
+    BoundaryMassWarning,
+    NumericsError,
+    QuadratureSpec,
+    TruncationPolicy,
+    TruncationWarning,
+    ValidationError,
+)
 
 
 def _read_rows(path):
@@ -228,6 +248,9 @@ def test_main_validation_exit_code(capsys):
 def test_main_numerics_exit_code(capsys):
     # threshold cannot fit below the dimension cap
     assert main(["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "5000"]) == 3
+    # psucc underflows to 0, and N = sqrt((1 - chi^2) / psucc) divided by it
+    assert main(["amplify", "--chi", "1e-300", "--gain", "1e300", "--threshold", "2"]) == 3
+    assert "success probability underflows" in capsys.readouterr().err
 
 
 SMALL_SWEEP = ["sweep", "--chi-start", "0.2", "--chi-stop", "0.2", "--chi-step", "0.1",
@@ -400,3 +423,139 @@ def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys)
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every argv a command's own flags can spell exits 0, 2, 3 or 4
+
+_BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "abc", "")
+
+# flag -> values to draw, valid and invalid; numeric flags also draw _BAD_NUMBERS.
+# Grids stay small (chi steps >= 0.1, figure steps >= 0.05) so that each run
+# takes a few seconds at most, even with every state at max_dim.
+_FUZZ_VALUES = {
+    "--chi": ("0.05", "0.3", "0.6", "0.9", "0.97", "0.999", "1", "1e-300"),
+    "--gain": ("1", "1.5", "2", "4", "0.5", "1e300"),
+    "--threshold": ("0", "2", "4", "1023", "2000", "2.5"),
+    "--resource": (*FAMILIES, "nope"),
+    "--method": ("series", "radial", "grid2d", "mc", "exact"),
+    "--alpha-re": ("2", "-3.5", "49", "51", "1e308"),
+    "--alpha-im": ("0.5", "-60"),
+    "--epsilon": ("1e-12", "1e-6", "1e-300", "5e-324", "0.5", "1"),
+    "--seed": ("7", "18446744073709551616", "1.5"),
+    "--config": ("valid.json", "bad.json", "list.json", "missing.json", "."),
+    "--chi-start": ("0.1", "0.45", "0.9", "1"),
+    "--chi-stop": ("0.2", "0.5", "0.95", "1"),
+    "--chi-step": ("0.1", "0.25", "1e-9", "2"),
+    "--gains": ("1", "1,2.5", "4,2", "0.5", "2,2", "nan", ","),
+    "--thresholds": ("2", "0,4", "2.5", "-1", "2,2", "1e3"),
+    "--outputs": (
+        "entropy", "psucc,fbar", "pdist", "ng,fbar_grid2d", "epr,epr", "nope",
+        ",".join(SWEEP_METRICS),
+    ),
+    "--format": ("csv", "json", "xml"),
+    "figure_id": (*FIGURES, "fig8"),
+    "--step": ("0.05", "0.1", "0.3", "0.49", "0.5", "1e-9"),
+    "--out": ("out.file", "missing/out.file", "."),
+}
+_NUMERIC = {flag for flag in _FUZZ_VALUES if _FLAGS[flag].get("type") in (int, float)}
+_FUZZ_CONFIGS = {
+    "valid.json": {"chi_start": 0.3, "chi_stop": 0.6, "chi_step": 0.1, "outputs": ["epr", "pdist"]},
+    "bad.json": "{not json",
+    "list.json": [0.1, 0.2],
+}
+
+
+def _fuzz_value(flag):
+    values = st.sampled_from(_FUZZ_VALUES[flag])
+    if flag not in _NUMERIC:
+        return values
+    return st.one_of(values, values, st.sampled_from(_BAD_NUMBERS))  # mostly well-formed
+
+
+def _fuzz_flags(command):
+    """Flag -> value dictionaries over a command's own flags. The flags argparse
+    requires are always drawn, since omitting one only repeats its usage error."""
+    flags = _COMMANDS[command][1]
+    required = {f for f in flags if not f.startswith("--") or _FLAGS[f].get("required")}
+    return st.fixed_dictionaries(
+        {f: _fuzz_value(f) for f in flags if f in required},
+        optional={f: _fuzz_value(f) for f in flags if f not in required},
+    )
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(
+    max_examples=40,
+    deadline=timedelta(seconds=20),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
+    chosen = data.draw(_fuzz_flags(command))
+    for name, body in _FUZZ_CONFIGS.items():
+        (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
+    argv = [command]
+    for flag, value in chosen.items():
+        if flag in ("--config", "--out"):
+            value = str(tmp_path / value)
+        argv += [value] if not flag.startswith("--") else [flag, value]
+    if "--out" not in chosen:  # keep every file, the sweep default too, in tmp_path
+        argv += ["--out", str(tmp_path / "default.out")]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        stderr
+    ), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, rc, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    # the package's own warnings are the only ones a run may raise
+    own = (BoundaryMassWarning, TruncationWarning)
+    stray = [str(w.message) for w in caught if not issubclass(w.category, own)]
+    assert not stray, (argv, stray)
+
+
+def test_main_subnormal_epsilon_truncates_at_max_dim(capsys):
+    # epsilon * psucc underflows to 0, whose log raised a raw ValueError
+    argv = ["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "2", "--epsilon", "5e-324"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 1024
+
+
+# ---------------------------------------------------------------------------
+# import cost: scipy serves only the radial estimator and the dense oracle
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import cvteleport.cli as cli
+seen = {"import": scipy_modules()}
+seen["figure"] = (cli.main(["figure", "fig5", "--step", "0.05", "--out", "fig5.csv"]),
+                  scipy_modules())
+seen["sweep"] = (cli.main(["sweep", "--chi-stop", "0.3", "--outputs",
+                           "entropy,ng,fbar,fbar_grid2d,pdist", "--out", "sweep.csv"]),
+                 scipy_modules())
+seen["radial"] = (cli.main(["teleport", "--chi", "0.5", "--method", "radial", "--out",
+                            "radial.json"]), "scipy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_and_non_radial_commands_load_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cvteleport.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["figure"] == [0, []]
+    assert seen["sweep"] == [0, []]
+    # the cost is removed, not moved: the one command that needs scipy loads it
+    assert seen["radial"] == [0, True]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ def test_series_kernel_is_order_independent_and_bounded(monkeypatch):
             assert teleport_module._series_kernel.shape == (1 << (largest - 1).bit_length(),) * 2
 
 
+def test_series_kernel_matches_exact_binomials(monkeypatch):
+    def worst(kernel, rows):
+        err = 0.0
+        for m in rows:
+            for n in range(kernel.shape[1]):
+                # int / int is correctly rounded: the double nearest the exact weight
+                exact = math.comb(m + n, n) / 2 ** (m + n + 1)
+                if exact >= sys.float_info.min:  # normal range only
+                    err = max(err, abs(kernel[m, n] / exact - 1.0))
+        return err
+
+    monkeypatch.setattr(teleport_module, "_series_kernel", np.empty((0, 0)))
+    assert worst(teleport_module._series_weights(256), range(256)) <= 2e-15
+    assert worst(teleport_module._series_weights(1024), (0, 29, 511, 1023)) <= 2e-15
+
+
 def test_radial_matches_series_and_closed_form():
     assert average_fidelity_radial(make_twb(TwbParams(0.5), TIGHT)) == pytest.approx(
         0.75, abs=1e-8
@@ -288,6 +305,15 @@ def test_radial_refuses_dimension_above_node_count():
     # the default 200 nodes stop short of the default-policy twin-beam at chi 0.97 (D = 454)
     with pytest.raises(NumericsError):
         average_fidelity_radial(make_twb(TwbParams(0.97)))
+
+
+def test_radial_refuses_non_finite_rule():
+    # scipy's Gauss-Laguerre rule turns NaN between 300 and 400 nodes; the
+    # estimator must refuse it, not return NaN
+    resource = make_twb(TwbParams(0.9))
+    assert resource.dim == 132
+    with pytest.raises(NumericsError, match="not finite"):
+        average_fidelity_radial(resource, QuadratureSpec(radial_nodes=400))
 
 
 def test_grid2d_twb_and_state_independence():
