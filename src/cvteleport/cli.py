@@ -225,6 +225,8 @@ def _metric_rows(metrics, configs, chis, policy, extra=None, alpha=None, quadrat
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
     for family, g, p in configs:
+        if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
+            raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
         tag, build = FAMILIES[family]
         nla = NlaConfig(gain=g, threshold=p)
         for chi in chis:

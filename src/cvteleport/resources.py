@@ -15,7 +15,6 @@ fidelity comparisons.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,8 +103,11 @@ def make_amplified_twb(
     if p + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
     prob = success_probability(params, nla)  # a sum of p + 1 terms
-    if prob == 0.0:
-        raise NumericsError(f"success probability underflows to 0 at chi={chi}, g={g}, p={p}")
+    if policy.epsilon * prob == 0.0:  # no dimension meets a tail budget of 0
+        raise NumericsError(
+            f"success probability underflows the tail budget at chi={chi}, g={g}, p={p}: "
+            f"epsilon * {prob:g} = 0"
+        )
     dim = _geometric_dimension(chi, policy.epsilon * prob, p + 1, policy.max_dim)
     n = np.arange(dim)
     coeffs = g ** np.minimum(n - float(p), 0.0) * chi**n
@@ -140,17 +142,8 @@ def make_added_then_subtracted_twb(
     return _weighted_geometric_state(params.chi, 2, policy, f"addsub chi={params.chi:g}")
 
 
-@lru_cache(maxsize=8)
-def _ratio_growth(power: int, max_dim: int) -> np.ndarray:
-    """((D+2)/(D+1))^(2*power) for D = 1..max_dim.
-
-    Independent of chi, so it is computed once per (power, max_dim), with
-    Python's scalar pow: numpy's vectorised power can differ from it in the
-    last bit, which could move a bound across the epsilon threshold.
-    """
-    growth = np.array([((d + 2.0) / (d + 1.0)) ** (2 * power) for d in range(1, max_dim + 1)])
-    growth.setflags(write=False)
-    return growth
+# Eulerian polynomials A_j, ascending: sum_{m>=0} m^j x^m = x^[j>0] A_j(x) / (1-x)^(j+1)
+_EULERIAN = ((1.0,), (1.0,), (1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 11.0, 11.0, 1.0))
 
 
 def _weighted_geometric_state(
@@ -158,35 +151,38 @@ def _weighted_geometric_state(
 ) -> SchmidtState:
     """State with k_n = (n+1)^power chi^n, truncated and normalized.
 
-    The squared-coefficient tail sum_{n>=D} (n+1)^(2*power) x^n (x = chi^2)
-    is bounded by the geometric majorant w_D / (1 - rho_D) with
-    rho_D = x ((D+2)/(D+1))^(2*power), which is the ratio bound of the
-    decreasing-ratio sequence. D is the smallest dimension whose bounded
-    tail mass is below policy.epsilon, or max_dim when none is.
+    With x = chi^2 and k = 2*power the squared-coefficient tail is, in
+    closed form, T(D) = sum_{n>=D} (n+1)^k x^n = x^D F(D) with
+    F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m, a sum of positive
+    terms. D is the smallest dimension with T(D) <= epsilon * T(0); a
+    state that needs more than policy.max_dim raises NumericsError.
     """
-    x = chi * chi
-    n = np.arange(policy.max_dim + 1)
-    with np.errstate(under="ignore"):
-        weights = (n + 1.0) ** (2 * power) * x**n
-    partial = np.cumsum(weights)
-    # bounds[D-1]: ratio bound of the tail beyond D, for D = 1..max_dim
-    rho = x * _ratio_growth(power, policy.max_dim)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = np.where(rho < 1.0, weights[1:] / (1.0 - rho), np.inf)
+    k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
+    one_minus_x = (1.0 - chi) * (1.0 + chi)
+    c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
+        math.comb(k, j) * (x if j else 1.0) * sum(a * x**i for i, a in enumerate(_EULERIAN[j]))
+        / one_minus_x ** (j + 1) for j in range(k + 1)
+    ]
 
-    cap_tail = bounds[-1]
-    if not math.isfinite(cap_tail):
-        raise NumericsError(
-            f"cannot certify a tail bound for chi={chi} within max_dim={policy.max_dim}"
-        )
-    total = partial[policy.max_dim - 1] + cap_tail
-    ok = bounds <= policy.epsilon * total
-    dim = int(ok.argmax()) + 1 if ok.any() else policy.max_dim
+    def log_factor(d: int) -> float:  # ln F(d)
+        return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
 
-    truncated = partial[dim - 1]
+    log_total = log_factor(0)
+    log_budget = math.log(policy.epsilon) + log_total  # ln(epsilon * T(0))
+    # T(D) >= x^D T(0), so ceil(ln epsilon / ln x) is a lower bound on D;
+    # every step below stays a lower bound and moves up until the tail passes
+    dim = math.ceil(math.log(policy.epsilon) / log_x)
+    while dim <= policy.max_dim:
+        log_f = log_factor(dim)
+        if dim * log_x + log_f <= log_budget:
+            break
+        dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
+    else:
+        raise NumericsError(f"{label} needs over max_dim={policy.max_dim} levels")
+    n = np.arange(dim)
     return SchmidtState(
-        coeffs=(n[:dim] + 1.0) ** power * chi ** n[:dim],
-        norm_const=1.0 / math.sqrt(truncated),
-        tail_bound=bounds[dim - 1] / total,
+        coeffs=(n + 1.0) ** power * chi**n,
+        norm_const=1.0 / math.sqrt(np.cumsum((n + 1.0) ** k * x**n)[-1]),
+        tail_bound=math.exp(dim * log_x + log_f - log_total),
         label=label,
     )

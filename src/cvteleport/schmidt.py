@@ -27,7 +27,8 @@ class TruncationPolicy:
 
     epsilon: maximum probability mass that may be discarded (default 1e-12,
         well below every tolerance used by the metrics and fidelity paths).
-    max_dim: hard cap on the truncation dimension.
+    max_dim: largest truncation dimension a constructor may use; a state
+        whose tail needs more raises NumericsError.
     """
 
     epsilon: float = 1e-12
@@ -88,9 +89,8 @@ def schmidt_probabilities(state: SchmidtState) -> np.ndarray:
 def required_dimension(chi: float, policy: TruncationPolicy = DEFAULT_POLICY, p: int = 0) -> int:
     """Smallest truncation dimension D for a geometric chi^n coefficient tail.
 
-    Picks the smallest D > p with chi^(2D) <= policy.epsilon, capped at
-    policy.max_dim. When the cap binds the caller must record the larger
-    tail bound chi^(2*max_dim) on the state it builds.
+    Picks the smallest D > p with chi^(2D) <= policy.epsilon and raises
+    NumericsError when that D exceeds policy.max_dim.
     """
     if not (0.0 < chi < 1.0):
         raise ValidationError(f"chi must lie in (0, 1), got {chi}")
@@ -99,10 +99,10 @@ def required_dimension(chi: float, policy: TruncationPolicy = DEFAULT_POLICY, p:
 
 def _geometric_dimension(chi: float, epsilon: float, min_dim: int, max_dim: int) -> int:
     # smallest D >= min_dim with chi^(2D) <= epsilon
-    if epsilon <= 0.0:  # a subnormal policy epsilon times a small norm underflows to 0
-        return max_dim
-    d_tail = math.ceil(math.log(epsilon) / (2.0 * math.log(chi)))
-    return min(max(min_dim, d_tail, 1), max_dim)
+    dim = max(min_dim, math.ceil(math.log(epsilon) / (2.0 * math.log(chi))), 1)
+    if dim > max_dim:
+        raise NumericsError(f"chi={chi} needs dimension {dim} > max_dim={max_dim}")
+    return dim
 
 
 def dense_two_mode(state: SchmidtState) -> np.ndarray:

@@ -351,7 +351,7 @@ def average_fidelity_sampled(
         raise ValidationError("mc_samples must be at least 1000")
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)
-    # renormalised: a capped state's p_n sum to 1 - tail, which choice rejects
+    # renormalised: a truncated state's p_n sum to 1 - tail, which choice may reject
     n = rng.choice(resource.dim, size=spec.mc_samples, p=pn / pn.sum())
     t = rng.gamma(n + 1.0)
 

@@ -126,42 +126,21 @@ def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
     return brentq(slope, g_lo, g_hi, xtol=1e-14, rtol=1e-14)
 
 
-def weighted_geometric_truncation(chi: float, power: int, policy: TruncationPolicy):
-    """(dim, tail_bound) that the documented truncation rule gives the state
-    k_n = (n+1)^power chi^n, in plain Python; None when the tail beyond
-    policy.max_dim has no finite bound.
+def weighted_geometric_tails(chi: float, power: int) -> list[float]:
+    """Suffix sums T(D) = sum_{n>=D} (n+1)^(2*power) chi^(2n) for D = 0, 1, ...
 
-    With x = chi^2, w_n = (n+1)^(2*power) x^n and the ratio bound
-    b_D = w_D / (1 - rho_D), rho_D = x ((D+2)/(D+1))^(2*power) (infinite
-    when rho_D >= 1), the total mass is bounded by the partial sum below
-    max_dim plus b_max_dim. dim is the smallest D in 1..max_dim with
-    b_D <= epsilon * total, or max_dim when none passes; tail_bound is
-    b_dim / total. Sums run left to right, as a cumulative sum does.
-
-    The search is a plain loop; the weights are taken from numpy's power,
-    as the package takes them, because Python's pow can differ from it in
-    the last bit and the rule is checked for exact equality.
+    The terms are summed directly, in plain Python, until they underflow to
+    0 and so stop touching a double; each suffix sum is accumulated from
+    its smallest term up. T(0) is the total, and the last entry is 0.
     """
-    x = chi * chi
-    n = np.arange(policy.max_dim + 1)
-    with np.errstate(under="ignore"):
-        weights = ((n + 1.0) ** (2 * power) * x**n).tolist()
-
-    def ratio_bound(d: int) -> float:
-        rho = x * ((d + 2.0) / (d + 1.0)) ** (2 * power)
-        return math.inf if rho >= 1.0 else weights[d] / (1.0 - rho)
-
-    cap = ratio_bound(policy.max_dim)
-    if cap == math.inf:
-        return None
-    total = 0.0
-    for w in weights[: policy.max_dim]:
-        total += w
-    total += cap
-    for d in range(1, policy.max_dim + 1):
-        if ratio_bound(d) <= policy.epsilon * total:
-            return d, ratio_bound(d) / total
-    return policy.max_dim, cap / total
+    x, terms = chi * chi, [1.0]
+    while terms[-1] > 0.0:
+        n = len(terms)
+        terms.append((n + 1) ** (2 * power) * x**n)
+    tails = [0.0]
+    for term in reversed(terms):
+        tails.append(tails[-1] + term)
+    return tails[::-1]
 
 
 def brute_pair_ladder(diag: np.ndarray, add_first: bool) -> np.ndarray:

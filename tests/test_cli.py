@@ -432,7 +432,7 @@ _BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "abc", "")
 
 # flag -> values to draw, valid and invalid; numeric flags also draw _BAD_NUMBERS.
 # Grids stay small (chi steps >= 0.1, figure steps >= 0.05) so that each run
-# takes a few seconds at most, even with every state at max_dim.
+# takes a few seconds at most, even with states near max_dim.
 _FUZZ_VALUES = {
     "--chi": ("0.05", "0.3", "0.6", "0.9", "0.97", "0.999", "1", "1e-300"),
     "--gain": ("1", "1.5", "2", "4", "0.5", "1e300"),
@@ -519,11 +519,42 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
     assert not stray, (argv, stray)
 
 
-def test_main_subnormal_epsilon_truncates_at_max_dim(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--chi", "0.999"],
+        ["metrics", "--resource", "subtracted", "--chi", "0.99"],
+        ["twb", "--chi", "0.999"],
+        ["amplify", "--chi", "0.999", "--gain", "2", "--threshold", "2"],
+        ["figure", "fig3", "--step", "0.1", "--epsilon", "1e-300"],
+    ],
+    ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure"],
+)
+def test_main_state_beyond_max_dim_exits_3(argv, tmp_path, capsys):
+    # a truncated state whose tail needs more than max_dim levels is refused
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "max_dim" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_psucc_sweep_refuses_threshold_above_max_dim(tmp_path, capsys):
+    # a psucc-only sweep builds no state, so the threshold is checked before psucc sums p + 1 terms
+    out = tmp_path / "psucc.csv"
+    argv = ["sweep", "--chi-start", "0.5", "--chi-stop", "0.5", "--gains", "2",
+            "--thresholds", "10000000", "--outputs", "psucc", "--out", str(out)]
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_subnormal_epsilon_exits_3(capsys):
     # epsilon * psucc underflows to 0, whose log raised a raw ValueError
     argv = ["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "2", "--epsilon", "5e-324"]
-    assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["dim"] == 1024
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflows" in captured.err and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from cvteleport import (
 from helpers import (
     brute_pair_ladder,
     brute_success_probability,
-    weighted_geometric_truncation,
+    weighted_geometric_tails,
 )
 
 
@@ -162,15 +164,21 @@ def test_weighted_states_reject_uncertifiable_truncation():
         make_photon_subtracted_twb(TwbParams(0.9995))
 
 
-# chi >= 0.99 puts the dimension at the max_dim cap; at 0.999 the
-# added-then-subtracted tail has no finite bound within it. At 0.709..0.862
-# that state truncates where numpy's power and Python's pow round
-# ((D+2)/(D+1))^4 differently.
+# chi >= 0.99 needs more than max_dim = 1024 levels under each policy below;
+# with max_dim = 64 the limit falls between chi 0.709 and 0.772.
 WEIGHTED_CHIS = (
     *np.round(np.linspace(0.01, 0.98, 15), 6),
     0.709, 0.761, 0.818, 0.829, 0.862,
     0.99, 0.995, 0.998, 0.999,
 )
+
+
+_oracle_tails = functools.lru_cache(maxsize=None)(weighted_geometric_tails)
+
+
+def _oracle_tail(chi: float, power: int, dim: int) -> float:
+    tails = _oracle_tails(chi, power)
+    return tails[min(dim, len(tails) - 1)]
 
 
 @pytest.mark.parametrize(
@@ -184,19 +192,25 @@ WEIGHTED_CHIS = (
     ids=["eps1e-8", "eps1e-12", "eps1e-16", "eps1e-12-max64"],
 )
 def test_weighted_states_pick_the_documented_dimension(policy):
+    # dim is the smallest D whose exact tail is at most epsilon of the total
+    # mass, and a state that needs more than max_dim is refused
     outcomes = set()
-    for chi in WEIGHTED_CHIS:
+    for chi in map(float, WEIGHTED_CHIS):
         for power, maker in ((1, make_photon_subtracted_twb), (2, make_added_then_subtracted_twb)):
-            expected = weighted_geometric_truncation(float(chi), power, policy)
-            if expected is None:
+            total = _oracle_tail(chi, power, 0)
+            budget = policy.epsilon * total
+            if _oracle_tail(chi, power, policy.max_dim) > budget:
                 with pytest.raises(NumericsError):
                     maker(TwbParams(chi), policy)
-                outcomes.add("uncertifiable")
+                outcomes.add("refused")
                 continue
             state = maker(TwbParams(chi), policy)
-            assert (state.dim, state.tail_bound) == expected
-            outcomes.add("capped" if state.dim == policy.max_dim else "searched")
-    assert outcomes == {"searched", "capped", "uncertifiable"}
+            tail = _oracle_tail(chi, power, state.dim)
+            assert state.tail_bound == pytest.approx(tail / total, rel=1e-12, abs=0.0)
+            assert tail <= budget
+            assert _oracle_tail(chi, power, state.dim - 1) > budget * (1.0 - 1e-12)
+            outcomes.add("searched")
+    assert outcomes == {"searched", "refused"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,9 +73,10 @@ def test_required_dimension_small_chi_floors_at_threshold():
     assert required_dimension(1e-8, policy, p=0) == 1
 
 
-def test_required_dimension_caps_at_max_dim():
+def test_required_dimension_refuses_above_max_dim():
     policy = TruncationPolicy(epsilon=1e-12, max_dim=64)
-    assert required_dimension(0.95, policy) == 64
+    with pytest.raises(NumericsError):
+        required_dimension(0.95, policy)
 
 
 def test_required_dimension_rejects_bad_chi():
