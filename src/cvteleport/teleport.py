@@ -145,29 +145,75 @@ def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
     return out
 
 
+# Poisson-sum window: points are summed in blocks of _POISSON_BLOCK, and a block's
+# dropped tail must be certified below e^_POISSON_TAIL_LOG of its partial sum.
+# Larger blocks pay less per-call overhead but run each block to a coarser top.
+_POISSON_BLOCK = 16384
+_POISSON_TAIL_LOG = -42.0
+
+
 def _poisson_sum(weights: np.ndarray, t):
     """sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0.
 
-    The nested Horner form w_0 + t(w_1 + t/2(w_2 + ...)) forms no n!. Where
-    it overflows (t > ~700) the Poisson terms, each at most 1, are added.
+    weights is one row (D,) or a stack of rows (r, D); the result has shape
+    weights.shape[:-1] + t.shape. The nested Horner form
+    w_0 + t(w_1 + t/2(w_2 + ...)) forms no n!.
+
+    Windowed: Poisson(t) puts next to no mass past c(t) = t + 12 sqrt(t) + 40,
+    so the points are sorted by c(t) (capped at D - 1) and taken in blocks of
+    _POISSON_BLOCK, and each block runs Horner only down from its largest
+    cut c. For nonnegative weights the dropped part is at most
+    max_{n>c} w_n P(Pois(t) > c) <= max_{n>c} w_n e^-t (e t / (c+1))^(c+1)
+    (Chernoff); a block where that exceeds e^-42 of the partial sum, in any
+    row, reruns the same loop over all D terms, and a negative weight puts
+    every block on all D terms. Results return in the order of t. Where the Horner sum
+    overflows (t > ~700) the Poisson terms, each at most 1, are added.
     """
+    weights = np.asarray(weights, dtype=float)
     t = np.asarray(t, dtype=float)
-    acc = np.full(t.shape, float(weights[-1]))
+    rows = weights.reshape(-1, weights.shape[-1])
+    full = rows.shape[1] - 1
+    flat = t.reshape(-1)
+    cut = np.minimum(flat + 12.0 * np.sqrt(flat) + 40.0, full).astype(np.min_scalar_type(full))
+    if (rows < 0).any():  # the certificate needs nonnegative weights
+        cut[:] = full
+    # a stable sort of small unsigned integers is a radix sort
+    order = np.argsort(cut, kind="stable")
+    # tail_max[:, c] = max_{n>c} w_n, the certificate's weight factor
+    tail_max = np.zeros_like(rows)
+    tail_max[:, :-1] = np.maximum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1]
+    columns = rows.T[:, :, None]
+    acc = np.empty((rows.shape[0], flat.size))
     with np.errstate(over="ignore", divide="ignore"):
-        for n in range(len(weights) - 1, 0, -1):
-            acc *= t
-            acc /= n
-            acc += weights[n - 1]
+        for lo in range(0, flat.size, _POISSON_BLOCK):
+            block = order[lo : lo + _POISSON_BLOCK]
+            tb = flat[block]
+            for top in (int(cut[block[-1]]), full):
+                part = np.repeat(columns[top], tb.size, axis=1)
+                for n in range(top, 0, -1):
+                    part *= tb
+                    part /= n
+                    part += columns[n - 1]
+                if top == full:
+                    break
+                log_dropped = np.log(tail_max[:, top, None]) + (top + 1) * (
+                    1.0 + np.log(tb) - math.log(top + 1)
+                )
+                if np.all(log_dropped <= np.log(part) + _POISSON_TAIL_LOG):
+                    break
+            for row, values in zip(acc, part):  # 3x faster than acc[:, block] = part
+                row[block] = values
         big = np.isinf(acc)
         np.log(acc, out=acc)
-    acc -= t
+    acc -= flat
     np.exp(acc, out=acc)
     if big.any():
-        tb, log_t = t[big], np.log(t[big])
-        log_fact = _log_factorials(len(weights))
-        terms = (w * np.exp(n * log_t - tb - log_fact[n]) for n, w in enumerate(weights))
-        acc[big] = sum(terms)
-    return acc
+        hit = big.any(axis=0)
+        tb, log_t = flat[hit], np.log(flat[hit])
+        log_fact = _log_factorials(rows.shape[1])
+        terms = (w[:, None] * np.exp(n * log_t - tb - log_fact[n]) for n, w in enumerate(rows.T))
+        acc[big] = sum(terms)[big[:, hit]]
+    return acc.reshape(weights.shape[:-1] + t.shape)
 
 
 def transfer_apply(resource: SchmidtState, alpha: complex, beta: complex) -> ConditionalOutput:
@@ -357,9 +403,8 @@ def average_fidelity_sampled(
 
     # F(beta) depends on the outcome only through t:
     # F = N^2 [sum k_n pois_n(t)]^2 / sum p_n pois_n(t).
-    numer = resource.norm_const**2 * _poisson_sum(resource.coeffs, t) ** 2
-    denom = _poisson_sum(pn, t)
-    fid = numer / denom
+    amp, density = _poisson_sum(np.vstack([resource.coeffs, pn]), t)
+    fid = resource.norm_const**2 * amp**2 / density
     estimate = float(np.mean(fid))
     std_error = float(np.std(fid, ddof=1) / math.sqrt(fid.size))
     return estimate, std_error

@@ -34,6 +34,7 @@ from cvteleport import (
     twb_average_fidelity_closed,
 )
 import cvteleport.teleport as teleport_module
+from cvteleport.cli import _round12
 from cvteleport.teleport import _overlap_vector, _poisson_sum
 from helpers import (
     TIGHT,
@@ -183,6 +184,29 @@ def test_poisson_sum_matches_decimal_reference(chi):
             for t, value in zip(ts, values):
                 expected = poisson_sum_reference(weights, t)
                 assert abs(value - expected) <= 1e-12 * expected, (state.label, t)
+
+
+@pytest.mark.parametrize("t", [5.0, 50.0, 150.0])
+def test_poisson_sum_window_is_certified(t):
+    # one point per call, so each is summed over its own window (71, 174 and
+    # 337 terms). All of e_{D-1}'s mass lies past the first two: the certificate
+    # must send them over all D terms. The D = 915 twin-beam passes it at each t.
+    last = np.zeros(200)
+    last[-1] = 1.0
+    twb = make_twb(TwbParams(0.985)).coeffs
+    for weights in (last, twb):
+        expected = poisson_sum_reference(weights, t)
+        assert abs(float(_poisson_sum(weights, t)) - expected) <= 1e-12 * expected
+
+
+def test_poisson_sum_stacks_weights_and_keeps_shape():
+    state = make_twb(TwbParams(0.97))
+    pn = schmidt_probabilities(state)
+    t = np.random.default_rng(3).gamma(np.arange(24.0).reshape(2, 3, 4) + 1.0)
+    stacked = _poisson_sum(np.vstack([state.coeffs, pn]), t)
+    assert stacked.shape == (2, 2, 3, 4)
+    assert np.array_equal(stacked[0], _poisson_sum(state.coeffs, t))
+    assert np.array_equal(stacked[1], _poisson_sum(pn, t))
 
 
 def test_conditional_fidelity_twb_closed_form():
@@ -375,6 +399,22 @@ def test_sampled_large_dimension():
     loose = make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3))
     assert schmidt_probabilities(loose).sum() < 1.0 - 1e-4
     assert np.all(np.isfinite(average_fidelity_sampled(loose, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "chi, mean, std_error",
+    [
+        (0.5, 0.750269095993, 0.000612817263166),
+        (0.9, 0.950119386346, 0.000150278338012),
+        (0.97, 0.985045814494, 4.67042756401e-05),
+        (0.985, 0.992527294576, 2.34775679351e-05),
+    ],
+)
+def test_sampled_values_at_fixed_seed(chi, mean, std_error):
+    # the 12-digit values the CLI prints for teleport --method mc --seed 305
+    resource = make_twb(TwbParams(chi))
+    estimate, err = average_fidelity_sampled(resource, 2.0, QuadratureSpec(rng_seed=305))
+    assert (_round12(estimate), _round12(err)) == (mean, std_error)
 
 
 def test_sampled_rejects_small_sample_budget():
