@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -149,10 +150,16 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _float_cells(floats, fmt: str) -> list[str]:
+    """Floats as CSV text or as JSON literals, keeping 12 significant digits."""
+    text = map("{:.12g}".format, floats)
+    return list(text) if fmt == "csv" else list(map(repr, map(float, text)))
+
+
 def _cell(x, fmt: str) -> str:
     """One field as CSV text or as a JSON literal; floats keep 12 significant digits."""
     if isinstance(x, float):
-        return f"{x:.12g}" if fmt == "csv" else repr(float(f"{x:.12g}"))
+        return _float_cells((x,), fmt)[0]
     if x is None:
         return "" if fmt == "csv" else "null"
     if isinstance(x, str):
@@ -160,19 +167,52 @@ def _cell(x, fmt: str) -> str:
     return str(x)
 
 
+def _memo_cells(column, fmt: str) -> list[str]:
+    """_cell of each entry of a column with few distinct entries, each formatted once.
+
+    The key holds the type, since 1, 1.0 and True print differently, and the
+    text of a zero, since 0.0 and -0.0 do too.
+    """
+    memo = {}
+    cells = []
+    for x in column:
+        key = (type(x), x, x == 0 and repr(x))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _cell(x, fmt)
+        cells.append(text)
+    return cells
+
+
+def _value_cells(column, fmt: str) -> list[str]:
+    """_cell of each entry of the value column, where nearly every float differs."""
+    if all(map(isinstance, column, repeat(float))):
+        return _float_cells(column, fmt)
+    return [_cell(x, fmt) for x in column]
+
+
+# one JSON record, laid out as json.dumps(..., indent=1) lays it out
+_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %s' for k in SweepRow._fields) + "\n }"
+
+
 def _rows_text(rows, fmt: str = "csv", comments=()) -> str:
     """Rows as CSV (header after the `# ` comment lines) or as a JSON list of
-    records laid out as json.dumps(..., indent=1) lays them out."""
+    records laid out as json.dumps(..., indent=1) lays them out.
+
+    Cells are formatted a column at a time, each by the _cell rule.
+    """
     for r in rows:
         if not math.isfinite(r.value):
             raise NumericsError(f"non-finite value for {r.metric} at chi={r.chi}")
+    columns = [
+        _value_cells(column, fmt) if name == "value" else _memo_cells(column, fmt)
+        for name, column in zip(SweepRow._fields, zip(*rows))
+    ]
     if fmt == "csv":
         lines = [*(f"# {c}" for c in comments), ",".join(SweepRow._fields)]
-        lines += [",".join([_cell(x, fmt) for x in r]) for r in rows]
-        return "\n".join(lines) + "\n"
-    keys = [f'  "{k}": ' for k in SweepRow._fields]
-    records = [",\n".join([k + _cell(x, fmt) for k, x in zip(keys, r)]) for r in rows]
-    return "[\n {\n" + "\n },\n {\n".join(records) + "\n }\n]\n" if rows else "[]\n"
+        return "\n".join(lines + list(map(",".join, zip(*columns)))) + "\n"
+    records = [_JSON_RECORD % cells for cells in zip(*columns)]
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +279,9 @@ def _metric_rows(metrics, configs, chis, policy, extra=None, alpha=None, quadrat
                     continue
                 if metric == "pdist":
                     probs = schmidt_probabilities(state)
-                    rows += [SweepRow(chi, g, p, metric, float(v), n) for n, v in enumerate(probs)]
+                    rows += [
+                        SweepRow(chi, g, p, metric, v, n) for n, v in enumerate(probs.tolist())
+                    ]
                     continue
                 if metric == "fbar_grid2d":
                     value = average_fidelity_grid2d(state, alpha, quadrature)

@@ -5,6 +5,7 @@ brute-force partial sums, dense ladder-operator algebra, explicit grids.
 """
 
 import decimal
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.optimize import brentq
 
 from cvteleport import (
     NlaConfig,
+    NumericsError,
     TruncationPolicy,
     TwbParams,
     make_added_then_subtracted_twb,
@@ -19,6 +21,7 @@ from cvteleport import (
     make_photon_subtracted_twb,
     make_twb,
 )
+from cvteleport.cli import SweepRow
 
 # Tight truncation for tests whose tolerances (1e-9..1e-10) sit below the
 # default 1e-12 tail once amplified by moment cancellations.
@@ -186,3 +189,29 @@ def oracle_matrix(policy: TruncationPolicy = TruncationPolicy()):
         combos.append(make_photon_subtracted_twb(TwbParams(chi), policy))
         combos.append(make_added_then_subtracted_twb(TwbParams(chi), policy))
     return combos
+
+
+def _cell_reference(x, fmt: str) -> str:
+    """One field as CSV text or as a JSON literal; floats keep 12 significant digits."""
+    if isinstance(x, float):
+        return f"{x:.12g}" if fmt == "csv" else repr(float(f"{x:.12g}"))
+    if x is None:
+        return "" if fmt == "csv" else "null"
+    if isinstance(x, str):
+        return x if fmt == "csv" else json.dumps(x)
+    return str(x)
+
+
+def rows_text_reference(rows, fmt: str = "csv", comments=()) -> str:
+    """The sweep writer formatting one cell at a time, as cli._rows_text did
+    before it formatted whole columns: the byte-for-byte oracle of its output."""
+    for r in rows:
+        if not math.isfinite(r.value):
+            raise NumericsError(f"non-finite value for {r.metric} at chi={r.chi}")
+    if fmt == "csv":
+        lines = [*(f"# {c}" for c in comments), ",".join(SweepRow._fields)]
+        lines += [",".join([_cell_reference(x, fmt) for x in r]) for r in rows]
+        return "\n".join(lines) + "\n"
+    keys = [f'  "{k}": ' for k in SweepRow._fields]
+    records = [",\n".join([k + _cell_reference(x, fmt) for k, x in zip(keys, r)]) for r in rows]
+    return "[\n {\n" + "\n },\n {\n".join(records) + "\n }\n]\n" if rows else "[]\n"

@@ -9,8 +9,9 @@ import sys
 import warnings
 from datetime import timedelta
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cvteleport
 from cvteleport.cli import (
@@ -35,6 +36,7 @@ from cvteleport import (
     TruncationWarning,
     ValidationError,
 )
+from helpers import rows_text_reference
 
 
 def _read_rows(path):
@@ -136,8 +138,53 @@ def test_sweep_json_matches_stdlib_encoder(tmp_path):
     assert re.search(r'"value": [0-9.]+e-[0-9]+,', text)
     for fmt in ("csv", "json"):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(NumericsError):
-                _rows_text([*rows[:2], SweepRow(0.5, 1.0, 0, "fbar", bad)], fmt)
+            row = SweepRow(0.5, 1.0, 0, "fbar", bad)
+            middle = len(rows) // 2
+            for bad_rows in ([row, *rows], [*rows[:middle], row, *rows[middle:]], [*rows, row]):
+                with pytest.raises(NumericsError):
+                    _rows_text(bad_rows, fmt)
+
+
+_FLOATS = st.sampled_from([5e-5, 0.1, 0.6, 1e12, 1e16, 1e300, 1.0, 0.0, -0.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+# entries that compare equal but print differently, so a memo keyed by value alone merges them
+_LOOKALIKES = st.sampled_from([1, 1.0, True, np.float64(1.0), 0, 0.0, -0.0, np.float64(-0.0)])
+_MEMO_CELLS = _FLOATS | _FLOATS.map(np.float64) | _LOOKALIKES
+_EXTRA = st.one_of(
+    st.none(),
+    st.sampled_from(["twb", "nla", "photsub", "addsub", "classical", "nonlocal", "secure"]),
+    st.integers(0, 2000),
+    _FLOATS,
+    _LOOKALIKES,
+)
+_ROWS = st.lists(
+    st.builds(
+        SweepRow,
+        chi=_MEMO_CELLS,
+        g=_MEMO_CELLS,
+        p=st.integers(0, 10) | _LOOKALIKES,
+        metric=st.sampled_from(SWEEP_METRICS) | st.text(max_size=8),
+        value=_FLOATS | _FLOATS.map(np.float64) | st.integers(-3, 3),
+        extra=_EXTRA,
+    ),
+    max_size=30,
+)
+
+
+@settings(deadline=None)
+@given(rows=_ROWS, comments=st.lists(st.text(max_size=12), max_size=3))
+@example(rows=[], comments=[])
+@example(rows=[], comments=["figure:fig1 caption:x"])
+@example(
+    rows=[SweepRow(0.0, 1, 2, "pdist", 0.1, 1), SweepRow(-0.0, 1.0, 2, "pdist", 0.1, 1.0),
+          SweepRow(0.0, True, 2, "pdist", 0.1, True), SweepRow(-0.0, 1, 2, "pdist", 0.1, -0.0),
+          SweepRow(0.0, 1.0, 2, "pdist", 0.1, 0.0)],
+    comments=[],
+)
+def test_rows_text_matches_per_cell_writer(rows, comments):
+    for fmt in ("csv", "json"):
+        assert _rows_text(rows, fmt, comments) == rows_text_reference(rows, fmt, comments)
 
 
 def test_sweep_pdist_rows_cover_fock_levels(tmp_path):
