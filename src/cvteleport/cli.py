@@ -115,14 +115,16 @@ class SweepSpec:
                 raise ValidationError(f"{name} must not repeat an entry, got {values}")
 
 
-class SweepRow(NamedTuple):
-    """One output record of a sweep or figure run."""
+class RowBlock(NamedTuple):
+    """Output rows of one metric: value holds one float per row, and every
+    other field is one cell shared by all rows or a sequence (list, tuple
+    or range) with one cell per row. The field names are the header."""
 
-    chi: float
-    g: float
-    p: int
-    metric: str
-    value: float
+    chi: object
+    g: object
+    p: object
+    metric: object
+    value: list
     extra: object = None
 
 
@@ -167,52 +169,48 @@ def _cell(x, fmt: str) -> str:
     return str(x)
 
 
-def _memo_cells(column, fmt: str) -> list[str]:
-    """_cell of each entry of a column with few distinct entries, each formatted once.
-
-    The key holds the type, since 1, 1.0 and True print differently, and the
-    text of a zero, since 0.0 and -0.0 do too.
-    """
-    memo = {}
-    cells = []
-    for x in column:
-        key = (type(x), x, x == 0 and repr(x))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _cell(x, fmt)
-        cells.append(text)
-    return cells
+_SEQUENCES = (list, tuple, range)
 
 
-def _value_cells(column, fmt: str) -> list[str]:
-    """_cell of each entry of the value column, where nearly every float differs."""
+def _column_cells(column, rows: int, fmt: str) -> list[str]:
+    """One block column as `rows` cells, each by the _cell rule."""
+    if not isinstance(column, _SEQUENCES):
+        return [_cell(column, fmt)] * rows
+    if isinstance(column, range):  # Fock levels
+        return list(map(str, column))
     if all(map(isinstance, column, repeat(float))):
         return _float_cells(column, fmt)
     return [_cell(x, fmt) for x in column]
 
 
+def _block_rows(blocks, fmt: str):
+    """The cells of each row, block by block; a non-finite value raises."""
+    for block in blocks:
+        value = block.value
+        if not all(map(math.isfinite, value)):
+            i = next(i for i, v in enumerate(value) if not math.isfinite(v))
+            bad = RowBlock(*(c[i] if isinstance(c, _SEQUENCES) else c for c in block))
+            raise NumericsError(f"non-finite value for {bad.metric} at chi={bad.chi}")
+        yield from zip(*(_column_cells(c, len(value), fmt) for c in block), strict=True)
+
+
 # one JSON record, laid out as json.dumps(..., indent=1) lays it out
-_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %s' for k in SweepRow._fields) + "\n }"
+_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %s' for k in RowBlock._fields) + "\n }"
 
 
-def _rows_text(rows, fmt: str = "csv", comments=()) -> str:
-    """Rows as CSV (header after the `# ` comment lines) or as a JSON list of
-    records laid out as json.dumps(..., indent=1) lays them out.
+def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
+    """Blocks of rows as CSV (header after the `# ` comment lines) or as a
+    JSON list of records laid out as json.dumps(..., indent=1) lays them out.
 
-    Cells are formatted a column at a time, each by the _cell rule.
+    Each column of a block is formatted in one call, by the _cell rule: a
+    shared cell once, a sequence of cells all at a time.
     """
-    for r in rows:
-        if not math.isfinite(r.value):
-            raise NumericsError(f"non-finite value for {r.metric} at chi={r.chi}")
-    columns = [
-        _value_cells(column, fmt) if name == "value" else _memo_cells(column, fmt)
-        for name, column in zip(SweepRow._fields, zip(*rows))
-    ]
+    rows = _block_rows(blocks, fmt)
     if fmt == "csv":
-        lines = [*(f"# {c}" for c in comments), ",".join(SweepRow._fields)]
-        return "\n".join(lines + list(map(",".join, zip(*columns)))) + "\n"
-    records = [_JSON_RECORD % cells for cells in zip(*columns)]
-    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+        header = [*(f"# {c}" for c in comments), ",".join(RowBlock._fields)]
+        return "\n".join([*header, *map(",".join, rows)]) + "\n"
+    records = ",\n".join(map(_JSON_RECORD.__mod__, rows))
+    return "[\n" + records + "\n]\n" if records else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -254,66 +252,66 @@ METRICS = {
 }
 
 
-def _metric_rows(metrics, configs, chis, policy, extra=None, alpha=None, quadrature=None):
-    """Rows of each metric at every (config, chi), grouped by metric in the given order.
+def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None, quadrature=None):
+    """Blocks of rows of each metric, grouped by metric in the given order.
 
-    configs are (family, gain, threshold). Each (config, chi) state is built
-    once, and not at all when psucc is the only metric. extra fills the last
-    column of the fidelity rows: None, "tag" (the family's fig5 tag) or
-    "psucc". pdist gives one row per Fock level.
+    configs are (family, gain, threshold). A scalar metric gives one block
+    per config with one row per chi; pdist gives one block per (config, chi)
+    with one row per Fock level. Each (config, chi) state is built once, and
+    not at all when psucc is the only metric; psucc is computed at most
+    once. extra fills the last column of the fidelity rows: None, "tag" (the
+    family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
+    fidelities = {"fbar", "fbar_grid2d"} & set(groups)
+    wants_psucc = "psucc" in groups or (extra == "psucc" and fidelities)
+    measures = {**METRICS, "fbar_grid2d": lambda s: average_fidelity_grid2d(s, alpha, quadrature)}
     for family, g, p in configs:
         if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
         tag, build = FAMILIES[family]
         nla = NlaConfig(gain=g, threshold=p)
+        columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
+        psuccs = []
         for chi in chis:
             params = TwbParams(chi)
-            if stateful:
-                state, psucc = build(params, nla, policy)
-            for metric, rows in groups.items():
-                if metric == "psucc":
-                    rows.append(SweepRow(chi, g, p, metric, success_probability(params, nla)))
-                    continue
-                if metric == "pdist":
-                    probs = schmidt_probabilities(state)
-                    rows += [
-                        SweepRow(chi, g, p, metric, v, n) for n, v in enumerate(probs.tolist())
-                    ]
-                    continue
-                if metric == "fbar_grid2d":
-                    value = average_fidelity_grid2d(state, alpha, quadrature)
-                else:
-                    value = METRICS[metric](state)
-                cell = None
-                if metric in ("fbar", "fbar_grid2d"):
-                    if extra == "psucc" and psucc is None:
-                        psucc = success_probability(params, nla)
-                    cell = {"tag": tag, "psucc": psucc}.get(extra)
-                rows.append(SweepRow(chi, g, p, metric, value, cell))
-    return [row for rows in groups.values() for row in rows]
+            state, psucc = build(params, nla, policy) if stateful else (None, None)
+            if psucc is None and wants_psucc:
+                psucc = success_probability(params, nla)
+            psuccs.append(psucc)
+            for metric, column in columns.items():
+                column.append(measures[metric](state))
+            if "pdist" in groups:
+                probs = schmidt_probabilities(state).tolist()
+                groups["pdist"].append(RowBlock(chi, g, p, "pdist", probs, range(len(probs))))
+        if "psucc" in groups:
+            columns["psucc"] = psuccs
+        cell = {"tag": tag, "psucc": psuccs}.get(extra)
+        for metric, column in columns.items():
+            extras = cell if metric in fidelities else None
+            groups[metric].append(RowBlock(chis, g, p, metric, column, extras))
+    return [block for blocks in groups.values() for block in blocks]
 
 
 def _nla_configs(gains, thresholds) -> tuple:
     return tuple(("amplified", g, p) for p in thresholds for g in gains)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid, write the output file atomically, return the rows.
+def run_sweep(spec: SweepSpec) -> list[RowBlock]:
+    """Evaluate the grid, write the output file atomically, return the row blocks.
 
     Rows are ordered by (metric, p, g, chi); repeated runs produce
     byte-identical files.
     """
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
     chis = chi_grid(*spec.chi_range)
-    rows = _metric_rows(
+    blocks = _metric_blocks(
         tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc", spec.alpha,
         spec.quadrature,
     )
-    _atomic_write(spec.out_path, _rows_text(rows, spec.format))
-    return rows
+    _atomic_write(spec.out_path, _rows_text(blocks, spec.format))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One figure: a metric at (config, chi) points, as _metric_rows takes them.
+    """One figure: a metric at (config, chi) points, as _metric_blocks takes them.
 
     configs are listed in output order; chis None means the chi grid of
     the run's step.
@@ -400,15 +398,13 @@ def figure_data(
     out_path = out_path or f"{figure_id}.csv"
     fig = FIGURE_TABLE[figure_id]
     chis = fig.chis or chi_grid(step, 0.95, step)
-    rows = _metric_rows((fig.metric,), fig.configs, chis, policy, fig.extra)
+    blocks = _metric_blocks((fig.metric,), fig.configs, chis, policy, fig.extra)
     comments = [f"figure:{figure_id} caption:{fig.caption}"]
     if figure_id == "fig1":  # zero-pad every distribution to the largest dimension
-        probs = {(r.g, r.extra): r.value for r in rows}
-        dmax = max(n for _, n in probs) + 1
-        rows = [
-            SweepRow(chis[0], g, p, "pdist", probs.get((g, n), 0.0), n)
-            for _, g, p in fig.configs
-            for n in range(dmax)
+        dmax = max(len(b.value) for b in blocks)
+        blocks = [
+            b._replace(value=b.value + [0.0] * (dmax - len(b.value)), extra=range(dmax))
+            for b in blocks
         ]
     if figure_id == "fig7":
         (_, g, p), = fig.configs
@@ -416,9 +412,9 @@ def figure_data(
         interval = f"{window[0]:.12g},{window[1]:.12g}" if window else "none"
         comments.append(f"secure_only_interval:{interval}")
         closed = [twb_average_fidelity_closed(TwbParams(chi)) for chi in chis]
-        rows = [SweepRow(chi, 1.0, 0, "fbar", f) for chi, f in zip(chis, closed)] + rows
-        rows = [r._replace(extra=classify_fidelity(r.value)) for r in rows]
-    _atomic_write(out_path, _rows_text(rows, "csv", comments))
+        blocks = [RowBlock(chis, 1.0, 0, "fbar", closed), *blocks]
+        blocks = [b._replace(extra=[classify_fidelity(v) for v in b.value]) for b in blocks]
+    _atomic_write(out_path, _rows_text(blocks, "csv", comments))
     return out_path
 
 
@@ -618,8 +614,8 @@ def _cmd_sweep(args) -> None:
         format=merged["format"],
         out_path=merged["out"],
     )
-    rows = run_sweep(spec)
-    sys.stdout.write(f"wrote {len(rows)} rows to {spec.out_path}\n")
+    rows = sum(len(block.value) for block in run_sweep(spec))
+    sys.stdout.write(f"wrote {rows} rows to {spec.out_path}\n")
 
 
 def _cmd_figure(args) -> None:

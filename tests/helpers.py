@@ -7,6 +7,7 @@ brute-force partial sums, dense ladder-operator algebra, explicit grids.
 import decimal
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,7 +22,7 @@ from cvteleport import (
     make_photon_subtracted_twb,
     make_twb,
 )
-from cvteleport.cli import SweepRow
+from cvteleport.cli import RowBlock
 
 # Tight truncation for tests whose tolerances (1e-9..1e-10) sit below the
 # default 1e-12 tail once amplified by moment cancellations.
@@ -189,6 +190,22 @@ def oracle_matrix(policy: TruncationPolicy = TruncationPolicy()):
         combos.append(make_photon_subtracted_twb(TwbParams(chi), policy))
         combos.append(make_added_then_subtracted_twb(TwbParams(chi), policy))
     return combos
+
+
+# one row of a sweep or figure file: the fields of a cli.RowBlock, one cell each
+SweepRow = namedtuple("SweepRow", RowBlock._fields)
+
+
+def flatten_blocks(blocks) -> list:
+    """The rows a list of cli.RowBlocks stands for, in order. A list, tuple
+    or range field holds one cell per row; any other field is one cell
+    shared by every row of its block."""
+    rows = []
+    for block in blocks:
+        n = len(block.value)
+        columns = [c if isinstance(c, (list, tuple, range)) else [c] * n for c in block]
+        rows += map(SweepRow._make, zip(*columns, strict=True))
+    return rows
 
 
 def _cell_reference(x, fmt: str) -> str:

@@ -20,7 +20,7 @@ from cvteleport.cli import (
     FAMILIES,
     FIGURES,
     SWEEP_METRICS,
-    SweepRow,
+    RowBlock,
     SweepSpec,
     _rows_text,
     figure_data,
@@ -36,7 +36,7 @@ from cvteleport import (
     TruncationWarning,
     ValidationError,
 )
-from helpers import rows_text_reference
+from helpers import flatten_blocks, rows_text_reference
 
 
 def _read_rows(path):
@@ -63,7 +63,7 @@ def _spec(tmp_path, **kw):
 
 def test_sweep_unit_gain_fbar_is_closed_form(tmp_path):
     spec = _spec(tmp_path)
-    rows = run_sweep(spec)
+    rows = flatten_blocks(run_sweep(spec))
     parsed = _read_rows(spec.out_path)
     assert len(parsed) == len(rows) == 5
     for rec in parsed:
@@ -103,7 +103,7 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
 
 def test_sweep_json_mirrors_rows(tmp_path):
     spec = _spec(tmp_path, format="json", out_path=str(tmp_path / "out.json"))
-    rows = run_sweep(spec)
+    rows = flatten_blocks(run_sweep(spec))
     payload = json.loads(open(spec.out_path).read())
     assert len(payload) == len(rows)
     assert payload[0]["metric"] == "fbar"
@@ -120,7 +120,8 @@ def test_sweep_json_matches_stdlib_encoder(tmp_path):
         format="json",
         out_path=str(tmp_path / "all.json"),
     )
-    rows = run_sweep(spec)
+    blocks = run_sweep(spec)
+    rows = flatten_blocks(blocks)
 
     def round12(v):
         return float(f"{v:.12g}") if isinstance(v, float) else v
@@ -138,19 +139,31 @@ def test_sweep_json_matches_stdlib_encoder(tmp_path):
     assert re.search(r'"value": [0-9.]+e-[0-9]+,', text)
     for fmt in ("csv", "json"):
         for bad in (float("nan"), float("inf")):
-            row = SweepRow(0.5, 1.0, 0, "fbar", bad)
-            middle = len(rows) // 2
-            for bad_rows in ([row, *rows], [*rows[:middle], row, *rows[middle:]], [*rows, row]):
+            row = RowBlock(0.5, 1.0, 0, "fbar", [bad])
+            middle = len(blocks) // 2
+            for bad_blocks in (
+                [row, *blocks], [*blocks[:middle], row, *blocks[middle:]], [*blocks, row]
+            ):
                 with pytest.raises(NumericsError):
-                    _rows_text(bad_rows, fmt)
+                    _rows_text(bad_blocks, fmt)
+
+
+def test_rows_text_names_the_chi_of_a_non_finite_row():
+    chis = [0.1, 0.2, 0.3]
+    for fmt in ("csv", "json"):
+        for bad in (float("nan"), float("inf")):
+            block = RowBlock(chis, 2.0, 2, "fbar", [0.5, bad, 0.6], [0.9, 0.8, 0.7])
+            good = RowBlock(chis, 1.0, 2, "fbar", [0.5, 0.55, 0.6])
+            with pytest.raises(NumericsError, match=r"^non-finite value for fbar at chi=0\.2$"):
+                _rows_text([good, block], fmt)
 
 
 _FLOATS = st.sampled_from([5e-5, 0.1, 0.6, 1e12, 1e16, 1e300, 1.0, 0.0, -0.0]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
-# entries that compare equal but print differently, so a memo keyed by value alone merges them
+# entries that compare equal but print differently, so a cache keyed by value alone merges them
 _LOOKALIKES = st.sampled_from([1, 1.0, True, np.float64(1.0), 0, 0.0, -0.0, np.float64(-0.0)])
-_MEMO_CELLS = _FLOATS | _FLOATS.map(np.float64) | _LOOKALIKES
+_NUMBERS = _FLOATS | _FLOATS.map(np.float64) | _LOOKALIKES
 _EXTRA = st.one_of(
     st.none(),
     st.sampled_from(["twb", "nla", "photsub", "addsub", "classical", "nonlocal", "secure"]),
@@ -158,41 +171,78 @@ _EXTRA = st.one_of(
     _FLOATS,
     _LOOKALIKES,
 )
-_ROWS = st.lists(
-    st.builds(
-        SweepRow,
-        chi=_MEMO_CELLS,
-        g=_MEMO_CELLS,
-        p=st.integers(0, 10) | _LOOKALIKES,
-        metric=st.sampled_from(SWEEP_METRICS) | st.text(max_size=8),
-        value=_FLOATS | _FLOATS.map(np.float64) | st.integers(-3, 3),
-        extra=_EXTRA,
-    ),
-    max_size=30,
-)
+_VALUES = _FLOATS | _FLOATS.map(np.float64) | st.integers(-3, 3)
+
+
+def _column(cells, rows):
+    """A block column: one shared cell, or a list or a tuple of one cell per row."""
+    per_row = st.lists(cells, min_size=rows, max_size=rows)
+    return cells | per_row | per_row.map(tuple)
+
+
+@st.composite
+def _row_blocks(draw):
+    rows = draw(st.integers(0, 6))
+    return RowBlock(
+        chi=draw(_column(_NUMBERS, rows)),
+        g=draw(_column(_NUMBERS, rows)),
+        p=draw(_column(st.integers(0, 10) | _LOOKALIKES, rows)),
+        metric=draw(_column(st.sampled_from(SWEEP_METRICS) | st.text(max_size=8), rows)),
+        value=draw(st.lists(_VALUES, min_size=rows, max_size=rows)),
+        extra=draw(_column(_EXTRA, rows) | st.integers(0, 5).map(lambda n: range(n, n + rows))),
+    )
 
 
 @settings(deadline=None)
-@given(rows=_ROWS, comments=st.lists(st.text(max_size=12), max_size=3))
-@example(rows=[], comments=[])
-@example(rows=[], comments=["figure:fig1 caption:x"])
+@given(
+    blocks=st.lists(_row_blocks(), max_size=8),
+    comments=st.lists(st.text(max_size=12), max_size=3),
+)
+@example(blocks=[], comments=[])
+@example(blocks=[], comments=["figure:fig1 caption:x"])
+@example(blocks=[RowBlock(0.6, 1.0, 2, "pdist", [])], comments=[])
 @example(
-    rows=[SweepRow(0.0, 1, 2, "pdist", 0.1, 1), SweepRow(-0.0, 1.0, 2, "pdist", 0.1, 1.0),
-          SweepRow(0.0, True, 2, "pdist", 0.1, True), SweepRow(-0.0, 1, 2, "pdist", 0.1, -0.0),
-          SweepRow(0.0, 1.0, 2, "pdist", 0.1, 0.0)],
+    blocks=[
+        RowBlock(0.0, 1, 2, "pdist", [0.1], 1),
+        RowBlock(-0.0, 1.0, 2, "pdist", [0.1], 1.0),
+        RowBlock(0.0, True, 2, "pdist", [0.1], True),
+        RowBlock(-0.0, 1, 2, "pdist", [0.1], -0.0),
+        RowBlock(0.0, np.float64(1.0), 2, "pdist", [0.1], 0.0),
+    ],
     comments=[],
 )
-def test_rows_text_matches_per_cell_writer(rows, comments):
+@example(
+    blocks=[RowBlock((0.22, 0.4), [1, 1.0], 2, "fbar", [0.6, 0.7], (True, np.float64(-0.0))),
+            RowBlock([0.6, 0.6], 3.0, 2, "pdist", [0.5, 0.25], range(2))],
+    comments=[],
+)
+def test_rows_text_matches_per_cell_writer(blocks, comments):
+    rows = flatten_blocks(blocks)
     for fmt in ("csv", "json"):
-        assert _rows_text(rows, fmt, comments) == rows_text_reference(rows, fmt, comments)
+        assert _rows_text(blocks, fmt, comments) == rows_text_reference(rows, fmt, comments)
 
 
 def test_sweep_pdist_rows_cover_fock_levels(tmp_path):
     spec = _spec(tmp_path, chi_range=(0.3, 0.3, 0.1), outputs=("pdist",))
-    rows = run_sweep(spec)
+    rows = flatten_blocks(run_sweep(spec))
     total = sum(r.value for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert [r.extra for r in rows] == list(range(len(rows)))
+
+
+# 3 chis x 2 gains: 3 metrics give 18 CSV rows; each pdist state has several levels
+@pytest.mark.parametrize(
+    "fmt, outputs, least", [("csv", "entropy,fbar,psucc", 18), ("json", "pdist", 7)]
+)
+def test_main_sweep_reports_the_rows_it_wrote(fmt, outputs, least, tmp_path, capsys):
+    out = tmp_path / f"out.{fmt}"
+    argv = ["sweep", "--chi-start", "0.2", "--chi-stop", "0.6", "--chi-step", "0.2",
+            "--gains", "1,2", "--thresholds", "2", "--outputs", outputs, "--format", fmt,
+            "--out", str(out)]
+    assert main(argv) == 0
+    body = _read_rows(out) if fmt == "csv" else json.loads(out.read_text())
+    assert len(body) >= least
+    assert capsys.readouterr().out == f"wrote {len(body)} rows to {out}\n"
 
 
 def test_sweep_grid2d_output_matches_series(tmp_path):
@@ -217,6 +267,27 @@ def test_figure_fig1_standard_series(tmp_path):
         n = int(rec["extra"])
         expected = (1 - 0.36) * 0.36**n
         assert float(rec["value"]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_figure_fig1_pads_each_distribution_to_one_length(tmp_path):
+    from cvteleport import NlaConfig, TwbParams, make_amplified_twb, make_twb
+
+    path = figure_data("fig1", str(tmp_path / "fig1.csv"))
+    rows = _read_rows(path)
+    params, dists = TwbParams(0.6), {}
+    for rec in rows:
+        dists.setdefault(float(rec["g"]), []).append((int(rec["extra"]), rec["value"]))
+    assert list(dists) == [1.0, 2.0, 3.0]
+    dims = {
+        1.0: make_twb(params).dim,
+        **{g: make_amplified_twb(params, NlaConfig(g, 2))[0].dim for g in (2.0, 3.0)},
+    }
+    dmax = max(dims.values())
+    assert len(set(dims.values())) > 1  # so some distribution is padded
+    for g, dist in dists.items():
+        assert [n for n, _ in dist] == list(range(dmax))
+        assert all(float(v) > 0.0 for _, v in dist[: dims[g]])
+        assert all(v == "0" for _, v in dist[dims[g]:])
 
 
 def test_figure_fig3_standard_series_is_twb_entropy(tmp_path):
