@@ -61,7 +61,6 @@ _SWEEP_DEFAULTS = {
     "outputs": ["entropy", "epr", "ng", "fbar", "psucc"],
     "format": "csv",
     "out": "sweep.csv",
-    "seed": 12345,
 }
 
 
@@ -86,7 +85,6 @@ class SweepSpec:
     thresholds: tuple[int, ...]
     alpha: complex
     truncation: TruncationPolicy
-    quadrature: QuadratureSpec
     outputs: tuple[str, ...]
     format: str
     out_path: str
@@ -252,7 +250,7 @@ METRICS = {
 }
 
 
-def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None, quadrature=None):
+def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None):
     """Blocks of rows of each metric, grouped by metric in the given order.
 
     configs are (family, gain, threshold). A scalar metric gives one block
@@ -266,7 +264,7 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None, quadr
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
     wants_psucc = "psucc" in groups or (extra == "psucc" and fidelities)
-    measures = {**METRICS, "fbar_grid2d": lambda s: average_fidelity_grid2d(s, alpha, quadrature)}
+    measures = {**METRICS, "fbar_grid2d": lambda s: average_fidelity_grid2d(s, alpha)}
     for family, g, p in configs:
         if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
@@ -307,8 +305,7 @@ def run_sweep(spec: SweepSpec) -> list[RowBlock]:
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
     chis = chi_grid(*spec.chi_range)
     blocks = _metric_blocks(
-        tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc", spec.alpha,
-        spec.quadrature,
+        tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc", spec.alpha
     )
     _atomic_write(spec.out_path, _rows_text(blocks, spec.format))
     return blocks
@@ -609,7 +606,6 @@ def _cmd_sweep(args) -> None:
         thresholds=_parse_list(merged["thresholds"], float),
         alpha=complex(merged["alpha_re"], merged["alpha_im"]),
         truncation=TruncationPolicy(epsilon=merged["epsilon"]),
-        quadrature=QuadratureSpec(rng_seed=merged["seed"]),
         outputs=_parse_list(merged["outputs"], str),
         format=merged["format"],
         out_path=merged["out"],
@@ -675,7 +671,7 @@ _COMMANDS = {
     "sweep": (
         _cmd_sweep,
         ("--config", "--chi-start", "--chi-stop", "--chi-step", "--gains", "--thresholds",
-         "--outputs", "--alpha-re", "--alpha-im", "--epsilon", "--seed", "--format", "--out"),
+         "--outputs", "--alpha-re", "--alpha-im", "--epsilon", "--format", "--out"),
     ),
     "figure": (_cmd_figure, ("figure_id", "--step", "--epsilon", "--out")),
     "crossover": (_cmd_crossover, ("--gain", "--threshold", "--step", "--out")),

@@ -1,8 +1,8 @@
 """Entanglement, EPR-correlation and non-Gaussianity functionals.
 
 All quantities are evaluated directly on the Schmidt coefficients; the
-dense brute-force engine in :mod:`cvteleport.oracle` recomputes each of
-them from full matrices for cross-validation.
+dense brute-force engine of the test suite (``tests/oracle.py``)
+recomputes each of them from full matrices for cross-validation.
 
 Conventions: natural logarithms (entropies in nats), quadratures
 x = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2), vacuum variance 1/2.

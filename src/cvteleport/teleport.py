@@ -31,7 +31,6 @@ from .errors import BoundaryMassWarning, NumericsError, TruncationWarning, Valid
 from .resources import NlaConfig, TwbParams, make_amplified_twb, make_twb
 from .schmidt import SchmidtState, schmidt_probabilities
 
-_LOG2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 # Numerical guard on coherent amplitudes.
@@ -42,8 +41,8 @@ MAX_AMPLITUDE = 50.0
 class QuadratureSpec:
     """Knobs for the numerical fidelity estimators.
 
-    radial_nodes: Gauss-Laguerre order of the 1-d rule (exact while the
-        resource dimension stays below the node count).
+    radial_nodes: least Gauss-Laguerre order of the 1-d rule; the rule takes
+        max(radial_nodes, dim) nodes, so it is exact at every dimension.
     grid_half_width / grid_points: square outcome grid, per axis, for the
         2-d oracle; the grid is centered on the input amplitude.
     mc_samples: Monte Carlo sample count; rng_seed fixes the stream.
@@ -157,7 +156,8 @@ def _poisson_sum(weights: np.ndarray, t):
 
     weights is one row (D,) or a stack of rows (r, D); the result has shape
     weights.shape[:-1] + t.shape. The nested Horner form
-    w_0 + t(w_1 + t/2(w_2 + ...)) forms no n!.
+    w_0 + t(w_1 + t/2(w_2 + ...)) forms no n!; e^-t is applied in log space,
+    and values are rescaled only where a bound, at most max|w| e^t, passes 1e300.
 
     Windowed: Poisson(t) puts next to no mass past c(t) = t + 12 sqrt(t) + 40,
     so the points are sorted by c(t) (capped at D - 1) and taken in blocks of
@@ -166,8 +166,7 @@ def _poisson_sum(weights: np.ndarray, t):
     max_{n>c} w_n P(Pois(t) > c) <= max_{n>c} w_n e^-t (e t / (c+1))^(c+1)
     (Chernoff); a block where that exceeds e^-42 of the partial sum, in any
     row, reruns the same loop over all D terms, and a negative weight puts
-    every block on all D terms. Results return in the order of t. Where the Horner sum
-    overflows (t > ~700) the Poisson terms, each at most 1, are added.
+    every block on all D terms. Results return in the order of t.
     """
     weights = np.asarray(weights, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -185,34 +184,40 @@ def _poisson_sum(weights: np.ndarray, t):
     columns = rows.T[:, :, None]
     acc = np.empty((rows.shape[0], flat.size))
     with np.errstate(over="ignore", divide="ignore"):
+        w_max = float(np.abs(rows).max(initial=0.0))
         for lo in range(0, flat.size, _POISSON_BLOCK):
             block = order[lo : lo + _POISSON_BLOCK]
             tb = flat[block]
+            t_max = float(tb.max())
             for top in (int(cut[block[-1]]), full):
                 part = np.repeat(columns[top], tb.size, axis=1)
+                # once rescaled, part holds each value times scale = 1e-250^rescales
+                bound, scale, rescales = w_max, None, 0.0
                 for n in range(top, 0, -1):
+                    bound = bound * t_max / n + w_max  # bounds |part| after this step
+                    if bound > 1e300:  # scale the values past 1e200 before they can overflow
+                        big = np.abs(part) > 1e200
+                        part[big] *= 1e-250
+                        rescales = rescales + big
+                        scale = 1e-250**rescales  # flushes to 0 once the weights stop counting
+                        bound = 1e200 * t_max / n + w_max
                     part *= tb
                     part /= n
-                    part += columns[n - 1]
+                    part += columns[n - 1] if scale is None else columns[n - 1] * scale
+                log_part = np.log(part, out=part)
+                if scale is not None:
+                    log_part -= rescales * math.log(1e-250)
                 if top == full:
                     break
                 log_dropped = np.log(tail_max[:, top, None]) + (top + 1) * (
                     1.0 + np.log(tb) - math.log(top + 1)
                 )
-                if np.all(log_dropped <= np.log(part) + _POISSON_TAIL_LOG):
+                if np.all(log_dropped <= log_part + _POISSON_TAIL_LOG):
                     break
-            for row, values in zip(acc, part):  # 3x faster than acc[:, block] = part
+            for row, values in zip(acc, log_part):  # 3x faster than acc[:, block] = log_part
                 row[block] = values
-        big = np.isinf(acc)
-        np.log(acc, out=acc)
     acc -= flat
     np.exp(acc, out=acc)
-    if big.any():
-        hit = big.any(axis=0)
-        tb, log_t = flat[hit], np.log(flat[hit])
-        log_fact = _log_factorials(rows.shape[1])
-        terms = (w[:, None] * np.exp(n * log_t - tb - log_fact[n]) for n, w in enumerate(rows.T))
-        acc[big] = sum(terms)[big[:, hit]]
     return acc.reshape(weights.shape[:-1] + t.shape)
 
 
@@ -302,17 +307,34 @@ def average_fidelity_series(resource: SchmidtState) -> float:
 
 @lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int):
-    """Gauss-Laguerre nodes and log-weights; raises NumericsError when the
-    rule is not finite (scipy's roots_laguerre gives NaN nodes and weights
-    somewhere between 300 and 400 nodes)."""
-    from scipy.special import roots_laguerre
+    """Gauss-Laguerre nodes and log-weights from numpy alone (Golub & Welsch).
 
-    with np.errstate(all="ignore"):
-        x, w = roots_laguerre(nodes)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+    Nodes: Jacobi-matrix eigenvalues (diagonal 2i + 1, off-diagonal i), then
+    Newton steps with x L_N' = N (L_N - L_(N-1)). Weights: the Christoffel
+    numbers 1 / sum_{k<N} L_k(x)^2. The recurrence runs on differences,
+    (k+1)(L_(k+1) - L_k) = k (L_k - L_(k-1)) - x L_k, accurate near x = 0,
+    scaling by 1e-100 wherever L_k passes 1e100. NumericsError if not finite.
+    """
+    jacobi = np.zeros((nodes, nodes))
+    jacobi.flat[:: nodes + 1] = 2.0 * np.arange(nodes) + 1.0
+    jacobi.flat[nodes :: nodes + 1] = np.arange(1.0, nodes)  # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(jacobi)
+    for newton in (True, True, True, False):
+        value, diff, squares, log_scale = np.ones_like(x), *np.zeros((3, nodes))
+        for k in range(nodes):
+            squares += value * value
+            diff = (k * diff - x * value) / (k + 1)
+            value += diff
+            if (big := np.abs(value) > 1e100).any():
+                value[big] *= 1e-100
+                diff[big] *= 1e-100
+                squares[big] *= 1e-200
+                log_scale[big] += 100.0 * math.log(10.0)
+        if newton:
+            x = x - x * value / (nodes * diff)
+    logw = -np.log(squares) - 2.0 * log_scale
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(logw))):
         raise NumericsError(f"Gauss-Laguerre rule with {nodes} nodes is not finite")
-    with np.errstate(divide="ignore"):
-        logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
     return x, logw
 
 
@@ -321,33 +343,14 @@ def average_fidelity_radial(
 ) -> float:
     """Outcome-averaged fidelity by 1-d Gauss-Laguerre quadrature.
 
-    Integrates N^2 int_0^inf [sum_n k_n e^-t t^n / n!]^2 dt after the
-    substitution u = 2t; the transformed integrand is a polynomial of
-    degree 2(dim-1), so the rule is exact while dim <= radial_nodes.
-    Node contributions are assembled in log space (large nodes carry
-    underflowing weights against overflowing polynomial values).
-    Raises NumericsError when dim exceeds radial_nodes or the rule is not
-    finite. scipy is imported here, so only this estimator loads it.
+    N^2 int_0^inf g(t)^2 dt with g = _poisson_sum(k, t) is
+    N^2/2 sum_i w_i e^(u_i) g(u_i/2)^2: e^u g(u/2)^2 has degree 2(dim-1),
+    so max(radial_nodes, dim) nodes make it exact. Raises NumericsError
+    when the rule is not finite.
     """
-    from scipy.special import gammaln, logsumexp
-
-    if resource.dim > spec.radial_nodes:
-        raise NumericsError(
-            f"radial rule with {spec.radial_nodes} nodes is exact only up to dim "
-            f"{spec.radial_nodes}, got dim {resource.dim}"
-        )
-    u, logw = _laguerre_rule(spec.radial_nodes)
-    t = 0.5 * u
-    n = np.arange(resource.dim)
-    with np.errstate(divide="ignore"):
-        logk = np.where(
-            resource.coeffs > 0, np.log(np.maximum(resource.coeffs, 1e-300)), -np.inf
-        )
-    terms = logk[None, :] - gammaln(n + 1.0)[None, :] + np.outer(np.log(t), n)
-    log_g = logsumexp(terms, axis=1)
-    with np.errstate(under="ignore"):
-        contrib = np.exp(logw + 2.0 * log_g - _LOG2)
-    return float(resource.norm_const**2 * np.sum(contrib))
+    u, logw = _laguerre_rule(max(spec.radial_nodes, resource.dim))
+    g = _poisson_sum(resource.coeffs, 0.5 * u)
+    return float(0.5 * resource.norm_const**2 * np.sum(np.exp(logw + u) * g * g))
 
 
 def average_fidelity_grid2d(

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
-from .errors import NumericsError, TruncationWarning
-from .resources import NlaConfig
-from .schmidt import SchmidtState, dense_two_mode
+from cvteleport.errors import NumericsError, TruncationWarning
+from cvteleport.resources import NlaConfig
+from cvteleport.schmidt import SchmidtState, dense_two_mode
 
 # Symplectic form for (x_a, p_a, x_b, p_b).
 OMEGA = np.array(

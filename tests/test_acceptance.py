@@ -36,16 +36,6 @@ from cvteleport import (
 )
 from cvteleport.cli import SweepSpec, figure_data, run_sweep
 from cvteleport.metrics import h_function
-from cvteleport.oracle import (
-    apply_kraus_nla,
-    coherent_vector,
-    covariance_matrix,
-    dense_from_schmidt,
-    dense_transfer_apply,
-    density_entropy,
-    reduced_density,
-    symplectic_eigenvalues,
-)
 from cvteleport.teleport import _overlap_vector
 from helpers import (
     TIGHT,
@@ -54,6 +44,16 @@ from helpers import (
     nla_fidelity_closed,
     nla_fidelity_peak,
     oracle_matrix,
+)
+from oracle import (
+    apply_kraus_nla,
+    coherent_vector,
+    covariance_matrix,
+    dense_from_schmidt,
+    dense_transfer_apply,
+    density_entropy,
+    reduced_density,
+    symplectic_eigenvalues,
 )
 
 CHI_GRID = [round(0.1 * i, 10) for i in range(1, 10)]
@@ -366,7 +366,6 @@ def test_criterion_14_determinism(tmp_path):
             thresholds=(2,),
             alpha=2.0 + 0.0j,
             truncation=TruncationPolicy(),
-            quadrature=QuadratureSpec(rng_seed=7),
             outputs=("entropy", "fbar"),
             format="csv",
             out_path=str(tmp_path / f"sweep_run{run}.csv"),

@@ -31,7 +31,6 @@ from cvteleport.cli import (
 from cvteleport import (
     BoundaryMassWarning,
     NumericsError,
-    QuadratureSpec,
     TruncationPolicy,
     TruncationWarning,
     ValidationError,
@@ -52,7 +51,6 @@ def _spec(tmp_path, **kw):
         thresholds=(2,),
         alpha=2.0 + 0.0j,
         truncation=TruncationPolicy(),
-        quadrature=QuadratureSpec(),
         outputs=("fbar",),
         format="csv",
         out_path=str(tmp_path / "out.csv"),
@@ -410,12 +408,13 @@ def test_main_io_exit_code(tmp_path, capsys):
         [*SMALL_SWEEP, "--outputs", "entropy,entropy"],
         [*SMALL_SWEEP, "--gains", "2,2"],
         [*SMALL_SWEEP, "--thresholds", "2,2.0"],
+        [*SMALL_SWEEP, "--seed", "5"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
          "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
          "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step", "sweep-tiny-chi-step",
          "figure-tiny-step", "crossover-tiny-step", "debug-ng", "duplicate-outputs",
-         "duplicate-gains", "duplicate-thresholds"],
+         "duplicate-gains", "duplicate-thresholds", "sweep-seed"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -477,12 +476,11 @@ def test_main_teleport_mc_at_large_dimension(capsys):
     assert payload["average_fidelity"] == pytest.approx(0.9925, abs=1e-3)
 
 
-def test_main_teleport_radial_beyond_node_count_exits_3(capsys):
-    # D = 454 at chi 0.97 exceeds the 200-node rule, which read 2.05e11 when unchecked
-    assert main(["teleport", "--chi", "0.97", "--method", "radial"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numerical guard" in captured.err and "Traceback" not in captured.err
+def test_main_teleport_radial_beyond_node_floor_exits_0(capsys):
+    # D = 454 at chi 0.97 exceeds the default 200-node floor; the rule takes D nodes
+    assert main(["teleport", "--chi", "0.97", "--method", "radial"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["average_fidelity"] == pytest.approx(0.985, abs=1e-8)
 
 
 def test_main_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -524,12 +522,14 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
         '{"chi_start": "abc"}',
         '{"seed": "x"}',
         '{"seed": 1.5}',
+        '{"seed": 12345}',
         '{"epsilon": []}',
         '{"format": true}',
         '{"outputs": ["epr", "epr"]}',
     ],
     ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
-         "seed-string", "seed-fractional", "epsilon-list", "format-bool", "duplicate-outputs"],
+         "seed-string", "seed-fractional", "seed", "epsilon-list", "format-bool",
+         "duplicate-outputs"],
 )
 def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -676,26 +676,30 @@ def test_main_subnormal_epsilon_exits_3(capsys):
 
 
 # ---------------------------------------------------------------------------
-# import cost: scipy serves only the radial estimator and the dense oracle
+# import cost: scipy serves only the test suite's oracles
 
 _SCIPY_PROBE = """
 import json, sys
+import cvteleport.cli as cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
-import cvteleport.cli as cli
-seen = {"import": scipy_modules()}
-seen["figure"] = (cli.main(["figure", "fig5", "--step", "0.05", "--out", "fig5.csv"]),
-                  scipy_modules())
-seen["sweep"] = (cli.main(["sweep", "--chi-stop", "0.3", "--outputs",
-                           "entropy,ng,fbar,fbar_grid2d,pdist", "--out", "sweep.csv"]),
-                 scipy_modules())
-seen["radial"] = (cli.main(["teleport", "--chi", "0.5", "--method", "radial", "--out",
-                            "radial.json"]), "scipy" in sys.modules)
+runs = [
+    ["twb", "--chi", "0.5"],
+    ["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "2"],
+    ["metrics", "--chi", "0.5", "--resource", "subtracted"],
+    *(["teleport", "--chi", "0.97", "--method", m] for m in ("series", "radial", "grid2d", "mc")),
+    ["sweep", "--chi-stop", "0.3", "--outputs", "entropy,ng,fbar,fbar_grid2d,pdist"],
+    ["figure", "fig5", "--step", "0.05"],
+    ["crossover", "--gain", "2", "--threshold", "4"],
+]
+seen = [["import", 0, scipy_modules()]]
+for i, argv in enumerate(runs):
+    seen.append([" ".join(argv), cli.main([*argv, "--out", f"out{i}"]), scipy_modules()])
 print(json.dumps(seen))
 """
 
 
-def test_cli_import_and_non_radial_commands_load_no_scipy(tmp_path):
+def test_cli_import_and_every_command_load_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cvteleport.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -703,8 +707,6 @@ def test_cli_import_and_non_radial_commands_load_no_scipy(tmp_path):
         text=True, timeout=120, check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == []
-    assert seen["figure"] == [0, []]
-    assert seen["sweep"] == [0, []]
-    # the cost is removed, not moved: the one command that needs scipy loads it
-    assert seen["radial"] == [0, True]
+    assert {run[0].split()[0] for run in seen} == {"import", *_COMMANDS}
+    for command, rc, loaded in seen:
+        assert (command, rc, loaded) == (command, 0, [])

@@ -21,7 +21,8 @@ from cvteleport import (
 )
 from cvteleport.errors import NumericsError
 from cvteleport.metrics import h_function
-from cvteleport.oracle import (
+from helpers import oracle_matrix
+from oracle import (
     LadderMatrices,
     apply_kraus_nla,
     coherent_vector,
@@ -33,7 +34,6 @@ from cvteleport.oracle import (
     reduced_density,
     symplectic_eigenvalues,
 )
-from helpers import oracle_matrix
 
 
 def test_ladder_commutator_on_interior_block():
@@ -59,7 +59,7 @@ def test_kraus_unit_gain_is_identity():
 def test_kraus_on_vacuum():
     vac = np.zeros((8, 8), dtype=complex)
     vac[0, 0] = 1.0
-    from cvteleport.oracle import DenseTwoModeState
+    from oracle import DenseTwoModeState
 
     _, prob = apply_kraus_nla(DenseTwoModeState(vac), NlaConfig(3.0, 2))
     assert prob == pytest.approx(3.0 ** (-4), rel=1e-12)
@@ -96,7 +96,7 @@ def test_reduced_density_entropy_matches_closed_form():
 def test_reduced_density_product_state_is_projector():
     vac = np.zeros((6, 6), dtype=complex)
     vac[0, 0] = 1.0
-    from cvteleport.oracle import DenseTwoModeState
+    from oracle import DenseTwoModeState
 
     rho = reduced_density(DenseTwoModeState(vac))
     vals = np.linalg.eigvalsh(rho)
@@ -107,7 +107,7 @@ def test_reduced_density_product_state_is_projector():
 def test_covariance_matrix_vacuum():
     vac = np.zeros((6, 6), dtype=complex)
     vac[0, 0] = 1.0
-    from cvteleport.oracle import DenseTwoModeState
+    from oracle import DenseTwoModeState
 
     np.testing.assert_allclose(
         covariance_matrix(DenseTwoModeState(vac)), 0.5 * np.eye(4), atol=1e-13

@@ -168,9 +168,9 @@ def test_mixture_density_agrees_with_transfer_apply():
 
 @pytest.mark.parametrize("chi", [0.5, 0.9, 0.985, 0.998])
 def test_poisson_sum_matches_decimal_reference(chi):
-    # t up to 2000 reaches past the float range of e^t (t > 709) and of the
-    # n! of the largest dimensions (n > 170)
-    ts = [0.0, 1e-3, 1.0, 10.0, 150.0, 300.0, 700.0, 750.0, 1000.0, 2000.0]
+    # t up to 5000 reaches past the float range of e^t (t > 709) and of the
+    # n! of the largest dimensions (n > 170), so the kernel rescales its sums
+    ts = [0.0, 1e-3, 1.0, 10.0, 150.0, 300.0, 700.0, 750.0, 1000.0, 2000.0, 5000.0]
     params = TwbParams(chi)
     policy = TruncationPolicy(max_dim=16384)  # chi 0.998 needs up to 9799 levels
     for state in (
@@ -322,24 +322,50 @@ def test_radial_matches_series_and_closed_form():
     )
 
 
-def test_radial_refuses_dimension_above_node_count():
+def test_radial_exact_with_node_floor_below_dimension():
+    # the rule takes max(radial_nodes, dim) nodes, so a floor below dim stays exact
     resource = make_twb(TwbParams(0.5), TIGHT)
-    exact = QuadratureSpec(radial_nodes=resource.dim)
-    assert average_fidelity_radial(resource, exact) == pytest.approx(0.75, abs=1e-10)
-    with pytest.raises(NumericsError, match="exact only up to dim"):
-        average_fidelity_radial(resource, QuadratureSpec(radial_nodes=resource.dim - 1))
-    # the default 200 nodes stop short of the default-policy twin-beam at chi 0.97 (D = 454)
-    with pytest.raises(NumericsError):
-        average_fidelity_radial(make_twb(TwbParams(0.97)))
+    for nodes in (1, resource.dim - 1, resource.dim):
+        spec = QuadratureSpec(radial_nodes=nodes)
+        assert average_fidelity_radial(resource, spec) == pytest.approx(0.75, abs=1e-10)
+    # the default 200-node floor is below the default-policy twin-beam at chi 0.97 (D = 454)
+    resource = make_twb(TwbParams(0.97))
+    assert resource.dim == 454
+    assert average_fidelity_radial(resource) == pytest.approx(0.985, abs=1e-10)
 
 
-def test_radial_refuses_non_finite_rule():
-    # scipy's Gauss-Laguerre rule turns NaN between 300 and 400 nodes; the
-    # estimator must refuse it, not return NaN
-    resource = make_twb(TwbParams(0.9))
-    assert resource.dim == 132
+@pytest.mark.parametrize(
+    "make, chi",
+    [(make_twb, 0.97), (make_twb, 0.985), (make_twb, 0.99), (make_photon_subtracted_twb, 0.97)],
+)
+def test_radial_matches_series_at_large_dimension(make, chi):
+    # TIGHT's epsilon, with room for the 1833 levels of the chi 0.99 twin-beam
+    resource = make(TwbParams(chi), TruncationPolicy(epsilon=TIGHT.epsilon, max_dim=2048))
+    assert resource.dim > QuadratureSpec().radial_nodes
+    assert average_fidelity_radial(resource) == pytest.approx(
+        average_fidelity_series(resource), abs=1e-10
+    )
+
+
+@pytest.mark.parametrize("nodes", [20, 50, 100, 200])
+def test_laguerre_rule_matches_scipy(nodes):
+    from scipy.special import roots_laguerre
+
+    x, logw = teleport_module._laguerre_rule(nodes)
+    ref_x, ref_w = roots_laguerre(nodes)
+    np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=0.0)
+    # scipy's weights at the largest nodes underflow; there ours must be as small
+    normal = ref_w > 1e-290
+    np.testing.assert_allclose(logw[normal], np.log(ref_w[normal]), rtol=0.0, atol=1e-10)
+    assert np.all(logw[~normal] < math.log(1e-280))
+
+
+def test_radial_refuses_non_finite_rule(monkeypatch):
+    # a rule that is not finite is refused, not integrated into a NaN
+    teleport_module._laguerre_rule.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
     with pytest.raises(NumericsError, match="not finite"):
-        average_fidelity_radial(resource, QuadratureSpec(radial_nodes=400))
+        average_fidelity_radial(make_twb(TwbParams(0.9)))
 
 
 def test_grid2d_twb_and_state_independence():
