@@ -16,8 +16,11 @@ production path to progressively more independent oracles:
 * brute 2-d grid quadrature of the outcome integral (oracle);
 * Monte Carlo over the outcome distribution p(beta) (oracle).
 
-All four are input-state independent; the 2-d and Monte Carlo paths take
-an input amplitude anyway and verify that claim numerically.
+All four are input-state independent. The 2-d and Monte Carlo paths still
+take an input amplitude, but see each outcome only through
+t = |alpha - beta|^2, so alpha never reaches their arithmetic and they
+cannot test that claim; conditional_fidelity(resource, alpha, alpha + delta),
+where alpha does enter, is where it is tested.
 """
 
 import math
@@ -43,13 +46,12 @@ class QuadratureSpec:
 
     radial_nodes: least Gauss-Laguerre order of the 1-d rule; the rule takes
         max(radial_nodes, dim) nodes, so it is exact at every dimension.
-    grid_half_width / grid_points: square outcome grid, per axis, for the
-        2-d oracle; the grid is centered on the input amplitude.
+    grid_points: points per axis of the 2-d oracle's square outcome grid;
+        its half-width is derived from the state (_grid_half_width).
     mc_samples: Monte Carlo sample count; rng_seed fixes the stream.
     """
 
     radial_nodes: int = 200
-    grid_half_width: float = 8.0
     grid_points: int = 201
     mc_samples: int = 100_000
     rng_seed: int = 12345
@@ -57,8 +59,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if min(self.radial_nodes, self.grid_points, self.mc_samples) < 1:
             raise ValidationError("quadrature counts must be positive")
-        if self.grid_half_width <= 0:
-            raise ValidationError("grid_half_width must be positive")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -353,6 +353,26 @@ def average_fidelity_radial(
     return float(0.5 * resource.norm_const**2 * np.sum(np.exp(logw + u) * g * g))
 
 
+def _grid_half_width(resource: SchmidtState) -> float:
+    """Half-width h of a square outcome window holding all but 1e-12 of p(beta).
+
+    The mass of p(beta) at t = |alpha - beta|^2 > s is
+    sum_n p_n P(Gamma(n+1) > s) = sum_n p_n P(Pois(s) <= n)
+    = sum_j pois_j(s) S_j with S_j = sum_{n>=j} p_n: one Poisson sum per s.
+    h = sqrt(s) for the first s on a unit ladder up to D + 12 sqrt(D) + 40
+    whose tail is at most 1e-12; the square holds the disk t <= s. Raises
+    NumericsError when no ladder point gets there.
+    """
+    survival = np.cumsum(schmidt_probabilities(resource)[::-1])[::-1]
+    ladder = np.arange(resource.dim + 12.0 * math.sqrt(resource.dim) + 41.0)
+    inside = np.flatnonzero(_poisson_sum(survival, ladder) <= 1e-12)
+    if inside.size == 0:
+        raise NumericsError(
+            f"no grid window holds all but 1e-12 of p(beta) for {resource.label!r}"
+        )
+    return math.sqrt(ladder[inside[0]])
+
+
 def average_fidelity_grid2d(
     resource: SchmidtState,
     alpha: complex,
@@ -360,15 +380,20 @@ def average_fidelity_grid2d(
 ) -> float:
     """Outcome-averaged fidelity by brute 2-d quadrature (oracle path).
 
-    Trapezoid rule over a square outcome grid centered on alpha. Warns if
-    the integrand has not decayed to 1e-12 of its peak at the boundary.
+    Trapezoid rule over a square outcome grid centered on alpha, with the
+    half-width of _grid_half_width: the integrand N^2/pi [sum_n k_n pois_n(t)]^2
+    is at most p(beta) (Cauchy-Schwarz, as sum_n pois_n(t) <= 1), so the
+    window drops at most 1e-12 of it. t = x^2 + y^2 on an exactly symmetric
+    axis, and the kernel runs once per distinct t. Warns if the integrand
+    has not decayed to 1e-12 of its peak at the boundary.
     """
-    alpha = _check_amplitude(alpha)
-    axis = np.linspace(-spec.grid_half_width, spec.grid_half_width, spec.grid_points)
-    beta = (alpha.real + axis)[:, None] + 1j * (alpha.imag + axis)[None, :]
-    t = np.abs(alpha - beta) ** 2
+    _check_amplitude(alpha)
+    half_width = _grid_half_width(resource)
+    axis = np.linspace(-half_width, half_width, spec.grid_points)
+    axis = (axis - axis[::-1]) / 2
+    t, inverse = np.unique(axis[:, None] ** 2 + axis[None, :] ** 2, return_inverse=True)
     amp = (resource.norm_const / _SQRT_PI) * _poisson_sum(resource.coeffs, t)
-    integrand = amp * amp
+    integrand = (amp * amp)[inverse].reshape(axis.size, axis.size)
     peak = integrand.max()
     edge = max(
         integrand[0].max(), integrand[-1].max(), integrand[:, 0].max(), integrand[:, -1].max()
@@ -376,7 +401,7 @@ def average_fidelity_grid2d(
     if edge > 1e-12 * peak:
         warnings.warn(
             f"integrand at grid boundary is {edge / peak:.2e} of its peak "
-            f"(half-width {spec.grid_half_width} too small for {resource.label!r})",
+            f"(half-width {half_width:.4g} too small for {resource.label!r})",
             BoundaryMassWarning,
             stacklevel=2,
         )

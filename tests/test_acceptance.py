@@ -21,6 +21,7 @@ from cvteleport import (
     average_fidelity_radial,
     average_fidelity_sampled,
     average_fidelity_series,
+    conditional_fidelity,
     cross_moment,
     crossover_find,
     entanglement_entropy,
@@ -172,14 +173,22 @@ def test_criterion_06_fidelity_estimator_consistency():
 
 def test_criterion_07_input_independence():
     amplitudes = (0.0, 2.0, 2.0 + 3.0j, -5.0)
-    worst = 0.0
+    # the grid depends on beta only through |alpha - beta|, so alpha never
+    # reaches its arithmetic; F(alpha + delta) does take alpha in
+    offsets = (0.3, -1.1 + 0.4j, 2.0j)
+    worst_grid, worst_conditional = 0.0, 0.0
     for resource in fidelity_matrix(0.5):
         values = [average_fidelity_grid2d(resource, a) for a in amplitudes]
-        worst = max(worst, max(values) - min(values))
+        worst_grid = max(worst_grid, max(values) - min(values))
+        for delta in offsets:
+            values = [conditional_fidelity(resource, a, a + delta) for a in amplitudes]
+            worst_conditional = max(worst_conditional, max(values) - min(values))
     _report(
         7,
-        worst <= 2e-5,
-        f"2d-grid fidelity over alpha in {{0, 2, 2+3i, -5}}: max spread={worst:.2e} (<=2e-5)",
+        worst_grid <= 2e-5 and worst_conditional <= 2e-5,
+        f"over alpha in {{0, 2, 2+3i, -5}}: 2d-grid fidelity max spread={worst_grid:.2e}, "
+        f"F(alpha + delta) at delta in {{0.3, -1.1+0.4i, 2i}} max spread="
+        f"{worst_conditional:.2e} (each <=2e-5)",
     )
 
 

@@ -1,12 +1,14 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvteleport import (
+    BoundaryMassWarning,
     NlaConfig,
     NumericsError,
     QuadratureSpec,
@@ -144,9 +146,8 @@ def test_outcome_probability_twb_closed_form():
 
 
 def test_outcome_probability_normalizes_per_resource():
-    # trapezoid integral of p(beta) over the default grid
-    spec = QuadratureSpec()
-    axis = np.linspace(-spec.grid_half_width, spec.grid_half_width, spec.grid_points)
+    # trapezoid integral of p(beta) over a fixed 201-point grid of half-width 8
+    axis = np.linspace(-8.0, 8.0, QuadratureSpec().grid_points)
     t = axis[:, None] ** 2 + axis[None, :] ** 2
     for chi in (0.22, 0.5, 0.8):
         for resource in fidelity_matrix(chi):
@@ -372,6 +373,40 @@ def test_grid2d_twb_and_state_independence():
     resource = make_twb(TwbParams(0.5), TIGHT)
     assert average_fidelity_grid2d(resource, 2.0) == pytest.approx(0.75, abs=1e-5)
     assert average_fidelity_grid2d(resource, 2.0 + 3.0j) == pytest.approx(0.75, abs=1e-5)
+
+
+def test_grid2d_window_holds_the_outcome_mass():
+    # a fixed half-width of 8 cut these bench twin-beams off by 0.011 and 0.097
+    for chi, dim in ((0.97, 454), (0.985, 915)):
+        resource = make_twb(TwbParams(chi))
+        assert resource.dim == dim
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryMassWarning)
+            fbar = average_fidelity_grid2d(resource, 2.0)
+        assert fbar == pytest.approx((1 + chi) / 2, abs=1e-5)
+    # the window's certificate, recomputed with scipy: the mass of p(beta)
+    # past t = h^2 is sum_n p_n Q(n + 1, h^2)
+    from scipy.special import gammaincc
+
+    for chi in (0.22, 0.5, 0.8):
+        for resource in fidelity_matrix(chi):
+            h = teleport_module._grid_half_width(resource)
+            n = np.arange(resource.dim)
+            tail = np.sum(schmidt_probabilities(resource) * gammaincc(n + 1.0, h * h))
+            assert tail <= 1e-12, resource.label
+
+
+def test_grid2d_warns_when_the_window_is_too_small(monkeypatch):
+    monkeypatch.setattr(teleport_module, "_grid_half_width", lambda resource: 3.0)
+    with pytest.warns(BoundaryMassWarning, match="half-width 3 too small"):
+        average_fidelity_grid2d(make_twb(TwbParams(0.5)), 2.0)
+
+
+def test_grid_half_width_refuses_an_uncertified_window(monkeypatch):
+    # no ladder point with a tail of at most 1e-12: refused, not guessed
+    monkeypatch.setattr(teleport_module, "_poisson_sum", lambda w, t: np.ones_like(t))
+    with pytest.raises(NumericsError, match="no grid window"):
+        average_fidelity_grid2d(make_twb(TwbParams(0.5)), 2.0)
 
 
 def test_grid2d_amplified_state_independence():
