@@ -55,8 +55,6 @@ _SWEEP_DEFAULTS = {
     "chi_step": 0.05,
     "gains": [1.0, 2.0],
     "thresholds": [2],
-    "alpha_re": 2.0,
-    "alpha_im": 0.0,
     "epsilon": 1e-12,
     "outputs": ["entropy", "epr", "ng", "fbar", "psucc"],
     "format": "csv",
@@ -76,6 +74,13 @@ def chi_grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + i * step, 12) for i in range(math.floor(spans) + 1)]
 
 
+def figure_grid(step: float) -> list[float]:
+    """The chi grid of figures and crossover reports: step, 2 step, ... up to 0.95."""
+    if not (0 < step < 0.5):
+        raise ValidationError(f"step must lie in (0, 0.5), got {step}")
+    return chi_grid(step, 0.95, step)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Validated description of one parameter-grid run."""
@@ -83,7 +88,6 @@ class SweepSpec:
     chi_range: tuple[float, float, float]
     gains: tuple[float, ...]
     thresholds: tuple[int, ...]
-    alpha: complex
     truncation: TruncationPolicy
     outputs: tuple[str, ...]
     format: str
@@ -219,18 +223,12 @@ def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
 # that rebinds those names here (a profiler or tracer) sees every call.
 
 
-def _amplified(params: TwbParams, nla: NlaConfig, policy: TruncationPolicy):
-    if nla.gain == 1.0:  # the unit-gain amplifier is the identity
-        return make_twb(params, policy), None
-    return make_amplified_twb(params, nla, policy)
-
-
 # --resource name -> (fig5 tag, builder). A builder takes (params, nla,
 # policy) and returns (state, success probability or None); only the
 # amplified family reads nla.
 FAMILIES = {
     "twb": ("twb", lambda params, nla, policy: (make_twb(params, policy), None)),
-    "amplified": ("nla", _amplified),
+    "amplified": ("nla", lambda params, nla, policy: make_amplified_twb(params, nla, policy)),
     "subtracted": (
         "photsub",
         lambda params, nla, policy: (make_photon_subtracted_twb(params, policy), None),
@@ -247,10 +245,11 @@ METRICS = {
     "epr": lambda state: epr_correlation(state),
     "ng": lambda state: non_gaussianity(state),
     "fbar": lambda state: average_fidelity_series(state),
+    "fbar_grid2d": lambda state: average_fidelity_grid2d(state),
 }
 
 
-def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None):
+def _metric_blocks(metrics, configs, chis, policy, extra=None):
     """Blocks of rows of each metric, grouped by metric in the given order.
 
     configs are (family, gain, threshold). A scalar metric gives one block
@@ -264,7 +263,6 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None):
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
     wants_psucc = "psucc" in groups or (extra == "psucc" and fidelities)
-    measures = {**METRICS, "fbar_grid2d": lambda s: average_fidelity_grid2d(s, alpha)}
     for family, g, p in configs:
         if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
@@ -279,7 +277,7 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None, alpha=None):
                 psucc = success_probability(params, nla)
             psuccs.append(psucc)
             for metric, column in columns.items():
-                column.append(measures[metric](state))
+                column.append(METRICS[metric](state))
             if "pdist" in groups:
                 probs = schmidt_probabilities(state).tolist()
                 groups["pdist"].append(RowBlock(chi, g, p, "pdist", probs, range(len(probs))))
@@ -304,9 +302,7 @@ def run_sweep(spec: SweepSpec) -> list[RowBlock]:
     """
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
     chis = chi_grid(*spec.chi_range)
-    blocks = _metric_blocks(
-        tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc", spec.alpha
-    )
+    blocks = _metric_blocks(tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc")
     _atomic_write(spec.out_path, _rows_text(blocks, spec.format))
     return blocks
 
@@ -390,11 +386,10 @@ def figure_data(
     """Emit the dataset behind one reference figure as CSV; returns the path."""
     if figure_id not in FIGURES:
         raise ValidationError(f"unknown figure {figure_id!r}; choose from {FIGURES}")
-    if not (0 < step < 0.5):
-        raise ValidationError(f"step must lie in (0, 0.5), got {step}")
+    grid = figure_grid(step)  # checks the step of every figure, fixed-chi ones too
     out_path = out_path or f"{figure_id}.csv"
     fig = FIGURE_TABLE[figure_id]
-    chis = fig.chis or chi_grid(step, 0.95, step)
+    chis = fig.chis or grid
     blocks = _metric_blocks((fig.metric,), fig.configs, chis, policy, fig.extra)
     comments = [f"figure:{figure_id} caption:{fig.caption}"]
     if figure_id == "fig1":  # zero-pad every distribution to the largest dimension
@@ -423,15 +418,13 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     fidelity falls below the standard one; secure_only is the window where
     only the amplified resource beats the 2/3 boundary.
     """
-    if not (0 < step < 0.5):
-        raise ValidationError(f"step must lie in (0, 0.5), got {step}")
+    chis = figure_grid(step)
     nla = NlaConfig(gain=g, threshold=p)
-    chis = chi_grid(step, 0.95, step)
     policy = TruncationPolicy()
     chi_c1 = None
     for chi in chis:
         params = TwbParams(chi)
-        epr_amp = epr_correlation(_amplified(params, nla, policy)[0])
+        epr_amp = epr_correlation(make_amplified_twb(params, nla, policy)[0])
         epr_twb = epr_correlation(make_twb(params, policy))
         if epr_amp > epr_twb + 1e-9:
             chi_c1 = chi
@@ -528,23 +521,18 @@ def _cmd_metrics(args) -> None:
 def _cmd_teleport(args) -> None:
     """Average teleportation fidelity of a resource."""
     state, psucc = _cli_resource(args, _policy(args))
-    alpha = complex(
-        2.0 if args.alpha_re is None else args.alpha_re,
-        0.0 if args.alpha_im is None else args.alpha_im,
-    )
     quad = QuadratureSpec(rng_seed=args.seed if args.seed is not None else 12345)
     fbar, std_error = {
         "series": lambda: (average_fidelity_series(state), None),
         "radial": lambda: (average_fidelity_radial(state, quad), None),
-        "grid2d": lambda: (average_fidelity_grid2d(state, alpha, quad), None),
-        "mc": lambda: average_fidelity_sampled(state, alpha, quad),
+        "grid2d": lambda: (average_fidelity_grid2d(state, quad), None),
+        "mc": lambda: average_fidelity_sampled(state, quad),
     }[args.method]()
     if not 0.0 <= fbar <= 1.0:
         raise NumericsError(f"{args.method} average fidelity {fbar!r} lies outside [0, 1]")
     payload = {
         "label": state.label,
         "chi": args.chi,
-        "alpha": {"re": alpha.real, "im": alpha.imag},
         "method": args.method,
         "average_fidelity": _round12(fbar),
         "classification": classify_fidelity(fbar),
@@ -604,7 +592,6 @@ def _cmd_sweep(args) -> None:
         chi_range=(merged["chi_start"], merged["chi_stop"], merged["chi_step"]),
         gains=_parse_list(merged["gains"], float),
         thresholds=_parse_list(merged["thresholds"], float),
-        alpha=complex(merged["alpha_re"], merged["alpha_im"]),
         truncation=TruncationPolicy(epsilon=merged["epsilon"]),
         outputs=_parse_list(merged["outputs"], str),
         format=merged["format"],
@@ -639,8 +626,6 @@ _FLAGS = {
     "--method": dict(
         choices=("series", "radial", "grid2d", "mc"), default="series", help="fidelity estimator"
     ),
-    "--alpha-re": dict(type=float, help="input amplitude, real part"),
-    "--alpha-im": dict(type=float, help="input amplitude, imag part"),
     "--epsilon": dict(type=float, help="truncation tail tolerance"),
     "--seed": dict(type=int, help="random seed (Monte Carlo paths)"),
     "--config": dict(help="JSON config file"),
@@ -665,13 +650,12 @@ _COMMANDS = {
     ),
     "teleport": (
         _cmd_teleport,
-        ("--chi", "--gain", "--threshold", "--method", "--alpha-re", "--alpha-im", "--seed",
-         "--epsilon", "--out"),
+        ("--chi", "--gain", "--threshold", "--method", "--seed", "--epsilon", "--out"),
     ),
     "sweep": (
         _cmd_sweep,
         ("--config", "--chi-start", "--chi-stop", "--chi-step", "--gains", "--thresholds",
-         "--outputs", "--alpha-re", "--alpha-im", "--epsilon", "--format", "--out"),
+         "--outputs", "--epsilon", "--format", "--out"),
     ),
     "figure": (_cmd_figure, ("figure_id", "--step", "--epsilon", "--out")),
     "crossover": (_cmd_crossover, ("--gain", "--threshold", "--step", "--out")),

@@ -98,11 +98,14 @@ def make_amplified_twb(
     k_n = g^(n-p) chi^n for n <= p, k_n = chi^n above the threshold;
     N = sqrt((1-chi^2)/P). The truncation dimension accounts for the
     1/P renormalization so the discarded mass stays within policy.epsilon.
+    At g = 1 the amplifier is the identity, and the state is make_twb's.
     """
     chi, g, p = params.chi, nla.gain, nla.threshold
     if p + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
     prob = success_probability(params, nla)  # a sum of p + 1 terms
+    if g == 1.0:
+        return make_twb(params, policy), prob
     if policy.epsilon * prob == 0.0:  # no dimension meets a tail budget of 0
         raise NumericsError(
             f"success probability underflows the tail budget at chi={chi}, g={g}, p={p}: "

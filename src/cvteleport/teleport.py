@@ -16,11 +16,10 @@ production path to progressively more independent oracles:
 * brute 2-d grid quadrature of the outcome integral (oracle);
 * Monte Carlo over the outcome distribution p(beta) (oracle).
 
-All four are input-state independent. The 2-d and Monte Carlo paths still
-take an input amplitude, but see each outcome only through
-t = |alpha - beta|^2, so alpha never reaches their arithmetic and they
-cannot test that claim; conditional_fidelity(resource, alpha, alpha + delta),
-where alpha does enter, is where it is tested.
+The average fidelity is the same for every coherent input (Braunstein &
+Kimble), so none of the four takes an input amplitude: each sees an
+outcome only through t = |alpha - beta|^2. conditional_fidelity(resource,
+alpha, alpha + delta), where alpha does enter, is where that is tested.
 """
 
 import math
@@ -112,22 +111,8 @@ def displaced_number_overlap(n: int, beta: complex, alpha: complex) -> complex:
     """
     if n < 0 or int(n) != n:
         raise ValidationError(f"n must be a non-negative integer, got {n}")
+    alpha, beta = _check_amplitude(alpha), _check_outcome(beta)
     return complex(_overlap_vector(int(n) + 1, beta, alpha)[n])
-
-
-# math.lgamma(n + 1) table, grown on first use like the series kernel below
-_log_factorial_table = np.empty(0)
-
-
-def _log_factorials(size: int) -> np.ndarray:
-    """ln n! for n = 0..size-1, first growing the table to the next power of two."""
-    global _log_factorial_table
-    if _log_factorial_table.size < size:
-        grown = 1 << (size - 1).bit_length()
-        table = np.array([math.lgamma(n + 1.0) for n in range(grown)])
-        table.setflags(write=False)
-        _log_factorial_table = table
-    return _log_factorial_table[:size]
 
 
 def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
@@ -139,7 +124,8 @@ def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
         out[0] = phase
         return out
     n = np.arange(dim)
-    out[:] = np.exp(n * np.log(complex(z)) - 0.5 * _log_factorials(dim) - abs(z) ** 2 / 2.0)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    out[:] = np.exp(n * np.log(complex(z)) - 0.5 * log_factorials - abs(z) ** 2 / 2.0)
     out *= phase
     return out
 
@@ -374,20 +360,18 @@ def _grid_half_width(resource: SchmidtState) -> float:
 
 
 def average_fidelity_grid2d(
-    resource: SchmidtState,
-    alpha: complex,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    resource: SchmidtState, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Outcome-averaged fidelity by brute 2-d quadrature (oracle path).
 
-    Trapezoid rule over a square outcome grid centered on alpha, with the
-    half-width of _grid_half_width: the integrand N^2/pi [sum_n k_n pois_n(t)]^2
-    is at most p(beta) (Cauchy-Schwarz, as sum_n pois_n(t) <= 1), so the
-    window drops at most 1e-12 of it. t = x^2 + y^2 on an exactly symmetric
-    axis, and the kernel runs once per distinct t. Warns if the integrand
-    has not decayed to 1e-12 of its peak at the boundary.
+    Trapezoid rule over a square grid of outcome offsets x + iy = beta - alpha,
+    centered on 0, with the half-width of _grid_half_width: the integrand
+    N^2/pi [sum_n k_n pois_n(t)]^2 is at most p(beta) (Cauchy-Schwarz, as
+    sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it.
+    t = x^2 + y^2 on an exactly symmetric axis, and the kernel runs once per
+    distinct t. Warns if the integrand has not decayed to 1e-12 of its peak
+    at the boundary.
     """
-    _check_amplitude(alpha)
     half_width = _grid_half_width(resource)
     axis = np.linspace(-half_width, half_width, spec.grid_points)
     axis = (axis - axis[::-1]) / 2
@@ -409,9 +393,7 @@ def average_fidelity_grid2d(
 
 
 def average_fidelity_sampled(
-    resource: SchmidtState,
-    alpha: complex,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    resource: SchmidtState, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the average fidelity.
 
@@ -420,7 +402,6 @@ def average_fidelity_sampled(
     outcome radius is drawn exactly: n ~ p_n, then t ~ Gamma(n + 1). The
     stream is fully determined by spec.rng_seed.
     """
-    alpha = _check_amplitude(alpha)
     if spec.mc_samples < 1000:
         raise ValidationError("mc_samples must be at least 1000")
     pn = schmidt_probabilities(resource)

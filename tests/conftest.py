@@ -1,11 +1,12 @@
 def pytest_configure(config):
-    """Make the grid oracle's boundary warning an error in these tests only.
+    """Make every warning an error in these tests only.
 
-    Every tier-1 call of average_fidelity_grid2d should cover its integrand,
-    so a warning there is a regression; the harness tests (pytest bench)
-    keep the default filters.
+    A tier-1 run raises no warning, so one is a regression: a grid window
+    that misses its integrand, a leaked file handle. Tests that expect a
+    warning catch it themselves; the harness tests (pytest bench) keep the
+    default filters.
     """
-    config.addinivalue_line("filterwarnings", "error::cvteleport.BoundaryMassWarning")
+    config.addinivalue_line("filterwarnings", "error")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

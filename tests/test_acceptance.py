@@ -158,9 +158,9 @@ def test_criterion_06_fidelity_estimator_consistency():
                 worst_radial, abs(series - average_fidelity_radial(resource, spec))
             )
             worst_grid = max(
-                worst_grid, abs(series - average_fidelity_grid2d(resource, 2.0, spec))
+                worst_grid, abs(series - average_fidelity_grid2d(resource, spec))
             )
-            estimate, err = average_fidelity_sampled(resource, 2.0, spec)
+            estimate, err = average_fidelity_sampled(resource, spec)
             worst_mc_pull = max(worst_mc_pull, abs(estimate - series) / (4 * err))
     elapsed = time.perf_counter() - start
     _report(
@@ -172,23 +172,20 @@ def test_criterion_06_fidelity_estimator_consistency():
 
 
 def test_criterion_07_input_independence():
+    # the average-fidelity estimators take no input amplitude; the
+    # conditional fidelity F(alpha + delta) is where alpha enters
     amplitudes = (0.0, 2.0, 2.0 + 3.0j, -5.0)
-    # the grid depends on beta only through |alpha - beta|, so alpha never
-    # reaches its arithmetic; F(alpha + delta) does take alpha in
     offsets = (0.3, -1.1 + 0.4j, 2.0j)
-    worst_grid, worst_conditional = 0.0, 0.0
+    worst = 0.0
     for resource in fidelity_matrix(0.5):
-        values = [average_fidelity_grid2d(resource, a) for a in amplitudes]
-        worst_grid = max(worst_grid, max(values) - min(values))
         for delta in offsets:
             values = [conditional_fidelity(resource, a, a + delta) for a in amplitudes]
-            worst_conditional = max(worst_conditional, max(values) - min(values))
+            worst = max(worst, max(values) - min(values))
     _report(
         7,
-        worst_grid <= 2e-5 and worst_conditional <= 2e-5,
-        f"over alpha in {{0, 2, 2+3i, -5}}: 2d-grid fidelity max spread={worst_grid:.2e}, "
-        f"F(alpha + delta) at delta in {{0.3, -1.1+0.4i, 2i}} max spread="
-        f"{worst_conditional:.2e} (each <=2e-5)",
+        worst <= 2e-5,
+        f"over alpha in {{0, 2, 2+3i, -5}}: F(alpha + delta) at delta in "
+        f"{{0.3, -1.1+0.4i, 2i}} max spread={worst:.2e} (<=2e-5)",
     )
 
 
@@ -199,7 +196,7 @@ def test_criterion_08_twb_fidelity_law_and_misprint_guard():
     )
     # the sign-flipped closed form (1-chi)/2 must disagree with the
     # 2-d oracle by a wide margin
-    oracle = average_fidelity_grid2d(make_twb(TwbParams(0.5), TIGHT), 2.0)
+    oracle = average_fidelity_grid2d(make_twb(TwbParams(0.5), TIGHT))
     flipped_gap = abs((1 - 0.5) / 2 - oracle)
     _report(
         8,
@@ -373,7 +370,6 @@ def test_criterion_14_determinism(tmp_path):
             chi_range=(0.1, 0.6, 0.1),
             gains=(1.0, 2.0),
             thresholds=(2,),
-            alpha=2.0 + 0.0j,
             truncation=TruncationPolicy(),
             outputs=("entropy", "fbar"),
             format="csv",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ def _spec(tmp_path, **kw):
         chi_range=(0.1, 0.5, 0.1),
         gains=(1.0,),
         thresholds=(2,),
-        alpha=2.0 + 0.0j,
         truncation=TruncationPolicy(),
         outputs=("fbar",),
         format="csv",
@@ -90,9 +90,9 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
         outputs=("epr", "entropy"),
     )
     run_sweep(spec)
-    first = open(spec.out_path, "rb").read()
+    first = Path(spec.out_path).read_bytes()
     run_sweep(spec)
-    second = open(spec.out_path, "rb").read()
+    second = Path(spec.out_path).read_bytes()
     assert first == second
     parsed = _read_rows(spec.out_path)
     keys = [(r["metric"], int(r["p"]), float(r["g"]), float(r["chi"])) for r in parsed]
@@ -102,7 +102,7 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
 def test_sweep_json_mirrors_rows(tmp_path):
     spec = _spec(tmp_path, format="json", out_path=str(tmp_path / "out.json"))
     rows = flatten_blocks(run_sweep(spec))
-    payload = json.loads(open(spec.out_path).read())
+    payload = json.loads(Path(spec.out_path).read_text())
     assert len(payload) == len(rows)
     assert payload[0]["metric"] == "fbar"
     assert payload[0]["chi"] == pytest.approx(0.1)
@@ -125,7 +125,7 @@ def test_sweep_json_matches_stdlib_encoder(tmp_path):
         return float(f"{v:.12g}") if isinstance(v, float) else v
 
     records = [{k: round12(v) for k, v in r._asdict().items()} for r in rows]
-    text = open(spec.out_path).read()
+    text = Path(spec.out_path).read_text()
     # line by line, so that a failure reports the first differing lines at once
     got = text.splitlines(keepends=True)
     want = (json.dumps(records, indent=1) + "\n").splitlines(keepends=True)
@@ -249,7 +249,6 @@ def test_sweep_grid2d_output_matches_series(tmp_path):
         chi_range=(0.4, 0.4, 0.1),
         gains=(2.0,),
         outputs=("fbar", "fbar_grid2d"),
-        alpha=1.0 + 1.0j,
     )
     rows = {r.metric: r.value for r in run_sweep(spec)}
     assert rows["fbar_grid2d"] == pytest.approx(rows["fbar"], abs=1e-5)
@@ -329,7 +328,7 @@ def test_figure_rejects_unknown_id(tmp_path):
 def test_figure_determinism_across_jobs(tmp_path):
     a = figure_data("fig2", str(tmp_path / "a.csv"), step=0.05)
     b = figure_data("fig2", str(tmp_path / "b.csv"), step=0.05)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_report_crossover_unit_gain():
@@ -409,12 +408,15 @@ def test_main_io_exit_code(tmp_path, capsys):
         [*SMALL_SWEEP, "--gains", "2,2"],
         [*SMALL_SWEEP, "--thresholds", "2,2.0"],
         [*SMALL_SWEEP, "--seed", "5"],
+        ["teleport", "--chi", "0.5", "--alpha-re", "2"],
+        [*SMALL_SWEEP, "--alpha-im", "0"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
          "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
          "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step", "sweep-tiny-chi-step",
          "figure-tiny-step", "crossover-tiny-step", "debug-ng", "duplicate-outputs",
-         "duplicate-gains", "duplicate-thresholds", "sweep-seed"],
+         "duplicate-gains", "duplicate-thresholds", "sweep-seed", "teleport-alpha",
+         "sweep-alpha"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -440,6 +442,24 @@ def test_main_amplify_payload(capsys):
     assert main(["amplify", "--chi", "0.6", "--gain", "2", "--threshold", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["success_probability"] == pytest.approx(0.2272, abs=1e-10)
+
+
+def test_main_unit_gain_is_the_twin_beam(capsys):
+    # g = 1 is the identity amplifier in every command, with its success probability
+    assert main(["twb", "--chi", "0.005"]) == 0
+    twb = json.loads(capsys.readouterr().out)
+    unit = ["--chi", "0.005", "--gain", "1", "--threshold", "4"]
+    assert main(["amplify", *unit]) == 0
+    amp = json.loads(capsys.readouterr().out)
+    assert (amp["label"], amp["dim"]) == (twb["label"], twb["dim"]) == ("twb chi=0.005", 3)
+    assert main(["metrics", *unit]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 3
+    assert main(["teleport", *unit]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["success_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert "alpha" not in payload
+    # a threshold above max_dim is refused at unit gain too, as sweep refuses it
+    assert main(["teleport", "--chi", "0.5", "--gain", "1", "--threshold", "2000"]) == 3
 
 
 def test_main_metrics_twb_payload(capsys):
@@ -526,10 +546,11 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
         '{"epsilon": []}',
         '{"format": true}',
         '{"outputs": ["epr", "epr"]}',
+        '{"alpha_re": 2.0}',
     ],
     ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
          "seed-string", "seed-fractional", "seed", "epsilon-list", "format-bool",
-         "duplicate-outputs"],
+         "duplicate-outputs", "alpha-re"],
 )
 def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -557,8 +578,6 @@ _FUZZ_VALUES = {
     "--threshold": ("0", "2", "4", "1023", "2000", "2.5"),
     "--resource": (*FAMILIES, "nope"),
     "--method": ("series", "radial", "grid2d", "mc", "exact"),
-    "--alpha-re": ("2", "-3.5", "49", "51", "1e308"),
-    "--alpha-im": ("0.5", "-60"),
     "--epsilon": ("1e-12", "1e-6", "1e-300", "5e-324", "0.5", "1"),
     "--seed": ("7", "18446744073709551616", "1.5"),
     "--config": ("valid.json", "bad.json", "list.json", "missing.json", "."),

@@ -87,14 +87,16 @@ def test_success_probability_monotone_in_threshold():
 
 
 def test_amplified_unit_gain_is_twb():
-    for p in (0, 2, 4):
-        twb = make_twb(TwbParams(0.6))
-        amp, prob = make_amplified_twb(TwbParams(0.6), NlaConfig(1.0, p))
+    # the unit-gain amplifier is the identity: the very state make_twb builds,
+    # also where 1/P rounding would size the amplified state differently
+    for chi, p in ((0.6, 0), (0.6, 2), (0.6, 4), (0.005, 4)):
+        twb = make_twb(TwbParams(chi))
+        amp, prob = make_amplified_twb(TwbParams(chi), NlaConfig(1.0, p))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert amp.dim == twb.dim
-        np.testing.assert_allclose(
-            amp.norm_const * amp.coeffs, twb.norm_const * twb.coeffs, atol=1e-14
+        assert (amp.dim, amp.norm_const, amp.tail_bound, amp.label) == (
+            twb.dim, twb.norm_const, twb.tail_bound, twb.label
         )
+        assert np.array_equal(amp.coeffs, twb.coeffs)
 
 
 def test_amplified_frozen_ground_level():

@@ -250,8 +250,9 @@ def test_conditional_fidelity_bounds(chi, g, ar, br, bi):
 def test_amplitude_guard():
     with pytest.raises(ValidationError):
         transfer_apply(VACUUM, 51.0, 0.0)
-    with pytest.raises(ValidationError):
-        average_fidelity_grid2d(VACUUM, complex("inf"))
+    for alpha, beta in ((51.0, 0.0), (0.0, float("nan")), (complex("inf"), 0.0)):
+        with pytest.raises(ValidationError):
+            displaced_number_overlap(3, beta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +372,7 @@ def test_radial_refuses_non_finite_rule(monkeypatch):
 
 def test_grid2d_twb_and_state_independence():
     resource = make_twb(TwbParams(0.5), TIGHT)
-    assert average_fidelity_grid2d(resource, 2.0) == pytest.approx(0.75, abs=1e-5)
-    assert average_fidelity_grid2d(resource, 2.0 + 3.0j) == pytest.approx(0.75, abs=1e-5)
+    assert average_fidelity_grid2d(resource) == pytest.approx(0.75, abs=1e-5)
 
 
 def test_grid2d_window_holds_the_outcome_mass():
@@ -382,7 +382,7 @@ def test_grid2d_window_holds_the_outcome_mass():
         assert resource.dim == dim
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryMassWarning)
-            fbar = average_fidelity_grid2d(resource, 2.0)
+            fbar = average_fidelity_grid2d(resource)
         assert fbar == pytest.approx((1 + chi) / 2, abs=1e-5)
     # the window's certificate, recomputed with scipy: the mass of p(beta)
     # past t = h^2 is sum_n p_n Q(n + 1, h^2)
@@ -399,40 +399,30 @@ def test_grid2d_window_holds_the_outcome_mass():
 def test_grid2d_warns_when_the_window_is_too_small(monkeypatch):
     monkeypatch.setattr(teleport_module, "_grid_half_width", lambda resource: 3.0)
     with pytest.warns(BoundaryMassWarning, match="half-width 3 too small"):
-        average_fidelity_grid2d(make_twb(TwbParams(0.5)), 2.0)
+        average_fidelity_grid2d(make_twb(TwbParams(0.5)))
 
 
 def test_grid_half_width_refuses_an_uncertified_window(monkeypatch):
     # no ladder point with a tail of at most 1e-12: refused, not guessed
     monkeypatch.setattr(teleport_module, "_poisson_sum", lambda w, t: np.ones_like(t))
     with pytest.raises(NumericsError, match="no grid window"):
-        average_fidelity_grid2d(make_twb(TwbParams(0.5)), 2.0)
-
-
-def test_grid2d_amplified_state_independence():
-    resource = make_amplified_twb(TwbParams(0.6), NlaConfig(2.0, 2), TIGHT)[0]
-    values = [average_fidelity_grid2d(resource, a) for a in (0.0, 2.0, -5.0)]
-    for a in values:
-        for b in values:
-            assert abs(a - b) <= 2e-5
+        average_fidelity_grid2d(make_twb(TwbParams(0.5)))
 
 
 def test_sampled_recovers_series():
     resource = make_twb(TwbParams(0.5), TIGHT)
     spec = QuadratureSpec(mc_samples=100_000, rng_seed=7)
-    estimate, err = average_fidelity_sampled(resource, 2.0, spec)
+    estimate, err = average_fidelity_sampled(resource, spec)
     assert err < 5e-3
     assert abs(estimate - 0.75) <= 4 * err
-    vac_est, vac_err = average_fidelity_sampled(VACUUM, 1.0, spec)
+    vac_est, vac_err = average_fidelity_sampled(VACUUM, spec)
     assert abs(vac_est - 0.5) <= 4 * vac_err
 
 
 def test_sampled_is_deterministic():
     resource = make_amplified_twb(TwbParams(0.4), NlaConfig(2.0, 2))[0]
     spec = QuadratureSpec(mc_samples=5_000, rng_seed=99)
-    assert average_fidelity_sampled(resource, 1.0, spec) == average_fidelity_sampled(
-        resource, 1.0, spec
-    )
+    assert average_fidelity_sampled(resource, spec) == average_fidelity_sampled(resource, spec)
 
 
 def test_sampled_statistical_contract():
@@ -443,9 +433,8 @@ def test_sampled_statistical_contract():
     hits = 0
     seeds = range(60)
     for seed in seeds:
-        est, err = average_fidelity_sampled(
-            resource, 2.0, QuadratureSpec(mc_samples=4_000, rng_seed=seed)
-        )
+        spec = QuadratureSpec(mc_samples=4_000, rng_seed=seed)
+        est, err = average_fidelity_sampled(resource, spec)
         hits += abs(est - truth) <= 4 * err
     assert hits / len(seeds) >= 0.99
 
@@ -454,12 +443,12 @@ def test_sampled_large_dimension():
     chi = 0.985
     resource = make_twb(TwbParams(chi))
     assert resource.dim == 915
-    estimate, err = average_fidelity_sampled(resource, 2.0)
+    estimate, err = average_fidelity_sampled(resource)
     assert abs(estimate - 0.5 * (1.0 + chi)) <= 4 * err
     # a loosely truncated state's p_n sum to about 1 - 1e-3; the sampler renormalises them
     loose = make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3))
     assert schmidt_probabilities(loose).sum() < 1.0 - 1e-4
-    assert np.all(np.isfinite(average_fidelity_sampled(loose, 2.0)))
+    assert np.all(np.isfinite(average_fidelity_sampled(loose)))
 
 
 @pytest.mark.parametrize(
@@ -474,13 +463,13 @@ def test_sampled_large_dimension():
 def test_sampled_values_at_fixed_seed(chi, mean, std_error):
     # the 12-digit values the CLI prints for teleport --method mc --seed 305
     resource = make_twb(TwbParams(chi))
-    estimate, err = average_fidelity_sampled(resource, 2.0, QuadratureSpec(rng_seed=305))
+    estimate, err = average_fidelity_sampled(resource, QuadratureSpec(rng_seed=305))
     assert (_round12(estimate), _round12(err)) == (mean, std_error)
 
 
 def test_sampled_rejects_small_sample_budget():
     with pytest.raises(ValidationError):
-        average_fidelity_sampled(VACUUM, 0.0, QuadratureSpec(mc_samples=10))
+        average_fidelity_sampled(VACUUM, QuadratureSpec(mc_samples=10))
 
 
 def test_estimators_agree_across_resource_matrix():
