@@ -179,9 +179,13 @@ def test_poisson_sum_matches_decimal_reference(chi):
         make_photon_subtracted_twb(params, policy),
         make_added_then_subtracted_twb(params, policy),
     ):
-        for weights in (state.coeffs, schmidt_probabilities(state)):
+        rows = np.vstack([state.coeffs, schmidt_probabilities(state)])
+        # the (2, D) stack the sampler passes, rescaled together past t = 700
+        stacked = _poisson_sum(rows, np.array(ts))
+        for weights, stacked_values in zip(rows, stacked):
             values = _poisson_sum(weights, np.array(ts))
             assert np.all(np.isfinite(values))
+            assert np.array_equal(stacked_values, values), state.label
             for t, value in zip(ts, values):
                 expected = poisson_sum_reference(weights, t)
                 assert abs(value - expected) <= 1e-12 * expected, (state.label, t)
@@ -465,6 +469,17 @@ def test_sampled_values_at_fixed_seed(chi, mean, std_error):
     resource = make_twb(TwbParams(chi))
     estimate, err = average_fidelity_sampled(resource, QuadratureSpec(rng_seed=305))
     assert (_round12(estimate), _round12(err)) == (mean, std_error)
+
+
+@pytest.mark.parametrize(
+    "chi, fbar",
+    [(0.5, 0.74999999957), (0.9, 0.949999999994), (0.97, 0.984999999998), (0.985, 0.992499999998)],
+)
+def test_radial_and_grid2d_values(chi, fbar):
+    # the 12-digit values the CLI prints for teleport --method radial and grid2d
+    resource = make_twb(TwbParams(chi))
+    assert _round12(average_fidelity_radial(resource)) == fbar
+    assert _round12(average_fidelity_grid2d(resource)) == fbar
 
 
 def test_sampled_rejects_small_sample_budget():
