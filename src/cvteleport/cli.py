@@ -155,9 +155,20 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _float_cells(floats, fmt: str) -> list[str]:
-    """Floats as CSV text or as JSON literals, keeping 12 significant digits."""
-    text = map("{:.12g}".format, floats)
-    return list(text) if fmt == "csv" else list(map(repr, map(float, text)))
+    """Floats as CSV text or as JSON literals, keeping 12 significant digits.
+
+    The JSON literal, repr of the 12-digit float, is the 12-digit text
+    itself unless the text is integral (1 against 1.0), has an exponent of
+    12 or more or lies below 1e-299 (a subnormal holds fewer digits), so
+    repr runs only on a column that holds such a cell.
+    """
+    text = list(map("{:.12g}".format, floats))
+    if fmt == "csv":
+        return text
+    joined = ",".join(text)
+    if joined.count(".") == len(text) and "e+" not in joined and "e-3" not in joined:
+        return text
+    return list(map(repr, map(float, text)))
 
 
 def _cell(x, fmt: str) -> str:
@@ -174,30 +185,14 @@ def _cell(x, fmt: str) -> str:
 _SEQUENCES = (list, tuple, range)
 
 
-def _column_cells(column, rows: int, fmt: str) -> list[str]:
-    """One block column as `rows` cells, each by the _cell rule."""
-    if not isinstance(column, _SEQUENCES):
-        return [_cell(column, fmt)] * rows
-    if isinstance(column, range):  # Fock levels
-        return list(map(str, column))
+def _column_cells(column, fmt: str):
+    """A sequence column as one cell per row, each by the _cell rule; a JSON
+    record template prints the ints of a range of Fock levels itself."""
+    if isinstance(column, range):
+        return map(str, column) if fmt == "csv" else column
     if all(map(isinstance, column, repeat(float))):
         return _float_cells(column, fmt)
     return [_cell(x, fmt) for x in column]
-
-
-def _block_rows(blocks, fmt: str):
-    """The cells of each row, block by block; a non-finite value raises."""
-    for block in blocks:
-        value = block.value
-        if not all(map(math.isfinite, value)):
-            i = next(i for i, v in enumerate(value) if not math.isfinite(v))
-            bad = RowBlock(*(c[i] if isinstance(c, _SEQUENCES) else c for c in block))
-            raise NumericsError(f"non-finite value for {bad.metric} at chi={bad.chi}")
-        yield from zip(*(_column_cells(c, len(value), fmt) for c in block), strict=True)
-
-
-# one JSON record, laid out as json.dumps(..., indent=1) lays it out
-_JSON_RECORD = " {\n" + ",\n".join(f'  "{k}": %s' for k in RowBlock._fields) + "\n }"
 
 
 def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
@@ -205,14 +200,31 @@ def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
     JSON list of records laid out as json.dumps(..., indent=1) lays them out.
 
     Each column of a block is formatted in one call, by the _cell rule: a
-    shared cell once, a sequence of cells all at a time.
+    shared cell once, a sequence of cells all at a time. A CSV row joins its
+    cells; a JSON block is one record template, with its shared cells in
+    place, that the sequence columns fill row by row. A non-finite value
+    raises.
     """
-    rows = _block_rows(blocks, fmt)
+    texts = []
+    for block in blocks:
+        value = block.value
+        if not all(map(math.isfinite, value)):
+            i = next(i for i, v in enumerate(value) if not math.isfinite(v))
+            bad = RowBlock(*(c[i] if isinstance(c, _SEQUENCES) else c for c in block))
+            raise NumericsError(f"non-finite value for {bad.metric} at chi={bad.chi}")
+        sequences = [isinstance(c, _SEQUENCES) for c in block]
+        cells = [_column_cells(c, fmt) if s else _cell(c, fmt) for c, s in zip(block, sequences)]
+        if fmt == "csv":
+            columns = [c if s else repeat(c, len(value)) for c, s in zip(cells, sequences)]
+            texts += map(",".join, zip(*columns, strict=True))
+        else:
+            fields = ["%s" if s else c.replace("%", "%%") for c, s in zip(cells, sequences)]
+            row = " {\n" + ",\n".join(map('  "{}": {}'.format, RowBlock._fields, fields)) + "\n }"
+            columns = [c for c, s in zip(cells, sequences) if s]
+            texts += map(row.__mod__, zip(*columns, strict=True))
     if fmt == "csv":
-        header = [*(f"# {c}" for c in comments), ",".join(RowBlock._fields)]
-        return "\n".join([*header, *map(",".join, rows)]) + "\n"
-    records = ",\n".join(map(_JSON_RECORD.__mod__, rows))
-    return "[\n" + records + "\n]\n" if records else "[]\n"
+        return "\n".join([*(f"# {c}" for c in comments), ",".join(RowBlock._fields), *texts]) + "\n"
+    return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+from hypothesis import settings
+
+# `--hypothesis-profile=ci` gives every property test a much larger budget
+settings.register_profile("ci", max_examples=2000, deadline=None)
+
+
 def pytest_configure(config):
     """Make every warning an error in these tests only.
 
@@ -5,8 +11,15 @@ def pytest_configure(config):
     that misses its integrand, a leaked file handle. Tests that expect a
     warning catch it themselves; the harness tests (pytest bench) keep the
     default filters.
+
+    The one exception: hypothesis's report of a falsifying example touches
+    mypy_extensions.TypedDict, whose DeprecationWarning would otherwise end
+    the run in an INTERNALERROR before the example is printed.
     """
     config.addinivalue_line("filterwarnings", "error")
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -214,6 +214,20 @@ def _row_blocks(draw):
             RowBlock([0.6, 0.6], 3.0, 2, "pdist", [0.5, 0.25], range(2))],
     comments=[],
 )
+@example(  # subnormals hold fewer than 12 digits, so the JSON repr is shorter
+    blocks=[RowBlock([0.5, 0.25], 1.0, 2, "pdist", [0.1, 2.2250738585e-313], [5e-324, 0.3])],
+    comments=[],
+)
+@example(  # integral values, exponents of 12 to 15 and -0.0 among ordinary list cells
+    blocks=[RowBlock([0.5, 1.0], 2.0, 2, "fbar", [0.1, 1e12], [1e15, 0.3]),
+            RowBlock((0.5, 0.6), 2.0, 2, "fbar", [-0.0, 0.1], (0.2, -0.0))],
+    comments=[],
+)
+@example(  # a % in shared and in per-row string cells must reach the file as it is
+    blocks=[RowBlock(0.5, 1.0, 2, "50%", [0.1, 0.2], ["%s", "100%"]),
+            RowBlock(0.5, "%d", 2, ["%", "a%%b"], [0.1, 0.2], "%(x)s")],
+    comments=["%"],
+)
 def test_rows_text_matches_per_cell_writer(blocks, comments):
     rows = flatten_blocks(blocks)
     for fmt in ("csv", "json"):

@@ -20,8 +20,9 @@ from cvteleport.errors import NumericsError
 def test_state_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         SchmidtState(coeffs=np.array([1.0, -0.1]), norm_const=1.0)
-    with pytest.raises(ValidationError):
-        SchmidtState(coeffs=np.array([np.inf]), norm_const=1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            SchmidtState(coeffs=np.array([bad]), norm_const=1.0)
     with pytest.raises(ValidationError):
         SchmidtState(coeffs=np.array([1.0]), norm_const=-1.0)
     with pytest.raises(ValidationError):
