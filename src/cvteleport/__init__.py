@@ -7,7 +7,7 @@ coherent-state teleportation fidelity through the transfer-operator
 description of the protocol.
 """
 
-from .errors import BoundaryMassWarning, NumericsError, TruncationWarning, ValidationError
+from .errors import BoundaryMassWarning, NumericsError, ValidationError
 from .metrics import (
     CovarianceSummary,
     MetricsReport,
@@ -34,14 +34,10 @@ from .schmidt import (
     DEFAULT_POLICY,
     SchmidtState,
     TruncationPolicy,
-    dense_two_mode,
     required_dimension,
     schmidt_probabilities,
 )
 from .teleport import (
-    ConditionalOutput,
-    CrossoverReport,
-    GainScanResult,
     QuadratureSpec,
     average_fidelity_grid2d,
     average_fidelity_radial,
@@ -49,11 +45,6 @@ from .teleport import (
     average_fidelity_series,
     classify_fidelity,
     conditional_fidelity,
-    crossover_find,
-    displaced_number_overlap,
-    gain_scan,
-    outcome_probability,
-    transfer_apply,
     twb_average_fidelity_closed,
 )
 
@@ -61,18 +52,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMassWarning",
-    "ConditionalOutput",
     "CovarianceSummary",
-    "CrossoverReport",
     "DEFAULT_POLICY",
-    "GainScanResult",
     "MetricsReport",
     "NlaConfig",
     "NumericsError",
     "QuadratureSpec",
     "SchmidtState",
     "TruncationPolicy",
-    "TruncationWarning",
     "TwbParams",
     "ValidationError",
     "average_fidelity_grid2d",
@@ -83,12 +70,8 @@ __all__ = [
     "conditional_fidelity",
     "covariance_summary",
     "cross_moment",
-    "crossover_find",
-    "dense_two_mode",
-    "displaced_number_overlap",
     "entanglement_entropy",
     "epr_correlation",
-    "gain_scan",
     "h_function",
     "make_added_then_subtracted_twb",
     "make_amplified_twb",
@@ -97,11 +80,9 @@ __all__ = [
     "mean_photon",
     "metrics_report",
     "non_gaussianity",
-    "outcome_probability",
     "required_dimension",
     "schmidt_probabilities",
     "success_probability",
-    "transfer_apply",
     "twb_average_fidelity_closed",
     "twb_entropy_closed",
 ]

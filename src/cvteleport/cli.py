@@ -43,7 +43,6 @@ from .teleport import (
     average_fidelity_sampled,
     average_fidelity_series,
     classify_fidelity,
-    crossover_find,
     twb_average_fidelity_closed,
 )
 
@@ -411,15 +410,26 @@ def figure_data(
             for b in blocks
         ]
     if figure_id == "fig7":
-        (_, g, p), = fig.configs
-        window = crossover_find(p, g, chis).secure_only
+        closed = [twb_average_fidelity_closed(TwbParams(chi)) for chi in chis]
+        window = secure_only_window(chis, blocks[0].value, closed)
         interval = f"{window[0]:.12g},{window[1]:.12g}" if window else "none"
         comments.append(f"secure_only_interval:{interval}")
-        closed = [twb_average_fidelity_closed(TwbParams(chi)) for chi in chis]
         blocks = [RowBlock(chis, 1.0, 0, "fbar", closed), *blocks]
         blocks = [b._replace(extra=[classify_fidelity(v) for v in b.value]) for b in blocks]
     _atomic_write(out_path, _rows_text(blocks, "csv", comments))
     return out_path
+
+
+def secure_only_window(chis, amplified, standard):
+    """(first, last) chi of the longest run of grid points where only the
+    amplified fidelity beats the 2/3 security boundary; the earliest of
+    equally long runs, or None when no point qualifies."""
+    window, length, run = None, 0, 0
+    for i, (f_amp, f_std) in enumerate(zip(amplified, standard, strict=True)):
+        run = run + 1 if f_amp > 2.0 / 3.0 >= f_std else 0
+        if run > length:
+            window, length = (chis[i - run + 1], chis[i]), run
+    return window
 
 
 def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
@@ -428,20 +438,25 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     chi_c1 is the first grid point where the amplified EPR correlation
     exceeds the standard one; chi_c2 the first where the amplified average
     fidelity falls below the standard one; secure_only is the window where
-    only the amplified resource beats the 2/3 boundary.
+    only the amplified resource beats the 2/3 boundary. Each (amplified,
+    twin-beam) pair is built once; EPR is evaluated until chi_c1 is found.
     """
     chis = figure_grid(step)
     nla = NlaConfig(gain=g, threshold=p)
     policy = TruncationPolicy()
-    chi_c1 = None
+    chi_c1 = chi_c2 = None
+    amplified, standard = [], []
     for chi in chis:
         params = TwbParams(chi)
-        epr_amp = epr_correlation(make_amplified_twb(params, nla, policy)[0])
-        epr_twb = epr_correlation(make_twb(params, policy))
-        if epr_amp > epr_twb + 1e-9:
+        amp, twb = make_amplified_twb(params, nla, policy)[0], make_twb(params, policy)
+        if chi_c1 is None and epr_correlation(amp) > epr_correlation(twb) + 1e-9:
             chi_c1 = chi
-            break
-    fid = crossover_find(p, g, chis)
+        # same estimator on both sides, so shared truncation error cancels
+        amplified.append(average_fidelity_series(amp))
+        standard.append(average_fidelity_series(twb))
+        if chi_c2 is None and amplified[-1] < standard[-1] - 1e-9:
+            chi_c2 = chi
+    window = secure_only_window(chis, amplified, standard)
 
     def region(chi_c):
         return [chis[0], round(chi_c - step, 12)] if chi_c is not None and chi_c > chis[0] else None
@@ -451,9 +466,9 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
         "threshold": p,
         "step": step,
         "chi_c1": chi_c1,
-        "chi_c2": fid.chi_c2,
-        "secure_only": list(fid.secure_only) if fid.secure_only else None,
-        "regions": {"epr_improved": region(chi_c1), "fidelity_improved": region(fid.chi_c2)},
+        "chi_c2": chi_c2,
+        "secure_only": list(window) if window else None,
+        "regions": {"epr_improved": region(chi_c1), "fidelity_improved": region(chi_c2)},
     }
 
 
@@ -533,7 +548,7 @@ def _cmd_metrics(args) -> None:
 def _cmd_teleport(args) -> None:
     """Average teleportation fidelity of a resource."""
     state, psucc = _cli_resource(args, _policy(args))
-    quad = QuadratureSpec(rng_seed=args.seed if args.seed is not None else 12345)
+    quad = QuadratureSpec() if args.seed is None else QuadratureSpec(rng_seed=args.seed)
     fbar, std_error = {
         "series": lambda: (average_fidelity_series(state), None),
         "radial": lambda: (average_fidelity_radial(state, quad), None),

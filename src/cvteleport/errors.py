@@ -10,9 +10,5 @@ class NumericsError(RuntimeError):
     vanishing conditional probability."""
 
 
-class TruncationWarning(UserWarning):
-    """Probability mass pushed against a Fock-space truncation edge."""
-
-
 class BoundaryMassWarning(UserWarning):
     """Integrand not negligible at the boundary of a quadrature grid."""

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 
-# Hard cap on the dense D x D representation (memory guard).
-DENSE_DIM_LIMIT = 2048
-
 # Floating-point grace added on top of declared tail bounds.
 _FLOAT_SLACK = 1e-12
 
@@ -103,16 +100,3 @@ def _geometric_dimension(chi: float, epsilon: float, min_dim: int, max_dim: int)
     if dim > max_dim:
         raise NumericsError(f"chi={chi} needs dimension {dim} > max_dim={max_dim}")
     return dim
-
-
-def dense_two_mode(state: SchmidtState) -> np.ndarray:
-    """Dense D x D two-mode coefficient matrix M[m, n] = <m, n|state>.
-
-    Schmidt-diagonal by construction: M is diag(N * k_n). Bridge to the
-    brute-force cross-check engine.
-    """
-    if state.dim > DENSE_DIM_LIMIT:
-        raise NumericsError(
-            f"dense matrix of dim {state.dim} exceeds the {DENSE_DIM_LIMIT} memory guard"
-        )
-    return np.diag(state.norm_const * state.coeffs).astype(complex)

@@ -2,10 +2,12 @@
 
 The protocol is described by a transfer operator
 T(beta) = (N/sqrt(pi)) sum_n k_n D(beta)|n><n|D(-beta), which maps the
-input state directly to the unnormalized conditional output for homodyne
-outcome beta = x_- + i p_+. Conditional outputs are kept in the
-displaced-Fock frame (the final displacement stays symbolic), so the hot
-path never builds a dense displacement matrix.
+input |alpha> to the unnormalized conditional output for homodyne outcome
+beta = x_- + i p_+. Since |<n|D(-beta)|alpha>|^2 = pois_n(t), the Poisson
+weight e^-t t^n / n! at t = |alpha - beta|^2, an outcome enters only
+through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
+the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)),
+both sums taken by one Poisson kernel.
 
 Average fidelity over outcomes is evaluated four ways, from the exact
 production path to progressively more independent oracles:
@@ -17,9 +19,7 @@ production path to progressively more independent oracles:
 * Monte Carlo over the outcome distribution p(beta) (oracle).
 
 The average fidelity is the same for every coherent input (Braunstein &
-Kimble), so none of the four takes an input amplitude: each sees an
-outcome only through t = |alpha - beta|^2. conditional_fidelity(resource,
-alpha, alpha + delta), where alpha does enter, is where that is tested.
+Kimble), so none of the four takes an input amplitude.
 """
 
 import math
@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundaryMassWarning, NumericsError, TruncationWarning, ValidationError
-from .resources import NlaConfig, TwbParams, make_amplified_twb, make_twb
+from .errors import BoundaryMassWarning, NumericsError, ValidationError
+from .resources import TwbParams
 from .schmidt import SchmidtState, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -65,33 +65,12 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class ConditionalOutput:
-    """Unnormalized teleported state for one homodyne outcome.
-
-    The physical output is D(beta) sum_n displaced_coeffs[n] |n>;
-    prob_density is the outcome density p(beta) = <out|out>.
-    """
-
-    displaced_coeffs: np.ndarray
-    beta: complex
-    prob_density: float
-
-    def __post_init__(self):
-        c = np.asarray(self.displaced_coeffs, dtype=complex)
-        c.setflags(write=False)
-        object.__setattr__(self, "displaced_coeffs", c)
-        norm = float(np.vdot(c, c).real)
-        if self.prob_density < 0 or abs(norm - self.prob_density) > 1e-12 * max(norm, 1.0):
-            raise ValidationError("prob_density inconsistent with coefficient norm")
-
-
-def _check_amplitude(alpha: complex, name: str = "alpha") -> complex:
+def _check_amplitude(alpha: complex) -> complex:
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValidationError(f"{name} must be finite")
+        raise ValidationError("alpha must be finite")
     if abs(alpha) > MAX_AMPLITUDE:
-        raise ValidationError(f"|{name}| exceeds the numerical guard {MAX_AMPLITUDE}")
+        raise ValidationError(f"|alpha| exceeds the numerical guard {MAX_AMPLITUDE}")
     return alpha
 
 
@@ -100,34 +79,6 @@ def _check_outcome(beta: complex) -> complex:
     if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
         raise ValidationError("beta must be finite")
     return beta
-
-
-def displaced_number_overlap(n: int, beta: complex, alpha: complex) -> complex:
-    """Matrix element <n|D(beta)|alpha>.
-
-    Equals (alpha+beta)^n / sqrt(n!) * exp(-|alpha+beta|^2 / 2)
-    * exp((conj(alpha) beta - alpha conj(beta)) / 2); the last factor is a
-    pure phase. Always bounded by 1 in modulus.
-    """
-    if n < 0 or int(n) != n:
-        raise ValidationError(f"n must be a non-negative integer, got {n}")
-    alpha, beta = _check_amplitude(alpha), _check_outcome(beta)
-    return complex(_overlap_vector(int(n) + 1, beta, alpha)[n])
-
-
-def _overlap_vector(dim: int, beta: complex, alpha: complex) -> np.ndarray:
-    """<n|D(beta)|alpha> for n = 0..dim-1, computed in log space."""
-    z = alpha + beta
-    phase = np.exp((np.conj(alpha) * beta - alpha * np.conj(beta)) / 2.0)
-    out = np.zeros(dim, dtype=complex)
-    if z == 0:
-        out[0] = phase
-        return out
-    n = np.arange(dim)
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    out[:] = np.exp(n * np.log(complex(z)) - 0.5 * log_factorials - abs(z) ** 2 / 2.0)
-    out *= phase
-    return out
 
 
 # Poisson-sum window: points are summed in blocks of _POISSON_BLOCK, and a block's
@@ -210,43 +161,27 @@ def _poisson_sum(weights: np.ndarray, t):
     return acc.reshape(weights.shape[:-1] + t.shape)
 
 
-def transfer_apply(resource: SchmidtState, alpha: complex, beta: complex) -> ConditionalOutput:
-    """Conditional output T(beta)|alpha> in the displaced-Fock frame.
+def _outcome_fidelity(resource: SchmidtState, t):
+    """F = N^2 [sum_n k_n pois_n(t)]^2 / sum_n p_n pois_n(t), elementwise over t.
 
-    displaced_coeffs[n] = (N/sqrt(pi)) k_n <n|D(-beta)|alpha>. Warns when
-    the outcome pushes noticeable mass against the truncation edge.
+    The denominator is pi p(beta) at t = |alpha - beta|^2; NumericsError
+    where p(beta) < 1e-300, before anything is divided.
     """
-    alpha = _check_amplitude(alpha)
-    beta = _check_outcome(beta)
-    d = _overlap_vector(resource.dim, -beta, alpha)
-    c = (resource.norm_const / _SQRT_PI) * resource.coeffs * d
-    prob = float(np.vdot(c, c).real)
-    # tail_bound == 0 marks an exactly represented resource: no edge to cross
-    if resource.tail_bound > 0.0 and prob > 0.0 and abs(c[-1]) ** 2 / prob > 1e-8:
-        warnings.warn(
-            f"outcome beta={beta} pushes mass past the truncation edge of {resource.label!r}",
-            TruncationWarning,
-            stacklevel=2,
+    amp, density = _poisson_sum(np.vstack([resource.coeffs, schmidt_probabilities(resource)]), t)
+    if np.any(density < math.pi * 1e-300):
+        raise NumericsError(
+            f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
         )
-    return ConditionalOutput(displaced_coeffs=c, beta=beta, prob_density=prob)
-
-
-def outcome_probability(out: ConditionalOutput) -> float:
-    """Outcome density p(beta) = <out|out> of a conditional output."""
-    return out.prob_density
+    return resource.norm_const**2 * amp**2 / density
 
 
 def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) -> float:
     """Fidelity F(beta) = |<alpha|T(beta)|alpha>|^2 / p(beta) in [0, 1]."""
-    out = transfer_apply(resource, alpha, beta)
-    if out.prob_density < 1e-300:
-        raise NumericsError(f"conditional fidelity undefined: p(beta) vanishes at beta={beta}")
-    d = _overlap_vector(resource.dim, -beta, alpha)
-    amp = np.sum(out.displaced_coeffs * np.conj(d))
-    fid = abs(amp) ** 2 / out.prob_density
+    t = abs(_check_amplitude(alpha) - _check_outcome(beta)) ** 2
+    fid = float(_outcome_fidelity(resource, t))
     if fid > 1.0 + 1e-9:
         raise NumericsError(f"conditional fidelity {fid} exceeds 1")
-    return min(max(float(fid), 0.0), 1.0)
+    return min(max(fid, 0.0), 1.0)
 
 
 # Series kernel W[m, n] = C(m+n, n) / 2^(m+n+1), built on first use. Each
@@ -373,16 +308,25 @@ def average_fidelity_grid2d(
     centered on 0, with the half-width of _grid_half_width: the integrand
     N^2/pi [sum_n k_n pois_n(t)]^2 is at most p(beta) (Cauchy-Schwarz, as
     sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it.
-    t = x^2 + y^2 on an exactly symmetric axis, and the kernel runs once per
-    distinct t. Warns if the integrand has not decayed to 1e-12 of its peak
-    at the boundary.
+    t = x^2 + y^2 on an exactly symmetric axis: points k and points - 1 - k
+    have the same x^2, so t depends only on the unordered pair of folded
+    indices min(k, points - 1 - k), and the kernel runs once per pair.
+    Warns if the integrand has not decayed to 1e-12 of its peak at the
+    boundary.
     """
     half_width = _grid_half_width(resource)
-    axis = np.linspace(-half_width, half_width, spec.grid_points)
+    points = spec.grid_points
+    axis = np.linspace(-half_width, half_width, points)
     axis = (axis - axis[::-1]) / 2
-    t, inverse = np.unique(axis[:, None] ** 2 + axis[None, :] ** 2, return_inverse=True)
+    half = (points + 1) // 2
+    squares = axis[:half] ** 2
+    lo, hi = np.triu_indices(half)  # each unordered pair of folded indices once
+    t = squares[lo] + squares[hi]
     amp = (resource.norm_const / _SQRT_PI) * _poisson_sum(resource.coeffs, t)
-    integrand = (amp * amp)[inverse].reshape(axis.size, axis.size)
+    pair = np.empty((half, half), dtype=np.intp)
+    pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
+    fold = np.minimum(np.arange(points), np.arange(points)[::-1])
+    integrand = (amp * amp)[pair[np.ix_(fold, fold)]]
     peak = integrand.max()
     edge = max(
         integrand[0].max(), integrand[-1].max(), integrand[:, 0].max(), integrand[:, -1].max()
@@ -415,10 +359,7 @@ def average_fidelity_sampled(
     n = rng.choice(resource.dim, size=spec.mc_samples, p=pn / pn.sum())
     t = rng.gamma(n + 1.0)
 
-    # F(beta) depends on the outcome only through t:
-    # F = N^2 [sum k_n pois_n(t)]^2 / sum p_n pois_n(t).
-    amp, density = _poisson_sum(np.vstack([resource.coeffs, pn]), t)
-    fid = resource.norm_const**2 * amp**2 / density
+    fid = _outcome_fidelity(resource, t)
     estimate = float(np.mean(fid))
     std_error = float(np.std(fid, ddof=1) / math.sqrt(fid.size))
     return estimate, std_error
@@ -432,28 +373,6 @@ def twb_average_fidelity_closed(params: TwbParams) -> float:
     in the infinite-squeezing limit.
     """
     return 0.5 * (1.0 + params.chi)
-
-
-@dataclass(frozen=True)
-class GainScanResult:
-    """Average fidelity along a gain grid, with the best grid point."""
-
-    points: list[tuple[float, float]]
-    best_gain: float
-    best_fidelity: float
-
-
-def gain_scan(params: TwbParams, p: int, g_grid) -> GainScanResult:
-    """Average fidelity of the amplified resource for each gain in g_grid."""
-    g_grid = [float(g) for g in g_grid]
-    if not g_grid or any(g < 1.0 for g in g_grid) or sorted(g_grid) != g_grid:
-        raise ValidationError("g_grid must be ascending with entries >= 1")
-    points = []
-    for g in g_grid:
-        state, _ = make_amplified_twb(params, NlaConfig(gain=g, threshold=p))
-        points.append((g, average_fidelity_series(state)))
-    best_gain, best_fidelity = max(points, key=lambda gf: gf[1])
-    return GainScanResult(points=points, best_gain=best_gain, best_fidelity=best_fidelity)
 
 
 def classify_fidelity(fbar: float) -> str:
@@ -470,47 +389,3 @@ def classify_fidelity(fbar: float) -> str:
     if fbar <= 2.0 / 3.0:
         return "nonlocal"
     return "secure"
-
-
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Where amplification stops helping the average fidelity.
-
-    chi_c2: first grid point where the amplified resource falls below the
-        plain twin-beam (None when it never does).
-    secure_only: maximal grid interval where only the amplified resource
-        exceeds the 2/3 security boundary (None when empty).
-    """
-
-    chi_c2: float | None
-    secure_only: tuple[float, float] | None
-
-
-def crossover_find(p: int, g: float, chi_grid) -> CrossoverReport:
-    """Scan a chi grid for the fidelity crossover and the secure-only window."""
-    chi_grid = [float(c) for c in chi_grid]
-    if not chi_grid or sorted(chi_grid) != chi_grid:
-        raise ValidationError("chi_grid must be ascending")
-    if chi_grid[0] <= 0.0 or chi_grid[-1] >= 1.0:
-        raise ValidationError("chi_grid must lie inside (0, 1)")
-    nla = NlaConfig(gain=g, threshold=p)
-    secure_bound = 2.0 / 3.0
-    chi_c2 = None
-    runs: list[list[int]] = []
-    for i, chi in enumerate(chi_grid):
-        params = TwbParams(chi)
-        # same estimator on both sides, so shared truncation error cancels
-        f_amp = average_fidelity_series(make_amplified_twb(params, nla)[0])
-        f_twb = average_fidelity_series(make_twb(params))
-        if chi_c2 is None and f_amp < f_twb - 1e-9:
-            chi_c2 = chi
-        if f_amp > secure_bound >= f_twb:
-            if runs and runs[-1][-1] == i - 1:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
-    secure_only = None
-    if runs:
-        best = max(runs, key=len)
-        secure_only = (chi_grid[best[0]], chi_grid[best[-1]])
-    return CrossoverReport(chi_c2=chi_c2, secure_only=secure_only)

@@ -4,10 +4,12 @@ Oracles here are deliberately independent of the package fast paths:
 brute-force partial sums, dense ladder-operator algebra, explicit grids.
 """
 
+import csv
 import decimal
 import json
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -22,7 +24,7 @@ from cvteleport import (
     make_photon_subtracted_twb,
     make_twb,
 )
-from cvteleport.cli import RowBlock
+from cvteleport.cli import RowBlock, figure_data
 
 # Tight truncation for tests whose tolerances (1e-9..1e-10) sit below the
 # default 1e-12 tail once amplified by moment cancellations.
@@ -128,6 +130,17 @@ def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
         return d_overlap * norm - overlap * d_norm
 
     return brentq(slope, g_lo, g_hi, xtol=1e-14, rtol=1e-14)
+
+
+def fig6_fidelities(directory) -> dict:
+    """fig6's average fidelities as {(chi, p): {g: F}}, g ascending, read
+    back from the CSV file figure_data writes into directory."""
+    scans = {}
+    with open(figure_data("fig6", str(Path(directory) / "fig6.csv"))) as fh:
+        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+            scan = scans.setdefault((float(row["chi"]), int(row["p"])), {})
+            scan[float(row["g"])] = float(row["value"])
+    return scans
 
 
 def weighted_geometric_tails(chi: float, power: int) -> list[float]:

@@ -3,8 +3,11 @@
 Everything here recomputes, slowly and from explicit matrices, what the
 Schmidt fast paths evaluate analytically: ladder operators, displacement
 exponentials, amplifier Kraus maps, reduced density matrices, covariance
-matrices and symplectic spectra. Used by the test suite to validate the
-fast paths at small dimension; deliberately simple, not fast.
+matrices and symplectic spectra, and the teleportation output both from
+dense displacements and in the displaced-Fock frame, where the input
+amplitude alpha enters the arithmetic (the package sees an outcome only
+through |alpha - beta|^2). Used by the test suite to validate the fast
+paths at small dimension; deliberately simple, not fast.
 """
 
 import math
@@ -16,9 +19,12 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
-from cvteleport.errors import NumericsError, TruncationWarning
+from cvteleport.errors import NumericsError
 from cvteleport.resources import NlaConfig
-from cvteleport.schmidt import SchmidtState, dense_two_mode
+from cvteleport.schmidt import SchmidtState
+
+# Hard cap on the dense D x D representation (memory guard).
+DENSE_DIM_LIMIT = 2048
 
 # Symplectic form for (x_a, p_a, x_b, p_b).
 OMEGA = np.array(
@@ -29,6 +35,10 @@ OMEGA = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
+
+
+class TruncationWarning(UserWarning):
+    """Probability mass pushed against a Fock-space truncation edge."""
 
 
 @dataclass(frozen=True)
@@ -55,15 +65,17 @@ class DenseTwoModeState:
 def dense_from_schmidt(state: SchmidtState, pad: int = 2) -> DenseTwoModeState:
     """Embed a Schmidt-diagonal state in the dense representation.
 
-    pad extra zero levels keep quadratic ladder products exact at the
-    truncation edge (a a_dag on the last populated level needs one level
-    of headroom per ladder step).
+    M = diag(N k_n), followed by pad zero levels that keep quadratic ladder
+    products exact at the truncation edge (a a_dag on the last populated
+    level needs one level of headroom per ladder step). NumericsError
+    above DENSE_DIM_LIMIT levels.
     """
-    mat = dense_two_mode(state)
-    if pad:
-        full = np.zeros((state.dim + pad, state.dim + pad), dtype=complex)
-        full[: state.dim, : state.dim] = mat
-        mat = full
+    if state.dim > DENSE_DIM_LIMIT:
+        raise NumericsError(
+            f"dense matrix of dim {state.dim} exceeds the {DENSE_DIM_LIMIT} memory guard"
+        )
+    mat = np.zeros((state.dim + pad, state.dim + pad), dtype=complex)
+    mat[range(state.dim), range(state.dim)] = state.norm_const * state.coeffs
     return DenseTwoModeState(amplitudes=mat)
 
 
@@ -233,3 +245,43 @@ def dense_transfer_apply(
     )
     prob = float(np.vdot(out, out).real)
     return out, prob
+
+
+def displaced_overlaps(dim: int, beta: complex, alpha: complex) -> np.ndarray:
+    """<n|D(beta)|alpha> for n = 0..dim-1.
+
+    D(beta)|alpha> = e^((conj(alpha) beta - alpha conj(beta))/2) |alpha + beta>,
+    a phase times a coherent state, so each entry has modulus at most 1.
+    """
+    phase = np.exp((np.conj(alpha) * beta - alpha * np.conj(beta)) / 2.0)
+    return phase * coherent_vector(alpha + beta, dim)
+
+
+def displaced_frame_transfer(
+    resource: SchmidtState, alpha: complex, beta: complex
+) -> tuple[np.ndarray, float]:
+    """Teleportation output T(beta)|alpha> in the displaced-Fock frame.
+
+    The output is D(beta) sum_n c_n |n> with
+    c_n = (N/sqrt(pi)) k_n <n|D(-beta)|alpha>: the final displacement stays
+    symbolic, and alpha and beta enter separately. Returns c and the
+    outcome density p(beta) = |c|^2.
+    """
+    coeffs = (
+        resource.norm_const
+        / math.sqrt(math.pi)
+        * resource.coeffs
+        * displaced_overlaps(resource.dim, -beta, alpha)
+    )
+    return coeffs, float(np.vdot(coeffs, coeffs).real)
+
+
+def displaced_frame_fidelity(resource: SchmidtState, alpha: complex, beta: complex) -> float:
+    """Conditional fidelity |<alpha|T(beta)|alpha>|^2 / p(beta) in the displaced frame.
+
+    <alpha|D(beta)|n> = conj(<n|D(-beta)|alpha>), so the overlap is
+    sum_n c_n conj(<n|D(-beta)|alpha>).
+    """
+    coeffs, prob = displaced_frame_transfer(resource, alpha, beta)
+    amp = np.sum(coeffs * np.conj(displaced_overlaps(resource.dim, -beta, alpha)))
+    return float(abs(amp) ** 2 / prob)

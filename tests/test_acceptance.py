@@ -23,25 +23,24 @@ from cvteleport import (
     average_fidelity_series,
     conditional_fidelity,
     cross_moment,
-    crossover_find,
     entanglement_entropy,
     epr_correlation,
-    gain_scan,
     make_amplified_twb,
     make_twb,
     mean_photon,
     non_gaussianity,
+    schmidt_probabilities,
     success_probability,
-    transfer_apply,
     twb_entropy_closed,
 )
-from cvteleport.cli import SweepSpec, figure_data, run_sweep
+from cvteleport.cli import SweepSpec, figure_data, report_crossover, run_sweep
 from cvteleport.metrics import h_function
-from cvteleport.teleport import _overlap_vector
+from cvteleport.teleport import _poisson_sum
 from helpers import (
     TIGHT,
     brute_success_probability,
     fidelity_matrix,
+    fig6_fidelities,
     nla_fidelity_closed,
     nla_fidelity_peak,
     oracle_matrix,
@@ -53,6 +52,8 @@ from oracle import (
     dense_from_schmidt,
     dense_transfer_apply,
     density_entropy,
+    displaced_frame_fidelity,
+    displaced_frame_transfer,
     reduced_density,
     symplectic_eigenvalues,
 )
@@ -172,14 +173,15 @@ def test_criterion_06_fidelity_estimator_consistency():
 
 
 def test_criterion_07_input_independence():
-    # the average-fidelity estimators take no input amplitude; the
-    # conditional fidelity F(alpha + delta) is where alpha enters
+    # the package sees an outcome only through |alpha - beta|^2; the
+    # oracle's displaced-Fock frame, where alpha and beta enter separately,
+    # is where F(alpha + delta) can depend on alpha
     amplitudes = (0.0, 2.0, 2.0 + 3.0j, -5.0)
     offsets = (0.3, -1.1 + 0.4j, 2.0j)
     worst = 0.0
     for resource in fidelity_matrix(0.5):
         for delta in offsets:
-            values = [conditional_fidelity(resource, a, a + delta) for a in amplitudes]
+            values = [displaced_frame_fidelity(resource, a, a + delta) for a in amplitudes]
             worst = max(worst, max(values) - min(values))
     _report(
         7,
@@ -253,11 +255,10 @@ def test_criterion_10_epr_crossover():
 
 def test_criterion_11_secure_only_window():
     start = time.perf_counter()
-    grid = [round(0.005 * i, 10) for i in range(1, 190)]
-    report = crossover_find(4, 2.0, grid)
+    window = report_crossover(2.0, 4, step=0.005)["secure_only"]
     elapsed = time.perf_counter() - start
-    ok = report.secure_only is not None
-    hi = report.secure_only[1] if ok else float("nan")
+    ok = window is not None
+    hi = window[1] if ok else float("nan")
     ok = ok and abs(hi - 1.0 / 3.0) <= 0.01 and elapsed < 30
     _report(
         11,
@@ -267,32 +268,34 @@ def test_criterion_11_secure_only_window():
     )
 
 
-def test_criterion_12_gain_scan_shapes():
+def test_criterion_12_gain_scan_shapes(tmp_path):
     # The amplitude-gain resource at (chi=0.22, p=2) turns over inside
     # [1, 4]: as g grows, weight leaves |0,0> and |1,1>, and the large-g
     # limit (the twin-beam without those two terms) teleports worse than
     # g = 1. The expected peak therefore comes from the closed form, and
-    # the scan must rise strictly up to it and fall strictly after it.
-    g_grid = [round(1.0 + 0.25 * i, 10) for i in range(13)]
-    low = gain_scan(TwbParams(0.22), 2, g_grid)
-    low_fbars = [f for _, f in low.points]
+    # fig6's scan must rise strictly up to it and fall strictly after it.
+    scans = fig6_fidelities(tmp_path)
+    low = scans[0.22, 2]
+    g_grid, low_fbars = list(low), list(low.values())
     predicted = [nla_fidelity_closed(0.22, g, 2) for g in g_grid]
     peak = predicted.index(max(predicted))
     g_star = nla_fidelity_peak(0.22, 2, 1.0, 4.0)
     rises = all(b > a for a, b in zip(low_fbars[:peak], low_fbars[1 : peak + 1]))
     falls = all(b < a for a, b in zip(low_fbars[peak:], low_fbars[peak + 1 :]))
-    best_at_peak = low.best_gain == g_grid[peak] and abs(g_star - g_grid[peak]) < 0.25
+    best_gain = max(low, key=low.get)
+    best_at_peak = best_gain == g_grid[peak] and abs(g_star - g_grid[peak]) < 0.25
     beats_unit = all(f > low_fbars[0] for f in low_fbars[1:])
-    high = dict(gain_scan(TwbParams(0.8), 2, [1.0, 2.0, 3.0, 4.0]).points)
+    high = scans[0.8, 2]
     weak_best = high[4.0] < high[1.0]
     _report(
         12,
         rises and falls and best_at_peak and beats_unit and weak_best,
-        f"(chi=0.22, p=2) F over g=1..4 step 0.25: "
-        f"[{' '.join(f'{f:.6f}' for f in low_fbars)}]; closed form dF/dg=0 at "
-        f"g*={g_star:.5f}, F(g*)={nla_fidelity_closed(0.22, g_star, 2):.6f}; "
+        f"fig6 (chi=0.22, p=2) over g={g_grid[0]:g}..{g_grid[-1]:g} ({len(g_grid)} gains): "
+        f"F(1)={low[1.0]:.6f}, F({g_grid[peak]:g})={low_fbars[peak]:.6f}, F(4)={low[4.0]:.6f}; "
+        f"closed form dF/dg=0 at g*={g_star:.5f}, "
+        f"F(g*)={nla_fidelity_closed(0.22, g_star, 2):.6f}; "
         f"rises to g={g_grid[peak]:g}: {rises}, falls after: {falls}, "
-        f"best_gain={low.best_gain:g} at predicted peak: {best_at_peak}, "
+        f"best_gain={best_gain:g} at predicted peak: {best_at_peak}, "
         f"all g>1 beat g=1: {beats_unit}; (chi=0.8, p=2) F(1)={high[1.0]:.6f} "
         f"F(4)={high[4.0]:.6f}, F(4) < F(1): {weak_best}",
     )
@@ -338,22 +341,27 @@ def test_criterion_13_oracle_equivalence():
                         )
                     ),
                 )
-    # conditional outputs against the dense transfer operator
+    # outcome density and conditional fidelity, from the kernel at
+    # t = |alpha - beta|^2 and in the displaced-Fock frame, against the
+    # dense transfer operator
     betas = (0.0, 0.8, -0.6 + 0.9j, 1.2j, 0.4 - 0.3j)
     alpha = 0.7 + 0.3j
     for state in (
         make_twb(TwbParams(0.55)),
         make_amplified_twb(TwbParams(0.4), NlaConfig(2.0, 2))[0],
     ):
+        pn = schmidt_probabilities(state)
         for beta in betas:
-            out = transfer_apply(state, alpha, beta)
             dense_out, dense_prob = dense_transfer_apply(state, alpha, beta, 64)
-            worst = max(worst, abs(out.prob_density - dense_prob))
-            fast_amp = np.sum(
-                out.displaced_coeffs * np.conj(_overlap_vector(state.dim, -beta, alpha))
+            dense_fid = abs(np.vdot(coherent_vector(alpha, 64), dense_out)) ** 2 / dense_prob
+            density = float(_poisson_sum(pn, abs(alpha - beta) ** 2)) / np.pi
+            worst = max(
+                worst,
+                abs(density - dense_prob),
+                abs(displaced_frame_transfer(state, alpha, beta)[1] - dense_prob),
+                abs(conditional_fidelity(state, alpha, beta) - dense_fid),
+                abs(displaced_frame_fidelity(state, alpha, beta) - dense_fid),
             )
-            dense_amp_val = np.vdot(coherent_vector(alpha, 64), dense_out)
-            worst = max(worst, abs(abs(fast_amp) ** 2 - abs(dense_amp_val) ** 2))
     _report(
         13,
         worst <= 1e-10,

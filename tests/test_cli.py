@@ -28,12 +28,12 @@ from cvteleport.cli import (
     main,
     report_crossover,
     run_sweep,
+    secure_only_window,
 )
 from cvteleport import (
     BoundaryMassWarning,
     NumericsError,
     TruncationPolicy,
-    TruncationWarning,
     ValidationError,
 )
 from helpers import flatten_blocks, rows_text_reference
@@ -360,6 +360,19 @@ def test_report_crossover_active_amplifier():
     assert report["regions"]["fidelity_improved"][0] == 0.01
 
 
+def test_secure_only_window_takes_the_longest_run():
+    chis = [0.1, 0.2, 0.3, 0.4]
+    low = [0.6] * 4
+    # the longest run, the earliest of equally long ones, or None
+    assert secure_only_window(chis, [0.7, 0.6, 0.7, 0.7], low) == (0.3, 0.4)
+    assert secure_only_window(chis[:3], [0.7, 0.6, 0.7], low[:3]) == (0.1, 0.1)
+    assert secure_only_window(chis, low, low) is None
+    # 2/3 itself is not secure, on either side; both secure is not secure-only
+    assert secure_only_window(chis[:2], [0.7, 0.7], [2 / 3, 0.6]) == (0.1, 0.2)
+    assert secure_only_window(chis[:2], [2 / 3, 0.7], low[:2]) == (0.2, 0.2)
+    assert secure_only_window(chis[:2], [0.7, 0.7], [0.6, 0.7]) == (0.1, 0.1)
+
+
 def test_report_crossover_validates_step():
     with pytest.raises(ValidationError):
         report_crossover(2.0, 4, step=0.0)
@@ -664,9 +677,8 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
             rc = exc.code
     assert rc in (0, 2, 3, 4), (argv, rc, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
-    # the package's own warnings are the only ones a run may raise
-    own = (BoundaryMassWarning, TruncationWarning)
-    stray = [str(w.message) for w in caught if not issubclass(w.category, own)]
+    # the package's own BoundaryMassWarning is the only warning a run may raise
+    stray = [str(w.message) for w in caught if not issubclass(w.category, BoundaryMassWarning)]
     assert not stray, (argv, stray)
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from cvteleport import (
     NlaConfig,
-    TruncationWarning,
+    SchmidtState,
     TwbParams,
+    conditional_fidelity,
     covariance_summary,
     cross_moment,
-    displaced_number_overlap,
     entanglement_entropy,
     epr_correlation,
     make_amplified_twb,
@@ -16,14 +16,15 @@ from cvteleport import (
     non_gaussianity,
     schmidt_probabilities,
     success_probability,
-    transfer_apply,
     twb_entropy_closed,
 )
 from cvteleport.errors import NumericsError
 from cvteleport.metrics import h_function
+from cvteleport.teleport import _poisson_sum
 from helpers import oracle_matrix
 from oracle import (
     LadderMatrices,
+    TruncationWarning,
     apply_kraus_nla,
     coherent_vector,
     covariance_matrix,
@@ -31,6 +32,9 @@ from oracle import (
     dense_from_schmidt,
     dense_transfer_apply,
     density_entropy,
+    displaced_frame_fidelity,
+    displaced_frame_transfer,
+    displaced_overlaps,
     reduced_density,
     symplectic_eigenvalues,
 )
@@ -184,10 +188,9 @@ def test_displaced_overlap_matches_dense_matrix():
     dim = 60
     disp = dense_displacement(beta, dim)
     column = disp @ coherent_vector(alpha, dim)
-    for n in range(dim // 2):
-        assert displaced_number_overlap(n, beta, alpha) == pytest.approx(
-            complex(column[n]), abs=1e-8
-        )
+    np.testing.assert_allclose(
+        displaced_overlaps(dim // 2, beta, alpha), column[: dim // 2], rtol=0, atol=1e-8
+    )
 
 
 def test_metrics_fast_paths_match_dense():
@@ -212,14 +215,48 @@ def test_transfer_fast_path_matches_dense():
     betas = [0.0, 0.8, -0.6 + 0.9j, 1.2j, 0.4 - 0.3j]
     state = make_amplified_twb(TwbParams(0.5), NlaConfig(2.0, 2))[0]
     alpha = 0.7 + 0.3j
+    pn = schmidt_probabilities(state)
     for beta in betas:
-        out = transfer_apply(state, alpha, beta)
         dense_out, dense_prob = dense_transfer_apply(state, alpha, beta, 64)
-        assert out.prob_density == pytest.approx(dense_prob, abs=1e-10)
-        # compare conditional fidelity numerators as well
-        amp_fast = np.sum(
-            out.displaced_coeffs
-            * np.conj([displaced_number_overlap(n, -beta, alpha) for n in range(state.dim)])
+        dense_fid = abs(np.vdot(coherent_vector(alpha, 64), dense_out)) ** 2 / dense_prob
+        # the kernel, from |alpha - beta|^2 alone
+        density = float(_poisson_sum(pn, abs(alpha - beta) ** 2)) / np.pi
+        assert density == pytest.approx(dense_prob, abs=1e-10)
+        assert conditional_fidelity(state, alpha, beta) == pytest.approx(dense_fid, abs=1e-10)
+        # the displaced-Fock frame
+        assert displaced_frame_transfer(state, alpha, beta)[1] == pytest.approx(
+            dense_prob, abs=1e-10
         )
-        amp_dense = np.vdot(coherent_vector(alpha, 64), dense_out)
-        assert abs(amp_fast) ** 2 == pytest.approx(abs(amp_dense) ** 2, abs=1e-10)
+        assert displaced_frame_fidelity(state, alpha, beta) == pytest.approx(
+            dense_fid, abs=1e-10
+        )
+
+
+def test_dense_from_schmidt_single_term():
+    vac = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0)
+    np.testing.assert_array_equal(
+        dense_from_schmidt(vac, pad=0).amplitudes, np.array([[1.0 + 0j]])
+    )
+
+
+def test_dense_from_schmidt_twb_diagonal():
+    chi = 0.6
+    state = make_twb(TwbParams(chi))
+    mat = dense_from_schmidt(state).amplitudes
+    n = np.arange(state.dim)
+    np.testing.assert_allclose(
+        np.diag(mat)[: state.dim].real, np.sqrt(1 - chi**2) * chi**n, rtol=1e-14
+    )
+    off = mat - np.diag(np.diag(mat))
+    assert np.all(off == 0)
+    assert np.all(np.diag(mat)[state.dim :] == 0)
+    fro2 = np.linalg.norm(mat) ** 2
+    assert 1.0 - state.tail_bound - 1e-12 <= fro2 <= 1.0 + 1e-12
+
+
+def test_dense_from_schmidt_memory_guard():
+    big = SchmidtState(
+        coeffs=np.ones(4096) / 64.0, norm_const=1.0, tail_bound=0.0, label="flat"
+    )
+    with pytest.raises(NumericsError):
+        dense_from_schmidt(big)

@@ -8,7 +8,6 @@ from cvteleport import (
     TruncationPolicy,
     TwbParams,
     ValidationError,
-    dense_two_mode,
     make_amplified_twb,
     make_twb,
     required_dimension,
@@ -84,31 +83,6 @@ def test_required_dimension_rejects_bad_chi():
     for chi in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValidationError):
             required_dimension(chi, TruncationPolicy())
-
-
-def test_dense_two_mode_single_term():
-    vac = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0)
-    np.testing.assert_array_equal(dense_two_mode(vac), np.array([[1.0 + 0j]]))
-
-
-def test_dense_two_mode_twb_diagonal():
-    chi = 0.6
-    state = make_twb(TwbParams(chi))
-    mat = dense_two_mode(state)
-    n = np.arange(state.dim)
-    np.testing.assert_allclose(np.diag(mat).real, np.sqrt(1 - chi**2) * chi**n, rtol=1e-14)
-    off = mat - np.diag(np.diag(mat))
-    assert np.all(off == 0)
-    fro2 = np.linalg.norm(mat) ** 2
-    assert 1.0 - state.tail_bound - 1e-12 <= fro2 <= 1.0 + 1e-12
-
-
-def test_dense_two_mode_memory_guard():
-    big = SchmidtState(
-        coeffs=np.ones(4096) / 64.0, norm_const=1.0, tail_bound=0.0, label="flat"
-    )
-    with pytest.raises(NumericsError):
-        dense_two_mode(big)
 
 
 def test_truncation_monotonicity():

@@ -14,7 +14,6 @@ from cvteleport import (
     QuadratureSpec,
     SchmidtState,
     TruncationPolicy,
-    TruncationWarning,
     TwbParams,
     ValidationError,
     average_fidelity_grid2d,
@@ -23,59 +22,52 @@ from cvteleport import (
     average_fidelity_series,
     classify_fidelity,
     conditional_fidelity,
-    crossover_find,
-    displaced_number_overlap,
-    gain_scan,
     make_added_then_subtracted_twb,
     make_amplified_twb,
     make_photon_subtracted_twb,
     make_twb,
-    outcome_probability,
     schmidt_probabilities,
-    transfer_apply,
     twb_average_fidelity_closed,
 )
 import cvteleport.teleport as teleport_module
-from cvteleport.cli import _round12
-from cvteleport.teleport import _overlap_vector, _poisson_sum
+from cvteleport.cli import _round12, report_crossover
+from cvteleport.teleport import _poisson_sum
 from helpers import (
     TIGHT,
     fidelity_matrix,
+    fig6_fidelities,
     nla_fidelity_closed,
     poisson_sum_reference,
     series_fidelity_direct,
 )
+from oracle import displaced_frame_fidelity, displaced_frame_transfer, displaced_overlaps
 
 VACUUM = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0, label="vacuum")
 
 
 # ---------------------------------------------------------------------------
-# displaced number overlaps
+# displaced number overlaps <n|D(beta)|alpha>, as the oracle computes them
 
 
 def test_overlap_vacuum_coherent():
     for beta in (0.3, 1.2 - 0.7j):
-        assert displaced_number_overlap(0, beta, 0.0) == pytest.approx(
+        assert displaced_overlaps(1, beta, 0.0)[0] == pytest.approx(
             math.exp(-abs(beta) ** 2 / 2), abs=1e-14
         )
 
 
 def test_overlap_no_displacement_is_coherent_expansion():
     alpha = 0.8 + 0.4j
+    overlaps = displaced_overlaps(6, 0.0, alpha)
     for n in range(6):
         expected = (
             cmath.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n))
         )
-        assert displaced_number_overlap(n, 0.0, alpha) == pytest.approx(expected, abs=1e-14)
+        assert overlaps[n] == pytest.approx(expected, abs=1e-14)
 
 
 def test_overlap_frozen_value():
-    assert displaced_number_overlap(1, 1.0, 1.0) == pytest.approx(2 * math.exp(-2), abs=1e-14)
-
-
-def test_overlap_rejects_negative_n():
-    with pytest.raises(ValidationError):
-        displaced_number_overlap(-1, 0.0, 0.0)
+    assert displaced_overlaps(2, 1.0, 1.0)[1] == pytest.approx(2 * math.exp(-2), abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,25 +82,26 @@ def test_overlap_unitarity(ar, ai, br, bi):
     # displaced coherent state has mean photon |alpha+beta|^2; dim sized so
     # the Poisson tail is negligible
     dim = int(40 + 8 * abs(alpha + beta) ** 2)
-    vec = _overlap_vector(dim, beta, alpha)
+    vec = displaced_overlaps(dim, beta, alpha)
     assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.abs(vec) <= 1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# conditional outputs
+# conditional outputs: the oracle's displaced-Fock frame, and the kernel's
+# outcome density p(beta) = (1/pi) sum_n p_n pois_n(|alpha - beta|^2)
 
 
 def test_transfer_apply_twb_output_is_attenuated_displaced_coherent():
     chi, alpha, beta = 0.6, 1.2 + 0.5j, 0.4 - 0.9j
     resource = make_twb(TwbParams(chi), TIGHT)
-    out = transfer_apply(resource, alpha, beta)
+    coeffs, prob = displaced_frame_transfer(resource, alpha, beta)
     gamma = beta + chi * (alpha - beta)
     # fidelity of the normalized output with |gamma>: overlap in the
     # displaced frame via <gamma|D(beta)|n> = conj(<n|D(-beta)|gamma>)
-    d = _overlap_vector(resource.dim, -beta, gamma)
-    overlap = np.sum(out.displaced_coeffs * np.conj(d))
-    fid = abs(overlap) ** 2 / out.prob_density
+    d = displaced_overlaps(resource.dim, -beta, gamma)
+    overlap = np.sum(coeffs * np.conj(d))
+    fid = abs(overlap) ** 2 / prob
     assert fid == pytest.approx(1.0, abs=1e-10)
 
 
@@ -119,30 +112,23 @@ def test_transfer_apply_at_matched_outcome_returns_input():
 
 def test_transfer_apply_vacuum_resource_is_measure_and_prepare():
     beta = 0.8 + 0.3j
-    out = transfer_apply(VACUUM, 2.0, beta)
+    coeffs, prob = displaced_frame_transfer(VACUUM, 2.0, beta)
     # only n=0 survives: normalized output is the coherent state |beta>
-    assert out.displaced_coeffs.size == 1
-    d = _overlap_vector(1, -beta, beta)
-    fid = abs(out.displaced_coeffs[0] * np.conj(d[0])) ** 2 / out.prob_density
+    assert coeffs.size == 1
+    d = displaced_overlaps(1, -beta, beta)
+    fid = abs(coeffs[0] * np.conj(d[0])) ** 2 / prob
     assert fid == pytest.approx(1.0, abs=1e-12)
-
-
-def test_transfer_apply_warns_when_outcome_exceeds_truncation():
-    resource = make_twb(TwbParams(0.6))
-    with pytest.warns(TruncationWarning):
-        transfer_apply(resource, 0.0, 6.5)
 
 
 def test_outcome_probability_twb_closed_form():
     chi = 0.6
     resource = make_twb(TwbParams(chi), TIGHT)
+    pn = schmidt_probabilities(resource)
     for alpha, beta in ((1.0, 1.0), (2.0, 1.0 + 1.0j), (0.5j, -0.5)):
-        out = transfer_apply(resource, alpha, beta)
+        density = float(_poisson_sum(pn, abs(alpha - beta) ** 2)) / math.pi
         expected = (1 - chi**2) / math.pi * math.exp(-(1 - chi**2) * abs(alpha - beta) ** 2)
-        assert outcome_probability(out) == pytest.approx(expected, rel=1e-10)
-    assert outcome_probability(
-        transfer_apply(resource, 1.0, 1.0)
-    ) == pytest.approx(0.64 / math.pi, rel=1e-10)
+        assert density == pytest.approx(expected, rel=1e-10)
+    assert float(_poisson_sum(pn, 0.0)) / math.pi == pytest.approx(0.64 / math.pi, rel=1e-10)
 
 
 def test_outcome_probability_normalizes_per_resource():
@@ -162,7 +148,7 @@ def test_mixture_density_agrees_with_transfer_apply():
     alpha = 1.0 + 0.5j
     pn = (resource.norm_const * resource.coeffs) ** 2
     for beta in (0.2, 1.4 - 0.3j, -0.7j):
-        direct = outcome_probability(transfer_apply(resource, alpha, beta))
+        _, direct = displaced_frame_transfer(resource, alpha, beta)
         mixture = float(_poisson_sum(pn, abs(alpha - beta) ** 2)) / math.pi
         assert direct == pytest.approx(mixture, rel=1e-12)
 
@@ -237,7 +223,18 @@ def test_conditional_fidelity_rejects_vanishing_density():
         conditional_fidelity(VACUUM, 0.0, 30.0)
 
 
-@settings(max_examples=40, deadline=None)
+def test_conditional_fidelity_past_the_kernel_rescale():
+    # D = 915: from t of about 690 on, the kernel rescales its Horner sums
+    chi = 0.985
+    resource = make_twb(TwbParams(chi))
+    alpha = 1.0 - 2.0j
+    for t in (100.0, 400.0, 750.0):
+        beta = alpha + math.sqrt(t) * cmath.exp(0.7j)
+        expected = math.exp(-((1 - chi) ** 2) * t)
+        assert abs(conditional_fidelity(resource, alpha, beta) - expected) <= 1e-9, t
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
 @given(
     chi=st.floats(min_value=0.05, max_value=0.85),
     g=st.floats(min_value=1.0, max_value=4.0),
@@ -247,16 +244,17 @@ def test_conditional_fidelity_rejects_vanishing_density():
 )
 def test_conditional_fidelity_bounds(chi, g, ar, br, bi):
     resource = make_amplified_twb(TwbParams(chi), NlaConfig(g, 2), TIGHT)[0]
-    fid = conditional_fidelity(resource, complex(ar, 0.3), complex(br, bi))
+    alpha, beta = complex(ar, 0.3), complex(br, bi)
+    fid = conditional_fidelity(resource, alpha, beta)
     assert 0.0 <= fid <= 1.0
+    # the kernel sees |alpha - beta|^2 alone; the oracle's frame, alpha and beta
+    assert abs(fid - displaced_frame_fidelity(resource, alpha, beta)) <= 1e-10
 
 
 def test_amplitude_guard():
-    with pytest.raises(ValidationError):
-        transfer_apply(VACUUM, 51.0, 0.0)
     for alpha, beta in ((51.0, 0.0), (0.0, float("nan")), (complex("inf"), 0.0)):
         with pytest.raises(ValidationError):
-            displaced_number_overlap(3, beta, alpha)
+            conditional_fidelity(VACUUM, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -521,29 +519,19 @@ def test_nla_fidelity_closed_matches_series():
 # scans, classification, crossovers
 
 
-def test_gain_scan_low_energy_prefers_strong_gain():
-    result = gain_scan(TwbParams(0.22), 2, [1.0 + 0.25 * i for i in range(13)])
-    fbars = [f for _, f in result.points]
+def test_gain_scan_low_energy_prefers_strong_gain(tmp_path):
+    scan = fig6_fidelities(tmp_path)[0.22, 2]
+    fbars = list(scan.values())
     # every amplified point beats the unamplified protocol, and the optimum
-    # sits at strong gain (the curve peaks near g = 3.5, then dips slightly)
+    # sits at strong gain (the curve peaks near g = 3.43, then dips slightly)
     assert all(f > fbars[0] for f in fbars[1:])
-    assert result.best_gain >= 3.0
-    assert result.points[0][1] == pytest.approx(
-        twb_average_fidelity_closed(TwbParams(0.22)), abs=1e-8
-    )
+    assert max(scan, key=scan.get) >= 3.0
+    assert scan[1.0] == pytest.approx(twb_average_fidelity_closed(TwbParams(0.22)), abs=1e-8)
 
 
-def test_gain_scan_high_energy_prefers_weak_gain():
-    result = gain_scan(TwbParams(0.8), 2, [1.0, 2.0, 3.0, 4.0])
-    fbars = dict(result.points)
-    assert fbars[4.0] < fbars[1.0]
-
-
-def test_gain_scan_validates_grid():
-    with pytest.raises(ValidationError):
-        gain_scan(TwbParams(0.5), 2, [2.0, 1.0])
-    with pytest.raises(ValidationError):
-        gain_scan(TwbParams(0.5), 2, [])
+def test_gain_scan_high_energy_prefers_weak_gain(tmp_path):
+    scan = fig6_fidelities(tmp_path)[0.8, 2]
+    assert scan[4.0] < scan[1.0]
 
 
 def test_classify_fidelity():
@@ -557,33 +545,28 @@ def test_classify_fidelity():
 
 
 def test_crossover_unit_gain_has_none():
-    grid = [round(0.05 + 0.05 * i, 10) for i in range(18)]
-    report = crossover_find(2, 1.0, grid)
-    assert report.chi_c2 is None
-    assert report.secure_only is None
+    report = report_crossover(1.0, 2, step=0.05)
+    assert report["chi_c2"] is None
+    assert report["secure_only"] is None
 
 
 def test_crossover_secure_window_edges():
-    grid = [round(0.005 + 0.005 * i, 10) for i in range(189)]
-    report = crossover_find(4, 2.0, grid)
-    assert report.chi_c2 is not None
-    assert report.secure_only is not None
-    lo, hi = report.secure_only
+    report = report_crossover(2.0, 4)
+    assert report["chi_c2"] is not None
+    assert report["secure_only"] is not None
+    lo, hi = report["secure_only"]
     assert lo < hi
     assert abs(hi - 1.0 / 3.0) <= 0.01
 
 
 def test_crossover_moves_down_with_gain():
-    grid = [round(0.005 + 0.005 * i, 10) for i in range(189)]
-    weak = crossover_find(4, 2.0, grid)
-    strong = crossover_find(4, 4.0, grid)
-    assert strong.chi_c2 < weak.chi_c2
+    weak = report_crossover(2.0, 4)
+    strong = report_crossover(4.0, 4)
+    assert strong["chi_c2"] < weak["chi_c2"]
 
 
 def test_crossover_validates_grid():
-    with pytest.raises(ValidationError):
-        crossover_find(2, 2.0, [])
-    with pytest.raises(ValidationError):
-        crossover_find(2, 2.0, [0.5, 0.4])
-    with pytest.raises(ValidationError):
-        crossover_find(2, 2.0, [0.5, 1.2])
+    # the grid is step, 2 step, ... up to 0.95, for a step in (0, 0.5)
+    for step in (0.0, -0.005, 0.5, float("nan")):
+        with pytest.raises(ValidationError):
+            report_crossover(2.0, 4, step=step)
