@@ -439,23 +439,16 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     exceeds the standard one; chi_c2 the first where the amplified average
     fidelity falls below the standard one; secure_only is the window where
     only the amplified resource beats the 2/3 boundary. Each (amplified,
-    twin-beam) pair is built once; EPR is evaluated until chi_c1 is found.
+    twin-beam) pair is built once.
     """
     chis = figure_grid(step)
-    nla = NlaConfig(gain=g, threshold=p)
-    policy = TruncationPolicy()
-    chi_c1 = chi_c2 = None
-    amplified, standard = [], []
-    for chi in chis:
-        params = TwbParams(chi)
-        amp, twb = make_amplified_twb(params, nla, policy)[0], make_twb(params, policy)
-        if chi_c1 is None and epr_correlation(amp) > epr_correlation(twb) + 1e-9:
-            chi_c1 = chi
-        # same estimator on both sides, so shared truncation error cancels
-        amplified.append(average_fidelity_series(amp))
-        standard.append(average_fidelity_series(twb))
-        if chi_c2 is None and amplified[-1] < standard[-1] - 1e-9:
-            chi_c2 = chi
+    nla = NlaConfig(gain=g, threshold=p)  # checked before _metric_blocks reads it
+    configs = (("amplified", nla.gain, nla.threshold), ("twb", 1.0, 0))
+    blocks = _metric_blocks(("epr", "fbar"), configs, chis, TruncationPolicy())
+    epr_amp, epr_std, amplified, standard = (block.value for block in blocks)
+    chi_c1 = next((c for c, a, s in zip(chis, epr_amp, epr_std) if a > s + 1e-9), None)
+    # same estimator on both sides, so shared truncation error cancels
+    chi_c2 = next((c for c, a, s in zip(chis, amplified, standard) if a < s - 1e-9), None)
     window = secure_only_window(chis, amplified, standard)
 
     def region(chi_c):

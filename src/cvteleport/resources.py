@@ -24,7 +24,6 @@ from .schmidt import (
     SchmidtState,
     TruncationPolicy,
     _geometric_dimension,
-    required_dimension,
 )
 
 
@@ -63,14 +62,7 @@ class NlaConfig:
 
 def make_twb(params: TwbParams, policy: TruncationPolicy = DEFAULT_POLICY) -> SchmidtState:
     """Truncated twin-beam with k_n = chi^n and N = sqrt(1 - chi^2)."""
-    chi = params.chi
-    dim = required_dimension(chi, policy)
-    return SchmidtState(
-        coeffs=chi ** np.arange(dim),
-        norm_const=math.sqrt(1.0 - chi * chi),
-        tail_bound=chi ** (2 * dim),
-        label=f"twb chi={chi:g}",
-    )
+    return _ladder_state(params.chi, 0, policy, f"twb chi={params.chi:g}")
 
 
 def success_probability(params: TwbParams, nla: NlaConfig) -> float:
@@ -111,16 +103,7 @@ def make_amplified_twb(
             f"success probability underflows the tail budget at chi={chi}, g={g}, p={p}: "
             f"epsilon * {prob:g} = 0"
         )
-    dim = _geometric_dimension(chi, policy.epsilon * prob, p + 1, policy.max_dim)
-    n = np.arange(dim)
-    coeffs = g ** np.minimum(n - float(p), 0.0) * chi**n
-    state = SchmidtState(
-        coeffs=coeffs,
-        norm_const=math.sqrt((1.0 - chi * chi) / prob),
-        tail_bound=chi ** (2 * dim) / prob,
-        label=f"nla g={g:g} p={p} chi={chi:g}",
-    )
-    return state, prob
+    return _ladder_state(chi, 0, policy, f"nla g={g:g} p={p} chi={chi:g}", nla, prob), prob
 
 
 def make_photon_subtracted_twb(
@@ -131,7 +114,7 @@ def make_photon_subtracted_twb(
     Applying the two annihilation operators to the twin-beam and
     renormalizing yields k_n proportional to (n+1) chi^n.
     """
-    return _weighted_geometric_state(params.chi, 1, policy, f"photsub chi={params.chi:g}")
+    return _ladder_state(params.chi, 1, policy, f"photsub chi={params.chi:g}")
 
 
 def make_added_then_subtracted_twb(
@@ -142,50 +125,71 @@ def make_added_then_subtracted_twb(
     The creation pair followed by the annihilation pair weights the ladder
     by (n+1)^2, so k_n is proportional to (n+1)^2 chi^n.
     """
-    return _weighted_geometric_state(params.chi, 2, policy, f"addsub chi={params.chi:g}")
+    return _ladder_state(params.chi, 2, policy, f"addsub chi={params.chi:g}")
 
 
 # Eulerian polynomials A_j, ascending: sum_{m>=0} m^j x^m = x^[j>0] A_j(x) / (1-x)^(j+1)
 _EULERIAN = ((1.0,), (1.0,), (1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 11.0, 11.0, 1.0))
 
 
-def _weighted_geometric_state(
-    chi: float, power: int, policy: TruncationPolicy, label: str
+def _eulerian(j: int, x: float) -> float:
+    return sum(a * x**i for i, a in enumerate(_EULERIAN[j]))
+
+
+def _ladder_state(
+    chi: float,
+    power: int,
+    policy: TruncationPolicy,
+    label: str,
+    nla: NlaConfig | None = None,
+    prob: float = 1.0,
 ) -> SchmidtState:
-    """State with k_n = (n+1)^power chi^n, truncated and normalized.
+    """State with k_n = h_n (n+1)^power chi^n, truncated and normalized in closed form.
 
-    With x = chi^2 and k = 2*power the squared-coefficient tail is, in
-    closed form, T(D) = sum_{n>=D} (n+1)^k x^n = x^D F(D) with
-    F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m, a sum of positive
-    terms. D is the smallest dimension with T(D) <= epsilon * T(0); a
-    state that needs more than policy.max_dim raises NumericsError.
+    h_n = g^min(n-p, 0) under the amplifier nla (with power 0), else 1, and
+    prob is its heralding probability. With x = chi^2 and k = 2*power,
+    sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1), whose inverse is N^2.
+    D starts from the geometric bound x^D <= epsilon * prob, D > p. For
+    power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
+    F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive
+    terms, and D rises until x^D F(D)/F(0) <= epsilon. A state that needs
+    more than policy.max_dim levels raises NumericsError.
     """
-    k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
-    one_minus_x = (1.0 - chi) * (1.0 + chi)
-    c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
-        math.comb(k, j) * (x if j else 1.0) * sum(a * x**i for i, a in enumerate(_EULERIAN[j]))
-        / one_minus_x ** (j + 1) for j in range(k + 1)
-    ]
+    k, x = 2 * power, chi * chi
+    # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
+    # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
+    one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
+    p = nla.threshold if nla else 0
+    dim = _geometric_dimension(chi, policy.epsilon * prob, p + 1, policy.max_dim)
+    tail, weight = chi ** (2 * dim), 1.0  # weight = A_k(x) / (1-x)^k
+    if power:
+        log_x, weight = 2.0 * math.log(chi), _eulerian(k, x) / one_minus_x**k
+        c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
+            math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
+            for j in range(k + 1)
+        ]
 
-    def log_factor(d: int) -> float:  # ln F(d)
-        return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
+        def log_factor(d: int) -> float:  # ln F(d)
+            return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
 
-    log_total = log_factor(0)
-    log_budget = math.log(policy.epsilon) + log_total  # ln(epsilon * T(0))
-    # T(D) >= x^D T(0), so ceil(ln epsilon / ln x) is a lower bound on D;
-    # every step below stays a lower bound and moves up until the tail passes
-    dim = math.ceil(math.log(policy.epsilon) / log_x)
-    while dim <= policy.max_dim:
-        log_f = log_factor(dim)
-        if dim * log_x + log_f <= log_budget:
-            break
-        dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
-    else:
-        raise NumericsError(f"{label} needs over max_dim={policy.max_dim} levels")
+        log_total = log_factor(0)
+        log_budget = math.log(policy.epsilon * prob) + log_total
+        # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
+        # it one and moves up until the tail passes
+        while dim * log_x + (log_f := log_factor(dim)) > log_budget:
+            dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
+            if dim > policy.max_dim:
+                raise NumericsError(f"{label} needs over max_dim={policy.max_dim} levels")
+        tail = math.exp(dim * log_x + log_f - log_total)  # x^D F(D)/F(0), in log space
     n = np.arange(dim)
+    coeffs = chi**n
+    if power:
+        coeffs = (n + 1.0) ** power * coeffs
+    if nla:
+        coeffs = nla.gain ** np.minimum(n - float(p), 0.0) * coeffs
     return SchmidtState(
-        coeffs=(n + 1.0) ** power * chi**n,
-        norm_const=1.0 / math.sqrt(np.cumsum((n + 1.0) ** k * x**n)[-1]),
-        tail_bound=math.exp(dim * log_x + log_f - log_total),
+        coeffs=coeffs,
+        norm_const=math.sqrt(one_minus_x / (prob * weight)),
+        tail_bound=tail / prob,
         label=label,
     )

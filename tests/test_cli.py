@@ -711,6 +711,14 @@ def test_main_psucc_sweep_refuses_threshold_above_max_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resource", ["subtracted", "added-subtracted"])
+def test_main_weighted_state_at_subnormal_epsilon_exits_0(resource, capsys):
+    # the weighted tail search runs in log space, so a subnormal budget stays finite
+    argv = ["metrics", "--resource", resource, "--chi", "0.05", "--epsilon", "1e-320"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] > 0
+
+
 def test_main_subnormal_epsilon_exits_3(capsys):
     # epsilon * psucc underflows to 0, whose log raised a raw ValueError
     argv = ["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "2", "--epsilon", "5e-324"]

@@ -227,7 +227,7 @@ def test_success_probability_closed_form_property(chi, g, p):
     assert 0.0 < closed <= 1.0 + 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # hypothesis's default budget here, the ci profile's in CI
 @given(
     chi=st.floats(min_value=0.02, max_value=0.93),
     g=st.floats(min_value=1.0, max_value=6.0),
@@ -235,12 +235,22 @@ def test_success_probability_closed_form_property(chi, g, p):
 )
 def test_constructors_produce_valid_states(chi, g, p):
     policy = TruncationPolicy()
-    for state in (
-        make_twb(TwbParams(chi), policy),
-        make_amplified_twb(TwbParams(chi), NlaConfig(g, p), policy)[0],
-        make_photon_subtracted_twb(TwbParams(chi), policy),
-        make_added_then_subtracted_twb(TwbParams(chi), policy),
+    x = chi * chi
+    amplified, prob = make_amplified_twb(TwbParams(chi), NlaConfig(g, p), policy)
+    # each family's N^2 is the inverse of its untruncated sum_n k_n^2, in closed form
+    for state, norm2 in (
+        (make_twb(TwbParams(chi), policy), 1.0 - x),
+        (amplified, (1.0 - x) / prob),
+        (make_photon_subtracted_twb(TwbParams(chi), policy), (1.0 - x) ** 3 / (1.0 + x)),
+        (
+            make_added_then_subtracted_twb(TwbParams(chi), policy),
+            (1.0 - x) ** 5 / (1.0 + 11.0 * x + 11.0 * x * x + x**3),
+        ),
     ):
         total = schmidt_probabilities(state).sum()
         assert 1.0 - state.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
         assert state.tail_bound <= policy.epsilon * (1 + 1e-9)
+        # so the kept mass and the recorded tail add up to 1
+        kept = state.norm_const**2 * float(np.dot(state.coeffs, state.coeffs))
+        assert abs(kept + state.tail_bound - 1.0) <= 1e-14, state.label
+        assert state.norm_const**2 == pytest.approx(norm2, rel=1e-13, abs=0.0), state.label
