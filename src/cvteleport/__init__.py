@@ -34,7 +34,6 @@ from .schmidt import (
     DEFAULT_POLICY,
     SchmidtState,
     TruncationPolicy,
-    required_dimension,
     schmidt_probabilities,
 )
 from .teleport import (
@@ -80,7 +79,6 @@ __all__ = [
     "mean_photon",
     "metrics_report",
     "non_gaussianity",
-    "required_dimension",
     "schmidt_probabilities",
     "success_probability",
     "twb_average_fidelity_closed",

@@ -130,6 +130,11 @@ class RowBlock(NamedTuple):
 
 
 def _round12(x):
+    """x with every float in it, in dicts, lists and arrays too, kept to 12 significant digits."""
+    if isinstance(x, dict):
+        return {key: _round12(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return list(map(_round12, x))
     if isinstance(x, (float, np.floating)):
         return float(f"{x:.12g}")
     if isinstance(x, np.integer):
@@ -257,6 +262,14 @@ METRICS = {
     "ng": lambda state: non_gaussianity(state),
     "fbar": lambda state: average_fidelity_series(state),
     "fbar_grid2d": lambda state: average_fidelity_grid2d(state),
+}
+
+# --method name -> (average fidelity, standard error or None) of a state under a QuadratureSpec
+ESTIMATORS = {
+    "series": lambda state, quad: (average_fidelity_series(state), None),
+    "radial": lambda state, quad: (average_fidelity_radial(state, quad), None),
+    "grid2d": lambda state, quad: (average_fidelity_grid2d(state, quad), None),
+    "mc": lambda state, quad: average_fidelity_sampled(state, quad),
 }
 
 
@@ -474,7 +487,7 @@ def _policy(args) -> TruncationPolicy:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=1, default=_round12) + "\n"
+    text = json.dumps(_round12(payload), indent=1) + "\n"
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -485,10 +498,10 @@ def _state_payload(state: SchmidtState) -> dict:
     return {
         "label": state.label,
         "dim": state.dim,
-        "norm_const": _round12(state.norm_const),
-        "tail_bound": _round12(state.tail_bound),
-        "mean_photon": _round12(mean_photon(state)),
-        "photon_distribution": [_round12(float(v)) for v in schmidt_probabilities(state)],
+        "norm_const": state.norm_const,
+        "tail_bound": state.tail_bound,
+        "mean_photon": mean_photon(state),
+        "photon_distribution": schmidt_probabilities(state),
     }
 
 
@@ -521,7 +534,7 @@ def _cmd_amplify(args) -> None:
         "chi": args.chi,
         "gain": args.gain,
         "threshold": args.threshold,
-        "success_probability": _round12(psucc),
+        "success_probability": psucc,
         **_state_payload(state),
     }
     _emit(payload, args.out)
@@ -532,35 +545,28 @@ def _cmd_metrics(args) -> None:
     state, _ = _cli_resource(args, _policy(args))
     report = dict(vars(metrics_report(state)))
     probs = report.pop("photon_distribution")
-    payload = {"label": state.label, "chi": args.chi}
-    payload.update((k, _round12(v)) for k, v in report.items())
-    payload.update(dim=state.dim, photon_distribution=[_round12(float(v)) for v in probs])
-    _emit(payload, args.out)
+    payload = {"label": state.label, "chi": args.chi, **report}
+    _emit({**payload, "dim": state.dim, "photon_distribution": probs}, args.out)
 
 
 def _cmd_teleport(args) -> None:
     """Average teleportation fidelity of a resource."""
     state, psucc = _cli_resource(args, _policy(args))
     quad = QuadratureSpec() if args.seed is None else QuadratureSpec(rng_seed=args.seed)
-    fbar, std_error = {
-        "series": lambda: (average_fidelity_series(state), None),
-        "radial": lambda: (average_fidelity_radial(state, quad), None),
-        "grid2d": lambda: (average_fidelity_grid2d(state, quad), None),
-        "mc": lambda: average_fidelity_sampled(state, quad),
-    }[args.method]()
+    fbar, std_error = ESTIMATORS[args.method](state, quad)
     if not 0.0 <= fbar <= 1.0:
         raise NumericsError(f"{args.method} average fidelity {fbar!r} lies outside [0, 1]")
     payload = {
         "label": state.label,
         "chi": args.chi,
         "method": args.method,
-        "average_fidelity": _round12(fbar),
+        "average_fidelity": fbar,
         "classification": classify_fidelity(fbar),
     }
     if psucc is not None:
-        payload["success_probability"] = _round12(psucc)
+        payload["success_probability"] = psucc
     if std_error is not None:
-        payload["std_error"] = _round12(std_error)
+        payload["std_error"] = std_error
     _emit(payload, args.out)
 
 
@@ -643,9 +649,7 @@ _FLAGS = {
         choices=tuple(FAMILIES),
         help="resource family (default: amplified when --gain or --threshold is given, else twb)",
     ),
-    "--method": dict(
-        choices=("series", "radial", "grid2d", "mc"), default="series", help="fidelity estimator"
-    ),
+    "--method": dict(choices=tuple(ESTIMATORS), default="series", help="fidelity estimator"),
     "--epsilon": dict(type=float, help="truncation tail tolerance"),
     "--seed": dict(type=int, help="random seed (Monte Carlo paths)"),
     "--config": dict(help="JSON config file"),

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .schmidt import (
-    DEFAULT_POLICY,
-    SchmidtState,
-    TruncationPolicy,
-    _geometric_dimension,
-)
+from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy
 
 
 @dataclass(frozen=True)
@@ -153,17 +148,17 @@ def _ladder_state(
     power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
     F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive
     terms, and D rises until x^D F(D)/F(0) <= epsilon. A state that needs
-    more than policy.max_dim levels raises NumericsError.
+    more than policy.max_dim levels raises NumericsError, here and nowhere
+    else; the D it names is exact for power 0 and a lower bound otherwise.
     """
-    k, x = 2 * power, chi * chi
+    k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
     # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
     # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
     one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
     p = nla.threshold if nla else 0
-    dim = _geometric_dimension(chi, policy.epsilon * prob, p + 1, policy.max_dim)
-    tail, weight = chi ** (2 * dim), 1.0  # weight = A_k(x) / (1-x)^k
+    dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
+    weight = _eulerian(k, x) / one_minus_x**k  # exactly 1 at power 0
     if power:
-        log_x, weight = 2.0 * math.log(chi), _eulerian(k, x) / one_minus_x**k
         c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
             math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
             for j in range(k + 1)
@@ -175,12 +170,13 @@ def _ladder_state(
         log_total = log_factor(0)
         log_budget = math.log(policy.epsilon * prob) + log_total
         # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
-        # it one and moves up until the tail passes
-        while dim * log_x + (log_f := log_factor(dim)) > log_budget:
+        # it one and moves up until the tail passes or D passes max_dim
+        while dim <= policy.max_dim and dim * log_x + (log_f := log_factor(dim)) > log_budget:
             dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
-            if dim > policy.max_dim:
-                raise NumericsError(f"{label} needs over max_dim={policy.max_dim} levels")
-        tail = math.exp(dim * log_x + log_f - log_total)  # x^D F(D)/F(0), in log space
+    if dim > policy.max_dim:
+        raise NumericsError(f"{label} needs at least {dim} levels, over max_dim={policy.max_dim}")
+    # x^D, or x^D F(D)/F(0) in log space
+    tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
     n = np.arange(dim)
     coeffs = chi**n
     if power:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import ValidationError
 
 # Floating-point grace added on top of declared tail bounds.
 _FLOAT_SLACK = 1e-12
@@ -82,21 +82,3 @@ def schmidt_probabilities(state: SchmidtState) -> np.ndarray:
     """Probabilities p_n = N^2 k_n^2 of finding n photons in either mode."""
     return (state.norm_const * state.coeffs) ** 2
 
-
-def required_dimension(chi: float, policy: TruncationPolicy = DEFAULT_POLICY, p: int = 0) -> int:
-    """Smallest truncation dimension D for a geometric chi^n coefficient tail.
-
-    Picks the smallest D > p with chi^(2D) <= policy.epsilon and raises
-    NumericsError when that D exceeds policy.max_dim.
-    """
-    if not (0.0 < chi < 1.0):
-        raise ValidationError(f"chi must lie in (0, 1), got {chi}")
-    return _geometric_dimension(chi, policy.epsilon, p + 1, policy.max_dim)
-
-
-def _geometric_dimension(chi: float, epsilon: float, min_dim: int, max_dim: int) -> int:
-    # smallest D >= min_dim with chi^(2D) <= epsilon
-    dim = max(min_dim, math.ceil(math.log(epsilon) / (2.0 * math.log(chi))), 1)
-    if dim > max_dim:
-        raise NumericsError(f"chi={chi} needs dimension {dim} > max_dim={max_dim}")
-    return dim

@@ -47,7 +47,7 @@ class QuadratureSpec:
         max(radial_nodes, dim) nodes, so it is exact at every dimension.
     grid_points: points per axis of the 2-d oracle's square outcome grid;
         its half-width is derived from the state (_grid_half_width).
-    mc_samples: Monte Carlo sample count; rng_seed fixes the stream.
+    mc_samples: Monte Carlo sample count, at least 1000; rng_seed fixes the stream.
     """
 
     radial_nodes: int = 200
@@ -56,8 +56,10 @@ class QuadratureSpec:
     rng_seed: int = 12345
 
     def __post_init__(self):
-        if min(self.radial_nodes, self.grid_points, self.mc_samples) < 1:
+        if min(self.radial_nodes, self.grid_points) < 1:
             raise ValidationError("quadrature counts must be positive")
+        if self.mc_samples < 1000:
+            raise ValidationError("mc_samples must be at least 1000")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -351,8 +353,6 @@ def average_fidelity_sampled(
     outcome radius is drawn exactly: n ~ p_n, then t ~ Gamma(n + 1). The
     stream is fully determined by spec.rng_seed.
     """
-    if spec.mc_samples < 1000:
-        raise ValidationError("mc_samples must be at least 1000")
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)
     # renormalised: a truncated state's p_n sum to 1 - tail, which choice may reject

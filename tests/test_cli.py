@@ -465,6 +465,31 @@ def test_main_twb_json_payload(capsys):
     assert payload["photon_distribution"][0] == pytest.approx(0.64, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twb", "--chi", "0.1234567890123456"],
+        ["twb", "--chi", "0.6", "--epsilon", "1e-6"],
+        ["amplify", "--chi", "0.1234567890123456", "--gain", "2.718281828459045",
+         "--threshold", "2"],
+        ["metrics", "--chi", "0.3", "--resource", "added-subtracted"],
+        ["metrics", "--chi", "0.6", "--gain", "3", "--threshold", "4"],
+        ["teleport", "--chi", "0.5", "--gain", "2", "--threshold", "2"],
+        ["teleport", "--chi", "0.3", "--method", "mc", "--seed", "3"],
+        ["crossover", "--gain", "2", "--threshold", "4", "--step", "0.05"],
+    ],
+    ids=["twb-long-chi", "twb", "amplify", "metrics", "metrics-amplified", "teleport",
+         "teleport-mc", "crossover"],
+)
+def test_main_scalar_json_floats_keep_12_digits(argv, capsys):
+    # every float a scalar command prints, echoed inputs included, has 12 significant digits
+    assert main(argv) == 0
+    floats = []
+    json.loads(capsys.readouterr().out, parse_float=lambda text: floats.append(float(text)))
+    assert floats
+    assert all(x == float(f"{x:.12g}") for x in floats)
+
+
 def test_main_amplify_payload(capsys):
     assert main(["amplify", "--chi", "0.6", "--gain", "2", "--threshold", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -683,21 +708,22 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, label",
     [
-        ["teleport", "--chi", "0.999"],
-        ["metrics", "--resource", "subtracted", "--chi", "0.99"],
-        ["twb", "--chi", "0.999"],
-        ["amplify", "--chi", "0.999", "--gain", "2", "--threshold", "2"],
-        ["figure", "fig3", "--step", "0.1", "--epsilon", "1e-300"],
+        (["teleport", "--chi", "0.999"], "twb chi=0.999"),
+        (["metrics", "--resource", "subtracted", "--chi", "0.99"], "photsub chi=0.99"),
+        (["twb", "--chi", "0.999"], "twb chi=0.999"),
+        (["amplify", "--chi", "0.999", "--gain", "2", "--threshold", "2"], "nla g=2 p=2 chi=0.999"),
+        (["figure", "fig3", "--step", "0.1", "--epsilon", "1e-300"], "twb chi=0.8"),
     ],
     ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure"],
 )
-def test_main_state_beyond_max_dim_exits_3(argv, tmp_path, capsys):
-    # a truncated state whose tail needs more than max_dim levels is refused
+def test_main_state_beyond_max_dim_exits_3(argv, label, tmp_path, capsys):
+    # a truncated state whose tail needs more than max_dim levels is refused, by name
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "max_dim" in err and "Traceback" not in err
+    assert f"{label} needs at least" in err and "max_dim=1024" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -25,7 +25,7 @@ from helpers import (
 
 
 def test_params_validation():
-    for chi in (0.0, 1.0, -0.3):
+    for chi in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(ValidationError):
             TwbParams(chi)
     with pytest.raises(ValidationError):

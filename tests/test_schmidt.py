@@ -10,7 +10,6 @@ from cvteleport import (
     ValidationError,
     make_amplified_twb,
     make_twb,
-    required_dimension,
     schmidt_probabilities,
 )
 from cvteleport.errors import NumericsError
@@ -61,28 +60,24 @@ def test_probabilities_unit_gain_matches_twb():
 def test_required_dimension_frozen_values():
     policy = TruncationPolicy(epsilon=1e-12)
     # smallest D with chi^(2D) <= 1e-12, checked by direct power evaluation
-    assert required_dimension(0.6, policy) == 28
+    assert make_twb(TwbParams(0.6), policy).dim == 28
     assert 0.6 ** (2 * 28) <= 1e-12 < 0.6 ** (2 * 27)
-    assert required_dimension(0.95, policy) == 270
+    assert make_twb(TwbParams(0.95), policy).dim == 270
     assert 0.95 ** (2 * 270) <= 1e-12 < 0.95 ** (2 * 269)
 
 
 def test_required_dimension_small_chi_floors_at_threshold():
-    policy = TruncationPolicy()
-    assert required_dimension(1e-8, policy, p=4) == 5
-    assert required_dimension(1e-8, policy, p=0) == 1
+    amplified, _ = make_amplified_twb(TwbParams(1e-8), NlaConfig(gain=2.0, threshold=4))
+    assert amplified.dim == 5
+    assert make_twb(TwbParams(1e-8)).dim == 1
 
 
 def test_required_dimension_refuses_above_max_dim():
     policy = TruncationPolicy(epsilon=1e-12, max_dim=64)
-    with pytest.raises(NumericsError):
-        required_dimension(0.95, policy)
-
-
-def test_required_dimension_rejects_bad_chi():
-    for chi in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValidationError):
-            required_dimension(chi, TruncationPolicy())
+    # one message for every family, naming the state and the D it would need
+    message = "twb chi=0.95 needs at least 270 levels, over max_dim=64"
+    with pytest.raises(NumericsError, match=message):
+        make_twb(TwbParams(0.95), policy)
 
 
 def test_truncation_monotonicity():
