@@ -9,9 +9,6 @@ description of the protocol.
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
 from .metrics import (
-    CovarianceSummary,
-    MetricsReport,
-    covariance_summary,
     cross_moment,
     entanglement_entropy,
     epr_correlation,
@@ -51,9 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryMassWarning",
-    "CovarianceSummary",
     "DEFAULT_POLICY",
-    "MetricsReport",
     "NlaConfig",
     "NumericsError",
     "QuadratureSpec",
@@ -67,7 +62,6 @@ __all__ = [
     "average_fidelity_series",
     "classify_fidelity",
     "conditional_fidelity",
-    "covariance_summary",
     "cross_moment",
     "entanglement_entropy",
     "epr_correlation",

@@ -278,15 +278,14 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
 
     configs are (family, gain, threshold). A scalar metric gives one block
     per config with one row per chi; pdist gives one block per (config, chi)
-    with one row per Fock level. Each (config, chi) state is built once, and
-    not at all when psucc is the only metric; psucc is computed at most
-    once. extra fills the last column of the fidelity rows: None, "tag" (the
-    family's fig5 tag) or "psucc".
+    with one row per Fock level. Each (config, chi) state is built once and
+    psucc is the builder's, but when psucc is the only metric no state is
+    built and psucc is computed alone. extra fills the last column of the
+    fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
-    wants_psucc = "psucc" in groups or (extra == "psucc" and fidelities)
     for family, g, p in configs:
         if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
@@ -296,9 +295,9 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
         psuccs = []
         for chi in chis:
             params = TwbParams(chi)
-            state, psucc = build(params, nla, policy) if stateful else (None, None)
-            if psucc is None and wants_psucc:
-                psucc = success_probability(params, nla)
+            state, psucc = (
+                build(params, nla, policy) if stateful else (None, success_probability(params, nla))
+            )
             psuccs.append(psucc)
             for metric, column in columns.items():
                 column.append(METRICS[metric](state))
@@ -326,6 +325,10 @@ def run_sweep(spec: SweepSpec) -> list[RowBlock]:
     """
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
     chis = chi_grid(*spec.chi_range)
+    if not 0.0 < chis[0] <= chis[-1] < 1.0:  # rounding to 12 decimals can reach 0 or 1
+        raise ValidationError(
+            f"chi range {spec.chi_range} gives grid ends {chis[0]} and {chis[-1]}, outside (0, 1)"
+        )
     blocks = _metric_blocks(tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc")
     _atomic_write(spec.out_path, _rows_text(blocks, spec.format))
     return blocks
@@ -543,7 +546,7 @@ def _cmd_amplify(args) -> None:
 def _cmd_metrics(args) -> None:
     """Entanglement, EPR and non-Gaussianity metrics of a resource."""
     state, _ = _cli_resource(args, _policy(args))
-    report = dict(vars(metrics_report(state)))
+    report = metrics_report(state)
     probs = report.pop("photon_distribution")
     payload = {"label": state.label, "chi": args.chi, **report}
     _emit({**payload, "dim": state.dim, "photon_distribution": probs}, args.out)

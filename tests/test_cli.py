@@ -458,6 +458,22 @@ def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "chi_range",
+    [("1e-300", "0.9", "0.05"), ("0.5", "0.99999999999", "0.25")],
+    ids=["start-rounds-to-0", "stop-rounds-to-1"],
+)
+def test_main_sweep_grid_rounded_onto_an_end_exits_2(chi_range, tmp_path, capsys):
+    # the 12-decimal grid reaches chi = 0 or 1, which the given range excludes
+    start, stop, step = chi_range
+    argv = ["sweep", "--chi-start", start, "--chi-stop", stop, "--chi-step", step]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"({float(start)}, {float(stop)}, {float(step)})" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_twb_json_payload(capsys):
     assert main(["twb", "--chi", "0.6"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from cvteleport import (
     NlaConfig,
+    NumericsError,
     SchmidtState,
     TwbParams,
     ValidationError,
-    covariance_summary,
     cross_moment,
     entanglement_entropy,
     epr_correlation,
@@ -100,14 +100,25 @@ def test_h_function_increasing(x):
 
 
 def test_covariance_summary():
-    vac = covariance_summary(VACUUM)
-    assert (vac.i1, vac.i3, vac.d_plus) == (0.5, 0.0, 0.5)
+    # (1/2 + <n>)^2 - <ab>^2 is the squared symplectic eigenvalue: 1/4 for pure Gaussians
+    def det(state):
+        return (0.5 + mean_photon(state)) ** 2 - cross_moment(state) ** 2
+
+    assert (mean_photon(VACUUM), cross_moment(VACUUM), det(VACUUM)) == (0.0, 0.0, 0.25)
     for chi in (0.2, 0.6, 0.9):
-        s = covariance_summary(make_twb(TwbParams(chi), TIGHT))
-        assert s.d_plus == pytest.approx(0.5, abs=1e-12)
-        # algebraic identity i1^2 - i3^2 = 1/4 for the twin-beam
-        assert s.i1**2 - s.i3**2 == pytest.approx(0.25, abs=1e-12)
-    assert covariance_summary(_amplified(0.6, 2.0, 2)).d_plus > 0.5
+        assert det(make_twb(TwbParams(chi), TIGHT)) == pytest.approx(0.25, abs=1e-12)
+    assert det(_amplified(0.6, 2.0, 2)) > 0.25
+
+
+# k = (10, 1) at N = 1 passes normalization within its tail bound of 101, yet
+# <ab> = 1 exceeds 1/2 + <n> = 0.51: no physical covariance matrix has these moments
+UNPHYSICAL = SchmidtState(coeffs=[10.0, 1.0], norm_const=1.0, tail_bound=101.0)
+
+
+@pytest.mark.parametrize("metric", [epr_correlation, non_gaussianity, metrics_report])
+def test_metrics_refuse_unphysical_moments(metric):
+    with pytest.raises(NumericsError, match="unphysical covariance data"):
+        metric(UNPHYSICAL)
 
 
 def test_non_gaussianity():
@@ -129,28 +140,28 @@ def test_non_gaussianity_single_interior_peak():
 
 def test_metrics_report_vacuum():
     report = metrics_report(VACUUM)
-    assert report.entropy == 0.0
-    assert report.epr == 2.0
-    assert report.non_gaussianity == 0.0
-    assert report.mean_photon == 0.0
-    assert report.cross_moment == 0.0
-    assert report.photon_distribution.tolist() == [1.0]
+    assert report["entropy"] == 0.0
+    assert report["epr"] == 2.0
+    assert report["non_gaussianity"] == 0.0
+    assert report["mean_photon"] == 0.0
+    assert report["cross_moment"] == 0.0
+    assert report["photon_distribution"].tolist() == [1.0]
 
 
 def test_metrics_report_twb():
     report = metrics_report(make_twb(TwbParams(0.6), TIGHT))
-    assert report.entropy == pytest.approx(1.0209659293651590, abs=1e-9)
-    assert report.epr == pytest.approx(0.5, abs=1e-9)
-    assert report.non_gaussianity == pytest.approx(0.0, abs=1e-9)
-    assert report.mean_photon == pytest.approx(0.5625, abs=1e-9)
-    assert report.cross_moment == pytest.approx(0.9375, abs=1e-9)
+    assert report["entropy"] == pytest.approx(1.0209659293651590, abs=1e-9)
+    assert report["epr"] == pytest.approx(0.5, abs=1e-9)
+    assert report["non_gaussianity"] == pytest.approx(0.0, abs=1e-9)
+    assert report["mean_photon"] == pytest.approx(0.5625, abs=1e-9)
+    assert report["cross_moment"] == pytest.approx(0.9375, abs=1e-9)
 
 
 def test_metrics_report_unit_gain_matches_twb():
     twb = metrics_report(make_twb(TwbParams(0.6)))
     amp = metrics_report(make_amplified_twb(TwbParams(0.6), NlaConfig(1.0, 2))[0])
     for name in ("entropy", "epr", "non_gaussianity", "mean_photon", "cross_moment"):
-        assert getattr(amp, name) == pytest.approx(getattr(twb, name), abs=1e-12)
+        assert amp[name] == pytest.approx(twb[name], abs=1e-12)
 
 
 def test_entanglement_dominance_spot():

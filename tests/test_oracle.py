@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from cvteleport import (
     SchmidtState,
     TwbParams,
     conditional_fidelity,
-    covariance_summary,
     cross_moment,
     entanglement_entropy,
     epr_correlation,
@@ -151,7 +152,8 @@ def test_symplectic_degenerate_pair_matches_summary():
     d_plus, d_minus = symplectic_eigenvalues(sigma)
     assert d_plus > 0.5
     assert d_plus == pytest.approx(d_minus, abs=1e-10)
-    assert d_plus == pytest.approx(covariance_summary(state).d_plus, abs=1e-10)
+    i1 = 0.5 + mean_photon(state)
+    assert d_plus == pytest.approx(math.sqrt(i1**2 - cross_moment(state) ** 2), abs=1e-10)
 
 
 def test_quadrature_variance_identity():
