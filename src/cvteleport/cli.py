@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple
 
@@ -48,29 +48,30 @@ from .teleport import (
 
 SWEEP_METRICS = ("entropy", "epr", "ng", "pdist", "fbar", "fbar_grid2d", "psucc")
 
-_SWEEP_DEFAULTS = {
-    "chi_start": 0.05,
-    "chi_stop": 0.9,
-    "chi_step": 0.05,
-    "gains": [1.0, 2.0],
-    "thresholds": [2],
-    "epsilon": 1e-12,
-    "outputs": ["entropy", "epr", "ng", "fbar", "psucc"],
-    "format": "csv",
-    "out": "sweep.csv",
-}
-
-
 # Largest chi grid any command builds; the figure grid at step 0.005 has 190.
 MAX_GRID_POINTS = 100_000
 
 
 def chi_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop (inclusive), rounded to 12 decimals."""
+    """start, start + step, ... up to stop (inclusive), rounded to 12 decimals.
+
+    Refused unless step is positive, 0 < start <= stop < 1, and the rounded
+    grid has at most MAX_GRID_POINTS points, all distinct and inside (0, 1).
+    """
+    given = f"chi range ({start}, {stop}, {step})"
+    if not step > 0:
+        raise ValidationError(f"{given}: the step must be positive")
+    if not 0.0 < start <= stop < 1.0:
+        raise ValidationError(f"{given} must lie inside (0, 1)")
     spans = (stop - start) / step + 1e-9
     if spans >= MAX_GRID_POINTS:
-        raise ValidationError(f"chi step {step} gives over {MAX_GRID_POINTS} grid points")
-    return [round(start + i * step, 12) for i in range(math.floor(spans) + 1)]
+        raise ValidationError(f"{given} gives over {MAX_GRID_POINTS} grid points")
+    grid = [round(start + i * step, 12) for i in range(math.floor(spans) + 1)]
+    if not 0.0 < grid[0] <= grid[-1] < 1.0:  # rounding to 12 decimals can reach 0 or 1
+        raise ValidationError(f"{given} gives grid ends {grid[0]} and {grid[-1]}, outside (0, 1)")
+    if len(set(grid)) < len(grid):  # a step below 1e-12 collapses at 12 decimals
+        raise ValidationError(f"{given} repeats a grid point at 12 decimals")
+    return grid
 
 
 def figure_grid(step: float) -> list[float]:
@@ -80,24 +81,54 @@ def figure_grid(step: float) -> list[float]:
     return chi_grid(step, 0.95, step)
 
 
+def _parse_list(raw, cast) -> tuple:
+    """A list or a comma-separated string, each item passed through cast; a bool item is refused."""
+    items = raw if isinstance(raw, (list, tuple)) else [v for v in str(raw).split(",") if v]
+    if any(isinstance(v, bool) for v in items):
+        raise ValidationError(f"bad list {raw!r}: a bool is not a list item")
+    try:
+        return tuple(cast(v) for v in items)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad list {raw!r}: {exc}") from None
+
+
+# list settings of a sweep -> the cast of each item
+_SWEEP_LISTS = {"gains": float, "thresholds": float, "outputs": str}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated description of one parameter-grid run."""
+    """Validated settings of one parameter-grid run. Each field is a sweep
+    flag's dest and a --config key. A bool is refused in every field; a
+    float field takes an int or a float, a string field a string, and a
+    list field a list or a comma-separated string."""
 
-    chi_range: tuple[float, float, float]
-    gains: tuple[float, ...]
-    thresholds: tuple[int, ...]
-    truncation: TruncationPolicy
-    outputs: tuple[str, ...]
-    format: str
-    out_path: str
+    chi_start: float = 0.05
+    chi_stop: float = 0.9
+    chi_step: float = 0.05
+    gains: tuple[float, ...] = (1.0, 2.0)
+    thresholds: tuple[int, ...] = (2,)
+    outputs: tuple[str, ...] = ("entropy", "epr", "ng", "fbar", "psucc")
+    epsilon: float = 1e-12
+    format: str = "csv"
+    out: str = "sweep.csv"
 
     def __post_init__(self):
-        start, stop, step = self.chi_range
-        if not step > 0:
-            raise ValidationError(f"chi step must be positive, got {step}")
-        if not (0.0 < start <= stop < 1.0):
-            raise ValidationError(f"chi range must lie inside (0, 1), got {self.chi_range}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool):
+                raise ValidationError(f"sweep setting {field.name!r} must not be a bool")
+            if field.name in _SWEEP_LISTS:
+                value = _parse_list(value, _SWEEP_LISTS[field.name])
+                if len(set(value)) < len(value):
+                    raise ValidationError(f"{field.name} must not repeat an entry, got {value}")
+                object.__setattr__(self, field.name, value)
+            elif not isinstance(value, (int, float) if field.type is float else str):
+                raise ValidationError(
+                    f"sweep setting {field.name!r} must be a {field.type.__name__}, got {value!r}"
+                )
+        chi_grid(self.chi_start, self.chi_stop, self.chi_step)
+        TruncationPolicy(epsilon=self.epsilon)  # refuses an epsilon outside (0, 1)
         if not self.gains or any(g < 1.0 for g in self.gains):
             raise ValidationError("gains must be a non-empty list of values >= 1")
         if not self.thresholds or any(p < 0 or not float(p).is_integer() for p in self.thresholds):
@@ -110,10 +141,6 @@ class SweepSpec:
                 raise ValidationError(f"unknown output {m!r}; choose from {SWEEP_METRICS}")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format}")
-        for name in ("gains", "thresholds", "outputs"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValidationError(f"{name} must not repeat an entry, got {values}")
 
 
 class RowBlock(NamedTuple):
@@ -324,13 +351,10 @@ def run_sweep(spec: SweepSpec) -> list[RowBlock]:
     byte-identical files.
     """
     configs = _nla_configs(sorted(spec.gains), sorted(spec.thresholds))
-    chis = chi_grid(*spec.chi_range)
-    if not 0.0 < chis[0] <= chis[-1] < 1.0:  # rounding to 12 decimals can reach 0 or 1
-        raise ValidationError(
-            f"chi range {spec.chi_range} gives grid ends {chis[0]} and {chis[-1]}, outside (0, 1)"
-        )
-    blocks = _metric_blocks(tuple(sorted(spec.outputs)), configs, chis, spec.truncation, "psucc")
-    _atomic_write(spec.out_path, _rows_text(blocks, spec.format))
+    chis = chi_grid(spec.chi_start, spec.chi_stop, spec.chi_step)
+    policy = TruncationPolicy(epsilon=spec.epsilon)
+    blocks = _metric_blocks(tuple(sorted(spec.outputs)), configs, chis, policy, "psucc")
+    _atomic_write(spec.out, _rows_text(blocks, spec.format))
     return blocks
 
 
@@ -573,37 +597,6 @@ def _cmd_teleport(args) -> None:
     _emit(payload, args.out)
 
 
-def _parse_list(raw, cast) -> tuple:
-    """A JSON list or a comma-separated string, each item passed through cast."""
-    items = raw if isinstance(raw, (list, tuple)) else [v for v in str(raw).split(",") if v]
-    try:
-        return tuple(cast(v) for v in items)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad list {raw!r}: {exc}") from None
-
-
-def _check_config(config) -> None:
-    """Reject a sweep config that is not an object of known, well-typed keys.
-
-    A scalar key takes the type of its default (any real number where the
-    default is a float); list keys are checked item by item by _parse_list.
-    """
-    if not isinstance(config, dict):
-        raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
-    unknown = set(config) - set(_SWEEP_DEFAULTS)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in config.items():
-        default = _SWEEP_DEFAULTS[key]
-        if isinstance(default, list):
-            continue
-        expected = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise ValidationError(
-                f"config key {key!r} must be of type {type(default).__name__}, got {value!r}"
-            )
-
-
 def _cmd_sweep(args) -> None:
     """Evaluate metrics over a parameter grid and write csv/json."""
     config = {}
@@ -613,21 +606,16 @@ def _cmd_sweep(args) -> None:
                 config = json.load(fh)
             except ValueError as exc:  # malformed JSON or undecodable bytes
                 raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from None
-        _check_config(config)
-    # each sweep flag's dest is its config key; explicit flags win
-    flags = {k: getattr(args, k) for k in _SWEEP_DEFAULTS if getattr(args, k) is not None}
-    merged = {**_SWEEP_DEFAULTS, **config, **flags}
-    spec = SweepSpec(
-        chi_range=(merged["chi_start"], merged["chi_stop"], merged["chi_step"]),
-        gains=_parse_list(merged["gains"], float),
-        thresholds=_parse_list(merged["thresholds"], float),
-        truncation=TruncationPolicy(epsilon=merged["epsilon"]),
-        outputs=_parse_list(merged["outputs"], str),
-        format=merged["format"],
-        out_path=merged["out"],
-    )
+        if not isinstance(config, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(config).__name__}")
+    names = [field.name for field in fields(SweepSpec)]
+    if unknown := set(config) - set(names):
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    # each SweepSpec field is a sweep flag's dest and a config key; explicit flags win
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    spec = SweepSpec(**{**config, **flags})
     rows = sum(len(block.value) for block in run_sweep(spec))
-    sys.stdout.write(f"wrote {rows} rows to {spec.out_path}\n")
+    sys.stdout.write(f"wrote {rows} rows to {spec.out}\n")
 
 
 def _cmd_figure(args) -> None:

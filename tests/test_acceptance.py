@@ -15,7 +15,6 @@ from cvteleport import (
     NlaConfig,
     QuadratureSpec,
     SchmidtState,
-    TruncationPolicy,
     TwbParams,
     average_fidelity_grid2d,
     average_fidelity_radial,
@@ -375,13 +374,15 @@ def test_criterion_14_determinism(tmp_path):
         fig = tmp_path / f"fig2_run{run}.csv"
         figure_data("fig2", str(fig), step=0.05)
         spec = SweepSpec(
-            chi_range=(0.1, 0.6, 0.1),
+            chi_start=0.1,
+            chi_stop=0.6,
+            chi_step=0.1,
             gains=(1.0, 2.0),
             thresholds=(2,),
-            truncation=TruncationPolicy(),
+            epsilon=1e-12,
             outputs=("entropy", "fbar"),
             format="csv",
-            out_path=str(tmp_path / f"sweep_run{run}.csv"),
+            out=str(tmp_path / f"sweep_run{run}.csv"),
         )
         run_sweep(spec)
         files.append((fig.read_bytes(), (tmp_path / f"sweep_run{run}.csv").read_bytes()))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
@@ -33,7 +35,6 @@ from cvteleport.cli import (
 from cvteleport import (
     BoundaryMassWarning,
     NumericsError,
-    TruncationPolicy,
     ValidationError,
 )
 from helpers import flatten_blocks, rows_text_reference
@@ -47,13 +48,15 @@ def _read_rows(path):
 
 def _spec(tmp_path, **kw):
     base = dict(
-        chi_range=(0.1, 0.5, 0.1),
+        chi_start=0.1,
+        chi_stop=0.5,
+        chi_step=0.1,
         gains=(1.0,),
         thresholds=(2,),
-        truncation=TruncationPolicy(),
+        epsilon=1e-12,
         outputs=("fbar",),
         format="csv",
-        out_path=str(tmp_path / "out.csv"),
+        out=str(tmp_path / "out.csv"),
     )
     base.update(kw)
     return SweepSpec(**base)
@@ -62,7 +65,7 @@ def _spec(tmp_path, **kw):
 def test_sweep_unit_gain_fbar_is_closed_form(tmp_path):
     spec = _spec(tmp_path)
     rows = flatten_blocks(run_sweep(spec))
-    parsed = _read_rows(spec.out_path)
+    parsed = _read_rows(spec.out)
     assert len(parsed) == len(rows) == 5
     for rec in parsed:
         chi = float(rec["chi"])
@@ -73,9 +76,9 @@ def test_sweep_unit_gain_fbar_is_closed_form(tmp_path):
 
 def test_sweep_empty_grid_rejected(tmp_path):
     with pytest.raises(ValidationError):
-        _spec(tmp_path, chi_range=(0.5, 0.1, 0.1))
+        _spec(tmp_path, chi_start=0.5, chi_stop=0.1, chi_step=0.1)
     with pytest.raises(ValidationError):
-        _spec(tmp_path, chi_range=(0.1, 0.5, -0.1))
+        _spec(tmp_path, chi_start=0.1, chi_stop=0.5, chi_step=-0.1)
     with pytest.raises(ValidationError):
         _spec(tmp_path, outputs=())
     with pytest.raises(ValidationError):
@@ -90,19 +93,19 @@ def test_sweep_rows_sorted_and_deterministic(tmp_path):
         outputs=("epr", "entropy"),
     )
     run_sweep(spec)
-    first = Path(spec.out_path).read_bytes()
+    first = Path(spec.out).read_bytes()
     run_sweep(spec)
-    second = Path(spec.out_path).read_bytes()
+    second = Path(spec.out).read_bytes()
     assert first == second
-    parsed = _read_rows(spec.out_path)
+    parsed = _read_rows(spec.out)
     keys = [(r["metric"], int(r["p"]), float(r["g"]), float(r["chi"])) for r in parsed]
     assert keys == sorted(keys)
 
 
 def test_sweep_json_mirrors_rows(tmp_path):
-    spec = _spec(tmp_path, format="json", out_path=str(tmp_path / "out.json"))
+    spec = _spec(tmp_path, format="json", out=str(tmp_path / "out.json"))
     rows = flatten_blocks(run_sweep(spec))
-    payload = json.loads(Path(spec.out_path).read_text())
+    payload = json.loads(Path(spec.out).read_text())
     assert len(payload) == len(rows)
     assert payload[0]["metric"] == "fbar"
     assert payload[0]["chi"] == pytest.approx(0.1)
@@ -111,12 +114,14 @@ def test_sweep_json_mirrors_rows(tmp_path):
 def test_sweep_json_matches_stdlib_encoder(tmp_path):
     spec = _spec(
         tmp_path,
-        chi_range=(0.1, 0.7, 0.3),
+        chi_start=0.1,
+        chi_stop=0.7,
+        chi_step=0.3,
         gains=(1.0, 2.5),
         thresholds=(0, 2),
         outputs=SWEEP_METRICS,
         format="json",
-        out_path=str(tmp_path / "all.json"),
+        out=str(tmp_path / "all.json"),
     )
     blocks = run_sweep(spec)
     rows = flatten_blocks(blocks)
@@ -125,7 +130,7 @@ def test_sweep_json_matches_stdlib_encoder(tmp_path):
         return float(f"{v:.12g}") if isinstance(v, float) else v
 
     records = [{k: round12(v) for k, v in r._asdict().items()} for r in rows]
-    text = Path(spec.out_path).read_text()
+    text = Path(spec.out).read_text()
     # line by line, so that a failure reports the first differing lines at once
     got = text.splitlines(keepends=True)
     want = (json.dumps(records, indent=1) + "\n").splitlines(keepends=True)
@@ -235,7 +240,7 @@ def test_rows_text_matches_per_cell_writer(blocks, comments):
 
 
 def test_sweep_pdist_rows_cover_fock_levels(tmp_path):
-    spec = _spec(tmp_path, chi_range=(0.3, 0.3, 0.1), outputs=("pdist",))
+    spec = _spec(tmp_path, chi_start=0.3, chi_stop=0.3, outputs=("pdist",))
     rows = flatten_blocks(run_sweep(spec))
     total = sum(r.value for r in rows)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -260,7 +265,8 @@ def test_main_sweep_reports_the_rows_it_wrote(fmt, outputs, least, tmp_path, cap
 def test_sweep_grid2d_output_matches_series(tmp_path):
     spec = _spec(
         tmp_path,
-        chi_range=(0.4, 0.4, 0.1),
+        chi_start=0.4,
+        chi_stop=0.4,
         gains=(2.0,),
         outputs=("fbar", "fbar_grid2d"),
     )
@@ -460,11 +466,13 @@ def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "chi_range",
-    [("1e-300", "0.9", "0.05"), ("0.5", "0.99999999999", "0.25")],
-    ids=["start-rounds-to-0", "stop-rounds-to-1"],
+    [("1e-300", "0.9", "0.05"), ("0.5", "0.99999999999", "0.25"),
+     ("0.1", "0.1000000000003", "1e-13")],
+    ids=["start-rounds-to-0", "stop-rounds-to-1", "repeats-a-point"],
 )
 def test_main_sweep_grid_rounded_onto_an_end_exits_2(chi_range, tmp_path, capsys):
-    # the 12-decimal grid reaches chi = 0 or 1, which the given range excludes
+    # the 12-decimal grid reaches chi = 0 or 1, which the given range excludes,
+    # or repeats a point, as a step below 1e-12 does
     start, stop, step = chi_range
     argv = ["sweep", "--chi-start", start, "--chi-stop", stop, "--chi-step", step]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -599,6 +607,22 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 2
 
 
+def test_sweep_settings_have_one_name_each(tmp_path, monkeypatch):
+    # a SweepSpec field is a sweep flag's dest and a config key, and its default the setting's
+    flags = [f for f in _COMMANDS["sweep"][1] if f != "--config"]
+    dests = [argparse.ArgumentParser().add_argument(f, **_FLAGS[f]).dest for f in flags]
+    assert [field.name for field in fields(SweepSpec)] == dests
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({field.name: field.default for field in fields(SweepSpec)}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--out", "bare.csv"]) == 0
+    run_sweep(SweepSpec(out="library.csv"))
+    bare = Path("bare.csv").read_bytes()
+    assert Path(SweepSpec().out).read_bytes() == bare
+    assert Path("library.csv").read_bytes() == bare
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -615,10 +639,12 @@ def test_main_sweep_rejects_unknown_config_keys(tmp_path):
         '{"format": true}',
         '{"outputs": ["epr", "epr"]}',
         '{"alpha_re": 2.0}',
+        '{"gains": [true], "outputs": ["psucc"]}',
+        '{"thresholds": [false], "outputs": ["psucc"]}',
     ],
     ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
          "seed-string", "seed-fractional", "seed", "epsilon-list", "format-bool",
-         "duplicate-outputs", "alpha-re"],
+         "duplicate-outputs", "alpha-re", "gain-bool", "threshold-bool"],
 )
 def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
