@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-guard failure,
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -35,7 +36,7 @@ from .resources import (
     make_twb,
     success_probability,
 )
-from .schmidt import SchmidtState, TruncationPolicy, schmidt_probabilities
+from .schmidt import TruncationPolicy, schmidt_probabilities
 from .teleport import (
     QuadratureSpec,
     average_fidelity_grid2d,
@@ -81,19 +82,21 @@ def figure_grid(step: float) -> list[float]:
     return chi_grid(step, 0.95, step)
 
 
-def _parse_list(raw, cast) -> tuple:
-    """A list or a comma-separated string, each item passed through cast; a bool item is refused."""
+def _parse_list(raw, kind) -> tuple:
+    """A list of kind items, none a bool, or a comma-separated string; each
+    item is cast to float when kind is numbers.Real and to str otherwise."""
     items = raw if isinstance(raw, (list, tuple)) else [v for v in str(raw).split(",") if v]
-    if any(isinstance(v, bool) for v in items):
-        raise ValidationError(f"bad list {raw!r}: a bool is not a list item")
+    if items is raw and (bad := [v for v in raw if isinstance(v, bool) or not isinstance(v, kind)]):
+        noun = "number" if kind is numbers.Real else "string"
+        raise ValidationError(f"bad list {raw!r}: {bad[0]!r} is not a {noun}")
     try:
-        return tuple(cast(v) for v in items)
-    except (TypeError, ValueError) as exc:
+        return tuple(map(float if kind is numbers.Real else str, items))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad list {raw!r}: {exc}") from None
 
 
-# list settings of a sweep -> the cast of each item
-_SWEEP_LISTS = {"gains": float, "thresholds": float, "outputs": str}
+# list settings of a sweep -> the type of each item of a list
+_SWEEP_LISTS = {"gains": numbers.Real, "thresholds": numbers.Real, "outputs": str}
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,8 @@ class SweepSpec:
     """Validated settings of one parameter-grid run. Each field is a sweep
     flag's dest and a --config key. A bool is refused in every field; a
     float field takes an int or a float, a string field a string, and a
-    list field a list or a comma-separated string."""
+    list field a non-empty list (numbers for gains and thresholds, strings
+    for outputs) or a comma-separated string; NlaConfig checks each gain and threshold."""
 
     chi_start: float = 0.05
     chi_stop: float = 0.9
@@ -120,6 +124,8 @@ class SweepSpec:
                 raise ValidationError(f"sweep setting {field.name!r} must not be a bool")
             if field.name in _SWEEP_LISTS:
                 value = _parse_list(value, _SWEEP_LISTS[field.name])
+                if not value:
+                    raise ValidationError(f"{field.name} must be non-empty")
                 if len(set(value)) < len(value):
                     raise ValidationError(f"{field.name} must not repeat an entry, got {value}")
                 object.__setattr__(self, field.name, value)
@@ -129,13 +135,10 @@ class SweepSpec:
                 )
         chi_grid(self.chi_start, self.chi_stop, self.chi_step)
         TruncationPolicy(epsilon=self.epsilon)  # refuses an epsilon outside (0, 1)
-        if not self.gains or any(g < 1.0 for g in self.gains):
-            raise ValidationError("gains must be a non-empty list of values >= 1")
-        if not self.thresholds or any(p < 0 or not float(p).is_integer() for p in self.thresholds):
-            raise ValidationError("thresholds must be a non-empty list of non-negative integers")
-        object.__setattr__(self, "thresholds", tuple(int(p) for p in self.thresholds))
-        if not self.outputs:
-            raise ValidationError("outputs must be non-empty")
+        for g in self.gains:
+            NlaConfig(g, 0)
+        thresholds = tuple(NlaConfig(1.0, p).threshold for p in self.thresholds)
+        object.__setattr__(self, "thresholds", thresholds)
         for m in self.outputs:
             if m not in SWEEP_METRICS:
                 raise ValidationError(f"unknown output {m!r}; choose from {SWEEP_METRICS}")
@@ -314,10 +317,10 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
     for family, g, p in configs:
-        if p + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms, as amplify does
+        nla = NlaConfig(gain=g, threshold=p)
+        if nla.threshold + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
         tag, build = FAMILIES[family]
-        nla = NlaConfig(gain=g, threshold=p)
         columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
         psuccs = []
         for chi in chis:
@@ -482,8 +485,7 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     twin-beam) pair is built once.
     """
     chis = figure_grid(step)
-    nla = NlaConfig(gain=g, threshold=p)  # checked before _metric_blocks reads it
-    configs = (("amplified", nla.gain, nla.threshold), ("twb", 1.0, 0))
+    configs = (("amplified", g, p), ("twb", 1.0, 0))
     blocks = _metric_blocks(("epr", "fbar"), configs, chis, TruncationPolicy())
     epr_amp, epr_std, amplified, standard = (block.value for block in blocks)
     chi_c1 = next((c for c, a, s in zip(chis, epr_amp, epr_std) if a > s + 1e-9), None)
@@ -521,49 +523,34 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _state_payload(state: SchmidtState) -> dict:
-    return {
-        "label": state.label,
-        "dim": state.dim,
-        "norm_const": state.norm_const,
-        "tail_bound": state.tail_bound,
-        "mean_photon": mean_photon(state),
-        "photon_distribution": schmidt_probabilities(state),
-    }
-
-
 def _cli_resource(args, policy):
-    """(state, psucc or None) of the resource the flags name.
+    """(state, psucc or None) of the resource the command and its flags name.
 
-    --resource names the family; without it, --gain or --threshold selects
-    the amplified twin-beam and neither the plain one. Gain and threshold
-    belong to the amplified family alone.
+    twb and amplify name their family. In metrics and teleport, --resource
+    names it; without it, --gain or --threshold selects the amplified
+    twin-beam and neither the plain one. Gain and threshold belong to the
+    amplified family alone.
     """
-    nla_given = args.gain is not None or args.threshold is not None
-    family = getattr(args, "resource", None) or ("amplified" if nla_given else "twb")
+    gain, threshold = getattr(args, "gain", None), getattr(args, "threshold", None)
+    nla_given = gain is not None or threshold is not None
+    family = {"twb": "twb", "amplify": "amplified"}.get(args.command)
+    family = family or getattr(args, "resource", None) or ("amplified" if nla_given else "twb")
     if nla_given and family != "amplified":
         raise ValidationError(f"--gain and --threshold do not apply to the {family} resource")
-    nla = NlaConfig(gain=args.gain, threshold=args.threshold) if family == "amplified" else None
+    nla = NlaConfig(gain=gain, threshold=threshold) if family == "amplified" else None
     return FAMILIES[family][1](TwbParams(args.chi), nla, policy)
 
 
-def _cmd_twb(args) -> None:
-    """Summarize a twin-beam resource."""
-    state = make_twb(TwbParams(args.chi), _policy(args))
-    _emit({"chi": args.chi, **_state_payload(state)}, args.out)
-
-
-def _cmd_amplify(args) -> None:
-    """Summarize an amplified twin-beam and its success probability."""
-    nla = NlaConfig(gain=args.gain, threshold=args.threshold)
-    state, psucc = make_amplified_twb(TwbParams(args.chi), nla, _policy(args))
-    payload = {
-        "chi": args.chi,
-        "gain": args.gain,
-        "threshold": args.threshold,
-        "success_probability": psucc,
-        **_state_payload(state),
-    }
+def _cmd_state(args) -> None:
+    """Summarize a twin-beam, or an amplified one and its success probability."""
+    state, psucc = _cli_resource(args, _policy(args))
+    payload = {"chi": args.chi}
+    if psucc is not None:  # amplify
+        payload.update(gain=args.gain, threshold=args.threshold, success_probability=psucc)
+    payload.update(
+        label=state.label, dim=state.dim, norm_const=state.norm_const, tail_bound=state.tail_bound,
+        mean_photon=mean_photon(state), photon_distribution=schmidt_probabilities(state),
+    )
     _emit(payload, args.out)
 
 
@@ -658,8 +645,8 @@ _FLAGS = {
 
 # subcommand -> (handler, the flags it reads); the handler's docstring is its help
 _COMMANDS = {
-    "twb": (_cmd_twb, ("--chi", "--epsilon", "--out")),
-    "amplify": (_cmd_amplify, ("--chi", "--gain", "--threshold", "--epsilon", "--out")),
+    "twb": (_cmd_state, ("--chi", "--epsilon", "--out")),
+    "amplify": (_cmd_state, ("--chi", "--gain", "--threshold", "--epsilon", "--out")),
     "metrics": (
         _cmd_metrics, ("--chi", "--resource", "--gain", "--threshold", "--epsilon", "--out")
     ),

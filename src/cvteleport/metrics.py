@@ -52,11 +52,12 @@ def twb_entropy_closed(params: TwbParams) -> float:
     return -math.log(1.0 - c2) - c2 * math.log(c2) / (1.0 - c2)
 
 
-def _moments(state: SchmidtState) -> tuple[float, float]:
-    """(<n>, <ab>) of a state, refused unless (1/2 + <n>)^2 - <ab>^2 >= 1/4.
+def _moments(state: SchmidtState) -> tuple[float, float, float]:
+    """(<n>, <ab>, (1/2 + <n>)^2 - <ab>^2) of a state, refused unless the last is >= 1/4.
 
-    The bound says the symplectic eigenvalue of the covariance matrix (see
-    non_gaussianity) is at least 1/2; EPR and non-Gaussianity both rest on it.
+    The last is the squared symplectic eigenvalue of the covariance matrix
+    (see non_gaussianity), so the bound says it is at least 1/2; EPR and
+    non-Gaussianity both rest on it.
     """
     n = mean_photon(state)
     ab = cross_moment(state)
@@ -66,7 +67,7 @@ def _moments(state: SchmidtState) -> tuple[float, float]:
         raise NumericsError(
             f"unphysical covariance data: i1^2 - i3^2 = {arg} < 1/4 for {state.label!r}"
         )
-    return n, ab
+    return n, ab, arg
 
 
 def epr_correlation(state: SchmidtState) -> float:
@@ -76,7 +77,7 @@ def epr_correlation(state: SchmidtState) -> float:
     2 [1 + 2<n> - 2<ab>]. Values below 2 witness two-mode quantum
     correlations; 0 is the ideal EPR limit.
     """
-    n, ab = _moments(state)
+    n, ab, _ = _moments(state)
     return 2.0 * (1.0 + 2.0 * n - 2.0 * ab)
 
 
@@ -102,9 +103,7 @@ def non_gaussianity(state: SchmidtState) -> float:
     and i3 = <ab>; both symplectic eigenvalues then equal
     d_plus = sqrt(i1^2 - i3^2). Zero exactly for the twin-beam.
     """
-    n, ab = _moments(state)
-    i1 = 0.5 + n
-    arg = i1 * i1 - ab * ab
+    _, _, arg = _moments(state)
     return max(0.0, 2.0 * h_function(math.sqrt(max(arg, 0.25))))
 
 

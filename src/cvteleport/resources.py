@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy
+from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy, _integer
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class TwbParams:
 
 @dataclass(frozen=True)
 class NlaConfig:
-    """Gain g >= 1 and integer threshold p of the heralded amplifier."""
+    """Gain g >= 1 and integer threshold p >= 0 of the heralded amplifier."""
 
     gain: float
     threshold: int
@@ -50,9 +50,9 @@ class NlaConfig:
             raise ValidationError("an amplifier needs both a gain and a threshold")
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValidationError(f"gain must be >= 1, got {self.gain}")
-        if self.threshold < 0 or int(self.threshold) != self.threshold:
+        object.__setattr__(self, "threshold", _integer("threshold", self.threshold))
+        if self.threshold < 0:
             raise ValidationError(f"threshold must be a non-negative integer, got {self.threshold}")
-        object.__setattr__(self, "threshold", int(self.threshold))
 
 
 def make_twb(params: TwbParams, policy: TruncationPolicy = DEFAULT_POLICY) -> SchmidtState:
@@ -93,11 +93,6 @@ def make_amplified_twb(
     prob = success_probability(params, nla)  # a sum of p + 1 terms
     if g == 1.0:
         return make_twb(params, policy), prob
-    if policy.epsilon * prob == 0.0:  # no dimension meets a tail budget of 0
-        raise NumericsError(
-            f"success probability underflows the tail budget at chi={chi}, g={g}, p={p}: "
-            f"epsilon * {prob:g} = 0"
-        )
     return _ladder_state(chi, 0, policy, f"nla g={g:g} p={p} chi={chi:g}", nla, prob), prob
 
 
@@ -147,15 +142,21 @@ def _ladder_state(
     D starts from the geometric bound x^D <= epsilon * prob, D > p. For
     power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
     F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive
-    terms, and D rises until x^D F(D)/F(0) <= epsilon. A state that needs
-    more than policy.max_dim levels raises NumericsError, here and nowhere
-    else; the D it names is exact for power 0 and a lower bound otherwise.
+    terms, and D rises until x^D F(D)/F(0) <= epsilon. Every truncation
+    refusal is raised here and nowhere else, as NumericsError naming the
+    label: a state that needs more than policy.max_dim levels (the D named
+    is exact for power 0 and a lower bound otherwise), and a tail budget
+    epsilon * prob that underflows to 0, which no D meets.
     """
     k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
     # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
     # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
     one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
     p = nla.threshold if nla else 0
+    if policy.epsilon * prob == 0.0:
+        raise NumericsError(
+            f"{label}: success probability underflows the tail budget: epsilon * {prob:g} = 0"
+        )
     dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
     weight = _eulerian(k, x) / one_minus_x**k  # exactly 1 at power 0
     if power:

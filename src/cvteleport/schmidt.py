@@ -8,6 +8,7 @@ that downstream tolerances are never polluted by truncation error.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,21 @@ from .errors import ValidationError
 _FLOAT_SLACK = 1e-12
 
 
+def _integer(name: str, x) -> int:
+    """x as an int: an int passes as it is, a float only if finite and integral."""
+    if isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise ValidationError(f"{name} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls how aggressively Fock space is truncated.
 
     epsilon: maximum probability mass that may be discarded (default 1e-12,
         well below every tolerance used by the metrics and fidelity paths).
-    max_dim: largest truncation dimension a constructor may use; a state
-        whose tail needs more raises NumericsError.
+    max_dim: largest truncation dimension a constructor may use, an integer
+        >= 8; a state whose tail needs more raises NumericsError.
     """
 
     epsilon: float = 1e-12
@@ -34,6 +42,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        object.__setattr__(self, "max_dim", _integer("max_dim", self.max_dim))
         if self.max_dim < 8:
             raise ValidationError(f"max_dim must be >= 8, got {self.max_dim}")
 

@@ -24,14 +24,14 @@ Kimble), so none of the four takes an input amplitude.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
 from .resources import TwbParams
-from .schmidt import SchmidtState, schmidt_probabilities
+from .schmidt import SchmidtState, _integer, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -41,7 +41,7 @@ MAX_AMPLITUDE = 50.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Knobs for the numerical fidelity estimators.
+    """Integer knobs (ints, or floats of integral value) of the fidelity estimators.
 
     radial_nodes: least Gauss-Laguerre order of the 1-d rule; the rule takes
         max(radial_nodes, dim) nodes, so it is exact at every dimension.
@@ -56,6 +56,8 @@ class QuadratureSpec:
     rng_seed: int = 12345
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, _integer(field.name, getattr(self, field.name)))
         if min(self.radial_nodes, self.grid_points) < 1:
             raise ValidationError("quadrature counts must be positive")
         if self.mc_samples < 1000:

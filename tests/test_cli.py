@@ -520,6 +520,25 @@ def test_main_amplify_payload(capsys):
     assert payload["success_probability"] == pytest.approx(0.2272, abs=1e-10)
 
 
+_STATE_KEYS = ["label", "dim", "norm_const", "tail_bound", "mean_photon", "photon_distribution"]
+
+
+def test_main_twb_and_amplify_key_order(capsys):
+    # both commands print one payload, the amplifier's keys between chi and the state's
+    assert main(["twb", "--chi", "0.6"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["chi", *_STATE_KEYS]
+    assert main(["amplify", "--chi", "0.6", "--gain", "2", "--threshold", "2"]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    assert keys == ["chi", "gain", "threshold", "success_probability", *_STATE_KEYS]
+
+
+def test_main_seed_beyond_float_range_exits_0(capsys):
+    # an int seed is taken as it is, never through float()
+    argv = ["teleport", "--chi", "0.5", "--method", "mc", "--seed", "1" + "0" * 400]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "mc"
+
+
 def test_main_unit_gain_is_the_twin_beam(capsys):
     # g = 1 is the identity amplifier in every command, with its success probability
     assert main(["twb", "--chi", "0.005"]) == 0
@@ -528,6 +547,7 @@ def test_main_unit_gain_is_the_twin_beam(capsys):
     assert main(["amplify", *unit]) == 0
     amp = json.loads(capsys.readouterr().out)
     assert (amp["label"], amp["dim"]) == (twb["label"], twb["dim"]) == ("twb chi=0.005", 3)
+    assert {key: amp[key] for key in _STATE_KEYS} == {key: twb[key] for key in _STATE_KEYS}
     assert main(["metrics", *unit]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 3
     assert main(["teleport", *unit]) == 0
@@ -641,10 +661,15 @@ def test_sweep_settings_have_one_name_each(tmp_path, monkeypatch):
         '{"alpha_re": 2.0}',
         '{"gains": [true], "outputs": ["psucc"]}',
         '{"thresholds": [false], "outputs": ["psucc"]}',
+        '{"gains": ["2"], "outputs": ["psucc"]}',
+        '{"thresholds": ["4"], "outputs": ["psucc"]}',
+        '{"outputs": [1]}',
+        '{"gains": [1%s], "outputs": ["psucc"]}' % ("0" * 400),
     ],
     ids=["invalid-json", "undecodable-bytes", "list", "string", "null", "chi-start-string",
          "seed-string", "seed-fractional", "seed", "epsilon-list", "format-bool",
-         "duplicate-outputs", "alpha-re", "gain-bool", "threshold-bool"],
+         "duplicate-outputs", "alpha-re", "gain-bool", "threshold-bool", "gain-string",
+         "threshold-string", "output-int", "gain-over-float-range"],
 )
 def test_main_sweep_bad_config_exits_2_without_traceback(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -794,6 +819,8 @@ def test_main_subnormal_epsilon_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "underflows" in captured.err and "Traceback" not in captured.err
+    # refused by the one truncation rule, which names the state
+    assert "nla g=2 p=2 chi=0.5: success probability underflows" in captured.err
 
 
 # ---------------------------------------------------------------------------

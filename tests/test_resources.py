@@ -32,6 +32,12 @@ def test_params_validation():
         NlaConfig(gain=0.5, threshold=2)
     with pytest.raises(ValidationError):
         NlaConfig(gain=2.0, threshold=-1)
+    for threshold in (float("nan"), float("inf"), 2.5):
+        with pytest.raises(ValidationError):
+            NlaConfig(gain=2.0, threshold=threshold)
+    assert NlaConfig(gain=2.0, threshold=4.0).threshold == 4
+    # an int threshold is taken as it is, even one past float range
+    assert NlaConfig(gain=2.0, threshold=10**400).threshold == 10**400
 
 
 def test_twb_params_r_accessor():

@@ -112,3 +112,9 @@ def test_policy_validation():
         TruncationPolicy(epsilon=2.0)
     with pytest.raises(ValidationError):
         TruncationPolicy(max_dim=4)
+    # max_dim is an integer: nan, inf and fractions are refused, an integral float is kept as an int
+    for max_dim in (float("nan"), float("inf"), 10.5, "64"):
+        with pytest.raises(ValidationError):
+            TruncationPolicy(max_dim=max_dim)
+    assert TruncationPolicy(max_dim=64.0).max_dim == 64
+    assert type(TruncationPolicy(max_dim=64.0).max_dim) is int

@@ -485,6 +485,22 @@ def test_sampled_rejects_small_sample_budget():
         average_fidelity_sampled(VACUUM, QuadratureSpec(mc_samples=10))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("radial_nodes", float("nan")), ("mc_samples", float("nan")), ("rng_seed", float("nan")),
+     ("grid_points", 2.5), ("grid_points", float("inf")), ("rng_seed", "7")],
+)
+def test_quadrature_counts_are_integers(field, value):
+    with pytest.raises(ValidationError, match=field):
+        QuadratureSpec(**{field: value})
+
+
+def test_quadrature_integral_floats_become_ints():
+    spec = QuadratureSpec(radial_nodes=200.0, grid_points=201.0, mc_samples=1e5, rng_seed=7.0)
+    assert spec == QuadratureSpec(rng_seed=7)
+    assert all(type(getattr(spec, f)) is int for f in ("radial_nodes", "grid_points", "mc_samples"))
+
+
 def test_estimators_agree_across_resource_matrix():
     for chi in (0.22, 0.8):
         for resource in fidelity_matrix(chi):
