@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy, _integer
+from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class TwbParams:
     chi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "chi", _real("chi", self.chi))
         if not (0.0 < self.chi < 1.0):
             raise ValidationError(f"chi must lie in (0, 1), got {self.chi}")
 
@@ -48,6 +49,7 @@ class NlaConfig:
     def __post_init__(self):
         if self.gain is None or self.threshold is None:
             raise ValidationError("an amplifier needs both a gain and a threshold")
+        object.__setattr__(self, "gain", _real("gain", self.gain))
         if not (math.isfinite(self.gain) and self.gain >= 1.0):
             raise ValidationError(f"gain must be >= 1, got {self.gain}")
         object.__setattr__(self, "threshold", _integer("threshold", self.threshold))
@@ -189,4 +191,5 @@ def _ladder_state(
         norm_const=math.sqrt(one_minus_x / (prob * weight)),
         tail_bound=tail / prob,
         label=label,
+        generator=(chi, power, nla, prob),
     )

@@ -26,6 +26,14 @@ def _integer(name: str, x) -> int:
     raise ValidationError(f"{name} must be an integer, got {x!r}")
 
 
+def _real(name: str, x) -> float:
+    """x as a float: any real number but a bool; the caller checks its range."""
+    # float and int first: the numbers.Real check alone costs about 0.7 us a call
+    if isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool):
+        return float(x)
+    raise ValidationError(f"{name} must be a real number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls how aggressively Fock space is truncated.
@@ -40,6 +48,7 @@ class TruncationPolicy:
     max_dim: int = 1024
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         object.__setattr__(self, "max_dim", _integer("max_dim", self.max_dim))
@@ -57,12 +66,16 @@ class SchmidtState:
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
+    generator is the (chi, power, nla, prob) that resources._ladder_state
+    built k_n from, so that estimators can score the untruncated resource in
+    closed form; it stays None for a state built by hand.
     """
 
     coeffs: np.ndarray
     norm_const: float
     tail_bound: float = 0.0
     label: str = ""
+    generator: tuple | None = None
 
     def __post_init__(self):
         k = np.asarray(self.coeffs, dtype=float)

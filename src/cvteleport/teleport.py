@@ -6,8 +6,11 @@ input |alpha> to the unnormalized conditional output for homodyne outcome
 beta = x_- + i p_+. Since |<n|D(-beta)|alpha>|^2 = pois_n(t), the Poisson
 weight e^-t t^n / n! at t = |alpha - beta|^2, an outcome enters only
 through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
-the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)),
-both sums taken by one Poisson kernel.
+the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)).
+A state from the resource constructors carries its generator, and F is
+scored in closed form as the untruncated resource's; _poisson_sum, one
+Poisson kernel, takes the sums of a state built by hand and of the radial
+and grid estimators.
 
 Average fidelity over outcomes is evaluated four ways, from the exact
 production path to progressively more independent oracles:
@@ -16,7 +19,7 @@ production path to progressively more independent oracles:
   obtained from the radial substitution t = |alpha - beta|^2;
 * 1-d Gauss-Laguerre quadrature of N^2 int_0^inf [sum_n k_n e^-t t^n/n!]^2 dt;
 * brute 2-d grid quadrature of the outcome integral (oracle);
-* Monte Carlo over the outcome distribution p(beta) (oracle).
+* Monte Carlo over the outcome distribution p(beta), scored by F (oracle).
 
 The average fidelity is the same for every coherent input (Braunstein &
 Kimble), so none of the four takes an input amplitude.
@@ -165,12 +168,106 @@ def _poisson_sum(weights: np.ndarray, t):
     return acc.reshape(weights.shape[:-1] + t.shape)
 
 
+# Touchard polynomials, ascending: sum_n (n+1)^j y^n / n! = e^y Q_j(y)
+_TOUCHARD = {1: (1.0, 1.0), 2: (1.0, 3.0, 1.0), 4: (1.0, 15.0, 25.0, 10.0, 1.0)}
+
+
+def _log_touchard(j: int, y):
+    """ln Q_j(y) for y >= 0, as deg ln max(y, 1) + ln(Q_j(y) / max(y, 1)^deg).
+
+    The quotient is sum_i c_i s^i u^(deg-i) with (s, u) = (y, 1) up to 1 and
+    (1, 1/y) above: it lies in [1, Q_j(1)], so nothing overflows or vanishes.
+    """
+    c = _TOUCHARD[j]
+    deg = len(c) - 1
+    big = np.maximum(y, 1.0)
+    s, u = y / big, 1.0 / big
+    return deg * np.log(big) + np.log(sum(ci * s**i * u ** (deg - i) for i, ci in enumerate(c)))
+
+
+def _series(ratio):
+    """1 + r(0) + r(0) r(1) + ..., elementwise, for ratios in [0, 1) that fall with m.
+
+    Past a term T the rest is at most T r / (1 - r), r the next ratio; the sum
+    stops once that is below 1e-17 of it everywhere.
+    """
+    term = total = 1.0
+    m = 0
+    while True:
+        term = term * ratio(m)
+        total = total + term
+        m += 1
+        r = ratio(m)
+        if not np.any(term * r > 1e-17 * total * (1.0 - r)):
+            return total
+
+
+def _log_amplified(y, p: int, log_w: float):
+    """ln[sum_{n<=p} w^(n-p) pois_n(y) + P(Pois(y) > p)], elementwise over y in [0, 1e300].
+
+    For w >= 1. Each side of the Poisson law at p is a series of falling
+    ratios from p outward, taken where that side is the smaller one (below 1/2):
+    P(N > p) = pois_(p+1)(z) sum_m prod_(i<m) z/(p+2+i) for z < p + 1, and
+    sum_(n<=p) w^(n-p) pois_n(y) = pois_p(y) sum_m prod_(i<m) (p-i)/(w y) for
+    w y >= p + 1. On the other side a part is log1p of minus the series, the
+    head as w^-p e^(w y - y) P(Pois(w y) <= p), so no small probability is
+    one minus a near one and no exponent grows past p + 1. w enters by its
+    log, and w y may overflow to inf, so any gain g with w = g^2 is taken.
+    """
+    lg_p = math.lgamma(p + 1)
+
+    def upper(z):  # ln P(Pois(z) > p), z < p + 1
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            log_z = np.log(z)
+        return (p + 1) * log_z - z - math.lgamma(p + 2) + np.log(_series(lambda m: z / (p + 2 + m)))
+
+    def head(x, z):  # ln sum_(n<=p) (z/x)^(n-p) pois_n(x), z >= p + 1
+        return p * np.log(x) - x - lg_p + np.log(_series(lambda m: (p - m) / z))
+
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = np.exp(log_w + np.log(y))
+    log_head, log_tail = np.empty_like(y), np.empty_like(y)
+    low = lam < p + 1
+    log_head[low] = lam[low] - y[low] - p * log_w + np.log1p(-np.exp(upper(lam[low])))
+    log_head[~low] = head(y[~low], lam[~low])
+    low = y < p + 1
+    log_tail[low] = upper(y[low])
+    log_tail[~low] = np.log1p(-np.exp(head(y[~low], y[~low])))
+    return np.logaddexp(log_head, log_tail)
+
+
+def _closed_form_fidelity(generator, t):
+    """F(t) of the untruncated resource that generator (chi, power, nla, prob) names.
+
+    With y = chi t, g(t) = sum_n k_n pois_n(t) = e^-(1-chi)t G(y) and
+    sum_n k_n^2 pois_n(t) = e^-(1-chi^2)t H(chi y), so F = e^-(1-chi)^2 t G^2 / H,
+    summed in log space: G = Q_power (H = Q_(2 power)), or for the amplifier
+    (power 0) G = sum_(n<=p) g^(n-p) pois_n(y) + P(Pois(y) > p) and H the same
+    with g^2. N^2 cancels. t is capped at 1e300, where F is 0 for every chi < 1.
+    """
+    chi, power, nla, _ = generator
+    t = np.minimum(np.asarray(t, dtype=float), 1e300)
+    log_f = -((1.0 - chi) ** 2) * t
+    if nla:
+        log_g, p = math.log(nla.gain), nla.threshold
+        log_f += 2.0 * _log_amplified(chi * t, p, log_g)
+        log_f -= _log_amplified(chi * chi * t, p, 2.0 * log_g)
+    elif power:
+        log_f += 2.0 * _log_touchard(power, chi * t) - _log_touchard(2 * power, chi * chi * t)
+    return np.minimum(np.exp(log_f), 1.0)
+
+
 def _outcome_fidelity(resource: SchmidtState, t):
     """F = N^2 [sum_n k_n pois_n(t)]^2 / sum_n p_n pois_n(t), elementwise over t.
 
-    The denominator is pi p(beta) at t = |alpha - beta|^2; NumericsError
-    where p(beta) < 1e-300, before anything is divided.
+    A constructor-built state is scored in closed form, as its untruncated
+    resource (_closed_form_fidelity). A state without a generator is summed
+    by _poisson_sum; the denominator is pi p(beta) at t = |alpha - beta|^2,
+    and NumericsError is raised where p(beta) < 1e-300, before anything is
+    divided.
     """
+    if resource.generator is not None:
+        return _closed_form_fidelity(resource.generator, t)
     amp, density = _poisson_sum(np.vstack([resource.coeffs, schmidt_probabilities(resource)]), t)
     if np.any(density < math.pi * 1e-300):
         raise NumericsError(
@@ -182,11 +279,10 @@ def _outcome_fidelity(resource: SchmidtState, t):
 def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) -> float:
     """Fidelity F(beta) = |<alpha|T(beta)|alpha>|^2 / p(beta) in [0, 1].
 
-    F(beta) is the truncated state's, not the resource's: the two part once
-    t = |alpha - beta|^2 nears the dimension D, and no error is raised. The
-    twin-beam at chi 0.985 (D 915) gives 0.450 at t = 915 against the exact
-    e^-(1-chi)^2 t = 0.814, and at chi 0.9 (D 132) 8.5e-20 at t = 264
-    against 0.0714 (ROADMAP open item 4).
+    For a state from the resource constructors, F(beta) is the untruncated
+    resource's, in closed form at every t = |alpha - beta|^2: e^-(1-chi)^2 t
+    for the twin-beam. A state built by hand goes through _poisson_sum, and
+    its F(beta) is the truncated sum's.
     """
     t = abs(_check_amplitude(alpha) - _check_outcome(beta)) ** 2
     fid = float(_outcome_fidelity(resource, t))
@@ -360,7 +456,8 @@ def average_fidelity_sampled(
     The outcome density p(beta) = (1/pi) sum_n p_n e^-t t^n / n! with
     t = |alpha - beta|^2 is a mixture of Gamma(n + 1, 1) laws in t, so each
     outcome radius is drawn exactly: n ~ p_n, then t ~ Gamma(n + 1). The
-    stream is fully determined by spec.rng_seed.
+    stream is fully determined by spec.rng_seed. Each outcome is scored by
+    _outcome_fidelity, in closed form for a constructor-built state.
     """
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)

@@ -118,6 +118,20 @@ def poisson_sum_reference(weights, t: float) -> float:
         return float(total)
 
 
+def ladder_fidelity_sum(chi: float, power: int, nla, t: float) -> float:
+    """F(t) = [sum_n k_n pois_n(t)]^2 / sum_n k_n^2 pois_n(t) of an untruncated ladder.
+
+    k_n = h_n (n+1)^power chi^n, h_n = g^min(n-p, 0) under the amplifier nla,
+    summed by poisson_sum_reference over n < t + 40 sqrt(t) + 200, past which
+    Pois(t) has no mass at 40 digits. N^2 cancels.
+    """
+    n = np.arange(int(t + 40.0 * math.sqrt(t) + 200.0))
+    k = (n + 1.0) ** power * chi**n
+    if nla:
+        k = nla.gain ** np.minimum(n - float(nla.threshold), 0.0) * k
+    return poisson_sum_reference(k, t) ** 2 / poisson_sum_reference(k * k, t)
+
+
 def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
     """Gain in (g_lo, g_hi) where dF/dg = 0, from the closed-form derivative.
 

@@ -40,6 +40,20 @@ def test_params_validation():
     assert NlaConfig(gain=2.0, threshold=10**400).threshold == 10**400
 
 
+@pytest.mark.parametrize("value", ["0.5", True, None, 0.5j, [0.5]])
+def test_real_parameters_refuse_non_numbers(value):
+    # chi, gain and epsilon share one rule: any real number but a bool, then each range check
+    for build in (TwbParams, lambda v: NlaConfig(v, 2), lambda v: TruncationPolicy(epsilon=v)):
+        with pytest.raises(ValidationError):
+            build(value)
+
+
+def test_real_parameters_become_floats():
+    assert type(TwbParams(np.float64(0.5)).chi) is float
+    assert NlaConfig(2, 2).gain == 2.0 and type(NlaConfig(2, 2).gain) is float
+    assert type(TruncationPolicy(epsilon=np.float32(1e-9)).epsilon) is float
+
+
 def test_twb_params_r_accessor():
     assert TwbParams(np.tanh(1.3)).r == pytest.approx(1.3, rel=1e-12)
 

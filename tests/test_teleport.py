@@ -36,6 +36,7 @@ from helpers import (
     TIGHT,
     fidelity_matrix,
     fig6_fidelities,
+    ladder_fidelity_sum,
     nla_fidelity_closed,
     poisson_sum_reference,
     series_fidelity_direct,
@@ -43,6 +44,8 @@ from helpers import (
 from oracle import displaced_frame_fidelity, displaced_frame_transfer, displaced_overlaps
 
 VACUUM = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0, label="vacuum")
+# the dense oracle's states: a tail of 1e-40 leaves no t drawn by a property test near D
+ORACLE_POLICY = TruncationPolicy(epsilon=1e-40)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +227,61 @@ def test_conditional_fidelity_rejects_vanishing_density():
 
 
 def test_conditional_fidelity_past_the_kernel_rescale():
-    # D = 915: from t of about 690 on, the kernel rescales its Horner sums
+    # D = 915: from t of about 690 on, the kernel rescales its Horner sums. A
+    # copy without the generator is scored by the kernel, as a hand-built state is
     chi = 0.985
-    resource = make_twb(TwbParams(chi))
+    state = make_twb(TwbParams(chi))
+    resource = SchmidtState(state.coeffs, state.norm_const, state.tail_bound)
     alpha = 1.0 - 2.0j
     for t in (100.0, 400.0, 750.0):
         beta = alpha + math.sqrt(t) * cmath.exp(0.7j)
         expected = math.exp(-((1 - chi) ** 2) * t)
         assert abs(conditional_fidelity(resource, alpha, beta) - expected) <= 1e-9, t
+
+
+@pytest.mark.parametrize(
+    "chi, t, value",
+    [(0.5, 40.0, 4.53999297625e-5), (0.9, 132.0, 0.267135301966), (0.9, 264.0, 0.0713612695564),
+     (0.985, 915.0, 0.813934811776), (0.985, 3660.0, 0.438892838215)],
+)
+def test_conditional_fidelity_is_the_resource_s_past_the_truncation(chi, t, value):
+    # t at and past D (20, 132 and 915): the truncated sums gave 1.0e-5, 0.208,
+    # 8.5e-20 and 0.450 here, and refused t = 3660 as a vanishing p(beta)
+    resource = make_twb(TwbParams(chi))
+    fid = conditional_fidelity(resource, 0.5j, 0.5j + math.sqrt(t))
+    assert fid == pytest.approx(math.exp(-((1 - chi) ** 2) * t), rel=1e-12)
+    assert _round12(fid) == value
+
+
+def test_conditional_fidelity_closed_forms_of_the_weighted_families():
+    chi, t = 0.9, 400.0  # past D for both states
+    x = chi * chi
+    photsub = make_photon_subtracted_twb(TwbParams(chi))
+    expected = math.exp(-((1 - chi) ** 2) * t) * (1 + chi * t) ** 2 / (1 + 3 * x * t + (x * t) ** 2)
+    assert t > photsub.dim
+    assert conditional_fidelity(photsub, 0.0, math.sqrt(t)) == pytest.approx(expected, rel=1e-12)
+    amplified, _ = make_amplified_twb(TwbParams(chi), NlaConfig(2.0, 4))
+    assert t > amplified.dim
+    assert conditional_fidelity(amplified, 0.0, math.sqrt(t)) == pytest.approx(
+        ladder_fidelity_sum(chi, 0, NlaConfig(2.0, 4), t), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "resource",
+    [make_twb(TwbParams(0.985)), make_photon_subtracted_twb(TwbParams(0.9)),
+     make_added_then_subtracted_twb(TwbParams(0.5)),
+     make_amplified_twb(TwbParams(0.9), NlaConfig(4.0, 4))[0],
+     # a threshold near max_dim: the series stay O(samples) in memory
+     make_amplified_twb(TwbParams(0.3), NlaConfig(1.001, 1000))[0]],
+    ids=lambda state: state.label,
+)
+def test_outcome_fidelity_is_finite_and_in_the_unit_interval(resource):
+    # past t = 745 e^-t underflows, and past about 1e154 (chi t)^2 overflows
+    t = np.array([0.0, 5e-324, 1e-10, 1.0, 744.0, 746.0, 1e5, 1e160, 1e300, 1.7e308, np.inf])
+    fid = teleport_module._outcome_fidelity(resource, t)
+    assert np.all((fid >= 0.0) & (fid <= 1.0))
+    assert fid[0] == pytest.approx(1.0, abs=1e-12) and fid[-1] == 0.0
 
 
 @settings(deadline=None)  # the example budget comes from the hypothesis profile
@@ -243,11 +293,33 @@ def test_conditional_fidelity_past_the_kernel_rescale():
     bi=st.floats(-2.5, 2.5),
 )
 def test_conditional_fidelity_bounds(chi, g, ar, br, bi):
-    resource = make_amplified_twb(TwbParams(chi), NlaConfig(g, 2), TIGHT)[0]
+    resource = make_amplified_twb(TwbParams(chi), NlaConfig(g, 2), ORACLE_POLICY)[0]
     alpha, beta = complex(ar, 0.3), complex(br, bi)
     fid = conditional_fidelity(resource, alpha, beta)
     assert 0.0 <= fid <= 1.0
-    # the kernel sees |alpha - beta|^2 alone; the oracle's frame, alpha and beta
+    # the closed form sees |alpha - beta|^2 alone; the oracle's frame, alpha and beta
+    assert abs(fid - displaced_frame_fidelity(resource, alpha, beta)) <= 1e-10
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    family=st.sampled_from(["photsub", "addsub", "amplified"]),
+    chi=st.floats(min_value=0.05, max_value=0.85),
+    g=st.floats(min_value=1.0, max_value=4.0),
+    p=st.integers(0, 4),
+    ar=st.floats(-2.0, 2.0),
+    br=st.floats(-2.5, 2.5),
+    bi=st.floats(-2.5, 2.5),
+)
+def test_conditional_fidelity_closed_form_matches_oracle(family, chi, g, p, ar, br, bi):
+    if family == "amplified":
+        resource = make_amplified_twb(TwbParams(chi), NlaConfig(g, p), ORACLE_POLICY)[0]
+    else:
+        make = make_photon_subtracted_twb if family == "photsub" else make_added_then_subtracted_twb
+        resource = make(TwbParams(chi), ORACLE_POLICY)
+    alpha, beta = complex(ar, 0.3), complex(br, bi)
+    fid = conditional_fidelity(resource, alpha, beta)
+    assert 0.0 <= fid <= 1.0
     assert abs(fid - displaced_frame_fidelity(resource, alpha, beta)) <= 1e-10
 
 
@@ -456,7 +528,7 @@ def test_sampled_large_dimension():
 @pytest.mark.parametrize(
     "chi, mean, std_error",
     [
-        (0.5, 0.750269095993, 0.000612817263166),
+        (0.5, 0.750269096205, 0.000612817260761),
         (0.9, 0.950119386346, 0.000150278338012),
         (0.97, 0.985045814494, 4.67042756401e-05),
         (0.985, 0.992527294576, 2.34775679351e-05),
