@@ -20,8 +20,10 @@ _FLOAT_SLACK = 1e-12
 
 
 def _integer(name: str, x) -> int:
-    """x as an int: an int passes as it is, a float only if finite and integral."""
-    if isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer()):
+    """x as an int: an int but a bool passes as it is, a float only if finite and integral."""
+    if not isinstance(x, bool) and (
+        isinstance(x, numbers.Integral) or (isinstance(x, float) and x.is_integer())
+    ):
         return int(x)
     raise ValidationError(f"{name} must be an integer, got {x!r}")
 

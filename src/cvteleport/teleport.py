@@ -88,84 +88,46 @@ def _check_outcome(beta: complex) -> complex:
     return beta
 
 
-# Poisson-sum window: points are summed in blocks of _POISSON_BLOCK, and a block's
-# dropped tail must be certified below e^_POISSON_TAIL_LOG of its partial sum.
-# Larger blocks pay less per-call overhead but run each block to a coarser top.
-_POISSON_BLOCK = 16384
-_POISSON_TAIL_LOG = -42.0
-
-
 def _poisson_sum(weights: np.ndarray, t):
     """sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0.
 
     weights is one row (D,) or a stack of rows (r, D); the result has shape
-    weights.shape[:-1] + t.shape. The nested Horner form
-    w_0 + t(w_1 + t/2(w_2 + ...)) forms no n!: each step multiplies by t and
-    by the scalar 1/n, a third of the cost of dividing by n (the largest
-    average-fidelity move measured against division was 1.0e-15). e^-t is
-    applied in log space, and values are rescaled only where a bound, at most
-    max|w| e^t, passes 1e300.
-
-    Windowed: Poisson(t) puts next to no mass past c(t) = t + 12 sqrt(t) + 40,
-    so the points are sorted by c(t) (capped at D - 1) and taken in blocks of
-    _POISSON_BLOCK, and each block runs Horner only down from its largest
-    cut c. For nonnegative weights the dropped part is at most
-    max_{n>c} w_n P(Pois(t) > c) <= max_{n>c} w_n e^-t (e t / (c+1))^(c+1)
-    (Chernoff); a block where that exceeds e^-42 of the partial sum, in any
-    row, reruns the same loop over all D terms, and a negative weight puts
-    every block on all D terms. Results return in the order of t.
+    weights.shape[:-1] + t.shape. Every point runs the nested Horner form
+    w_0 + t(w_1 + t/2(w_2 + ...)) over all D terms and forms no n!: each step
+    multiplies by t and by the scalar 1/n, a third of the cost of dividing
+    by n (the largest average-fidelity move measured against division was
+    1.0e-15). e^-t is applied in log space, and values are rescaled only
+    where a bound, at most max|w| e^t, passes 1e300.
     """
     weights = np.asarray(weights, dtype=float)
     t = np.asarray(t, dtype=float)
     rows = weights.reshape(-1, weights.shape[-1])
-    full = rows.shape[1] - 1
     flat = t.reshape(-1)
-    cut = np.minimum(flat + 12.0 * np.sqrt(flat) + 40.0, full).astype(np.min_scalar_type(full))
-    if (rows < 0).any():  # the certificate needs nonnegative weights
-        cut[:] = full
-    # a stable sort of small unsigned integers is a radix sort
-    order = np.argsort(cut, kind="stable")
-    # tail_max[:, c] = max_{n>c} w_n, the certificate's weight factor
-    tail_max = np.zeros_like(rows)
-    tail_max[:, :-1] = np.maximum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1]
     columns = rows.T[:, :, None]
-    acc = np.empty((rows.shape[0], flat.size))
+    top = rows.shape[1] - 1
+    part = np.repeat(columns[top], flat.size, axis=1)
     with np.errstate(over="ignore", divide="ignore"):
         w_max = float(np.abs(rows).max(initial=0.0))
-        for lo in range(0, flat.size, _POISSON_BLOCK):
-            block = order[lo : lo + _POISSON_BLOCK]
-            tb = flat[block]
-            t_max = float(tb.max())
-            for top in (int(cut[block[-1]]), full):
-                part = np.repeat(columns[top], tb.size, axis=1)
-                # once rescaled, part holds each value times scale = 1e-250^rescales
-                bound, scale, rescales = w_max, None, 0.0
-                for n in range(top, 0, -1):
-                    bound = bound * t_max / n + w_max  # bounds |part| after this step
-                    if bound > 1e300:  # scale the values past 1e200 before they can overflow
-                        big = np.abs(part) > 1e200
-                        part[big] *= 1e-250
-                        rescales = rescales + big
-                        scale = 1e-250**rescales  # flushes to 0 once the weights stop counting
-                        bound = 1e200 * t_max / n + w_max
-                    part *= tb
-                    part *= 1.0 / n
-                    part += columns[n - 1] if scale is None else columns[n - 1] * scale
-                log_part = np.log(part, out=part)
-                if scale is not None:
-                    log_part -= rescales * math.log(1e-250)
-                if top == full:
-                    break
-                log_dropped = np.log(tail_max[:, top, None]) + (top + 1) * (
-                    1.0 + np.log(tb) - math.log(top + 1)
-                )
-                if np.all(log_dropped <= log_part + _POISSON_TAIL_LOG):
-                    break
-            for row, values in zip(acc, log_part):  # 3x faster than acc[:, block] = log_part
-                row[block] = values
-    acc -= flat
-    np.exp(acc, out=acc)
-    return acc.reshape(weights.shape[:-1] + t.shape)
+        t_max = float(flat.max(initial=0.0))
+        # once rescaled, part holds each value times scale = 1e-250^rescales
+        bound, scale, rescales = w_max, None, 0.0
+        for n in range(top, 0, -1):
+            bound = bound * t_max / n + w_max  # bounds |part| after this step
+            if bound > 1e300:  # scale the values past 1e200 before they can overflow
+                big = np.abs(part) > 1e200
+                part[big] *= 1e-250
+                rescales = rescales + big
+                scale = 1e-250**rescales  # flushes to 0 once the weights stop counting
+                bound = 1e200 * t_max / n + w_max
+            part *= flat
+            part *= 1.0 / n
+            part += columns[n - 1] if scale is None else columns[n - 1] * scale
+        log_part = np.log(part, out=part)
+    if scale is not None:
+        log_part -= rescales * math.log(1e-250)
+    log_part -= flat
+    np.exp(log_part, out=log_part)
+    return log_part.reshape(weights.shape[:-1] + t.shape)
 
 
 # Touchard polynomials, ascending: sum_n (n+1)^j y^n / n! = e^y Q_j(y)
@@ -243,10 +205,9 @@ def _closed_form_fidelity(generator, t):
     sum_n k_n^2 pois_n(t) = e^-(1-chi^2)t H(chi y), so F = e^-(1-chi)^2 t G^2 / H,
     summed in log space: G = Q_power (H = Q_(2 power)), or for the amplifier
     (power 0) G = sum_(n<=p) g^(n-p) pois_n(y) + P(Pois(y) > p) and H the same
-    with g^2. N^2 cancels. t is capped at 1e300, where F is 0 for every chi < 1.
+    with g^2. N^2 cancels. t is at most 1e300, where F is 0 for every chi < 1.
     """
     chi, power, nla, _ = generator
-    t = np.minimum(np.asarray(t, dtype=float), 1e300)
     log_f = -((1.0 - chi) ** 2) * t
     if nla:
         log_g, p = math.log(nla.gain), nla.threshold
@@ -260,16 +221,17 @@ def _closed_form_fidelity(generator, t):
 def _outcome_fidelity(resource: SchmidtState, t):
     """F = N^2 [sum_n k_n pois_n(t)]^2 / sum_n p_n pois_n(t), elementwise over t.
 
-    A constructor-built state is scored in closed form, as its untruncated
-    resource (_closed_form_fidelity). A state without a generator is summed
-    by _poisson_sum; the denominator is pi p(beta) at t = |alpha - beta|^2,
-    and NumericsError is raised where p(beta) < 1e-300, before anything is
-    divided.
+    t is capped at 1e300 (inf included). A constructor-built state is scored
+    in closed form, as its untruncated resource (_closed_form_fidelity). A
+    state without a generator is summed by _poisson_sum; the denominator is
+    pi p(beta) at t = |alpha - beta|^2, and NumericsError is raised where
+    p(beta) is below 1e-300 or nan, before anything is divided.
     """
+    t = np.minimum(np.asarray(t, dtype=float), 1e300)
     if resource.generator is not None:
         return _closed_form_fidelity(resource.generator, t)
     amp, density = _poisson_sum(np.vstack([resource.coeffs, schmidt_probabilities(resource)]), t)
-    if np.any(density < math.pi * 1e-300):
+    if not np.all(density >= math.pi * 1e-300):
         raise NumericsError(
             f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
         )
@@ -284,7 +246,10 @@ def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) 
     for the twin-beam. A state built by hand goes through _poisson_sum, and
     its F(beta) is the truncated sum's.
     """
-    t = abs(_check_amplitude(alpha) - _check_outcome(beta)) ** 2
+    # hypot and a product, not abs() and **: past float range they give inf, not OverflowError
+    d = _check_amplitude(alpha) - _check_outcome(beta)
+    r = math.hypot(d.real, d.imag)
+    t = r * r
     fid = float(_outcome_fidelity(resource, t))
     if fid > 1.0 + 1e-9:
         raise NumericsError(f"conditional fidelity {fid} exceeds 1")

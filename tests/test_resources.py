@@ -36,6 +36,11 @@ def test_params_validation():
         with pytest.raises(ValidationError):
             NlaConfig(gain=2.0, threshold=threshold)
     assert NlaConfig(gain=2.0, threshold=4.0).threshold == 4
+    # a bool is not an integer, as it is not a real number for chi and gain
+    with pytest.raises(ValidationError, match="threshold"):
+        NlaConfig(gain=2.0, threshold=True)
+    with pytest.raises(ValidationError, match="max_dim must be an integer"):
+        TruncationPolicy(max_dim=True)
     # an int threshold is taken as it is, even one past float range
     assert NlaConfig(gain=2.0, threshold=10**400).threshold == 10**400
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cvteleport import (
     BoundaryMassWarning,
@@ -182,15 +182,37 @@ def test_poisson_sum_matches_decimal_reference(chi):
 
 @pytest.mark.parametrize("t", [5.0, 50.0, 150.0])
 def test_poisson_sum_window_is_certified(t):
-    # one point per call, so each is summed over its own window (71, 174 and
-    # 337 terms). All of e_{D-1}'s mass lies past the first two: the certificate
-    # must send them over all D terms. The D = 915 twin-beam passes it at each t.
+    # every point runs all D terms. All of e_{D-1}'s mass sits at n = 199, past
+    # t + 12 sqrt(t) + 40 for the first two t, so a sum cut where Poisson(t) has
+    # next to no mass would miss it. The D = 915 twin-beam is checked at each t.
     last = np.zeros(200)
     last[-1] = 1.0
     twb = make_twb(TwbParams(0.985)).coeffs
     for weights in (last, twb):
         expected = poisson_sum_reference(weights, t)
         assert abs(float(_poisson_sum(weights, t)) - expected) <= 1e-12 * expected
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    weights=st.integers(1, 300).flatmap(
+        lambda d: st.one_of(
+            st.lists(st.just(0.0) | st.floats(0.0, 1e3), min_size=d, max_size=d),
+            # a single level: all of the sum's mass at one n
+            st.integers(0, d - 1).map(lambda j: [0.0] * j + [1.0] + [0.0] * (d - 1 - j)),
+        )
+    ),
+    ts=st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=4),
+)
+@example(weights=[0.0] * 300, ts=[0.0, 3000.0])
+# a single top level at D = 300: its Horner sum passes 1e300 from t of about 1120
+# and is rescaled, and the result stays above 1e-300 up to t of about 1400
+@example(weights=[0.0] * 299 + [1.0], ts=[5.0, 700.0, 1200.0, 1350.0])
+def test_poisson_sum_against_decimal(weights, ts):
+    values = _poisson_sum(np.array(weights), np.array(ts))
+    for t, value in zip(ts, values):
+        expected = poisson_sum_reference(weights, t)
+        assert abs(value - expected) <= max(1e-12 * expected, 1e-300), (len(weights), t)
 
 
 def test_poisson_sum_stacks_weights_and_keeps_shape():
@@ -224,6 +246,18 @@ def test_conditional_fidelity_vacuum_resource():
 def test_conditional_fidelity_rejects_vanishing_density():
     with pytest.raises(NumericsError):
         conditional_fidelity(VACUUM, 0.0, 30.0)
+    # t = 1e280, and t past float range, capped at 1e300: the kernel's density vanishes
+    hand_built = SchmidtState([0.6, 0.8], 1.0)
+    for beta in (1e140, 1e200, complex(1.7e308, -1.7e308)):
+        with pytest.raises(NumericsError, match=r"p\(beta\) vanishes"):
+            conditional_fidelity(hand_built, 0.0, beta)
+
+
+def test_conditional_fidelity_of_an_outcome_past_float_range():
+    # |alpha - beta|^2 overflows to inf, which the closed form scores as 0
+    state = make_twb(TwbParams(0.5))
+    for beta in (1e200, complex(1.7e308, -1.7e308)):
+        assert conditional_fidelity(state, 0.0, beta) == 0.0
 
 
 def test_conditional_fidelity_past_the_kernel_rescale():
@@ -560,7 +594,8 @@ def test_sampled_rejects_small_sample_budget():
 @pytest.mark.parametrize(
     "field, value",
     [("radial_nodes", float("nan")), ("mc_samples", float("nan")), ("rng_seed", float("nan")),
-     ("grid_points", 2.5), ("grid_points", float("inf")), ("rng_seed", "7")],
+     ("grid_points", 2.5), ("grid_points", float("inf")), ("rng_seed", "7"),
+     ("rng_seed", True), ("radial_nodes", True)],
 )
 def test_quadrature_counts_are_integers(field, value):
     with pytest.raises(ValidationError, match=field):
