@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-guard failure,
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -664,6 +665,11 @@ _COMMANDS = {
 }
 
 
+# Built on the first main() call, not at import, and reused by every later
+# call: the parser holds no function (main looks the handler up in _COMMANDS
+# at call time), so a module name rebound after the first call, as
+# bench/tracing.py rebinds them, still takes effect.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvteleport",
@@ -679,6 +685,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with argv (sys.argv[1:] when None) in this process.
+
+    Returns the exit code: 0 success, 2 validation error, 3 numerical-guard
+    failure, 4 I/O error. An argparse usage error raises SystemExit(2), as
+    does --help with SystemExit(0). main may be called any number of times
+    in one process; the parser is built on the first call.
+    """
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][0](args)

@@ -85,7 +85,8 @@ class SchmidtState:
         object.__setattr__(self, "coeffs", k)
         if k.ndim != 1 or k.size < 1:
             raise ValidationError("coeffs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(k)) or np.any(k < 0):
+        # two reductions: a nan makes min nan, +inf fails max, -inf and negatives fail min
+        if not (k.min() >= 0.0 and k.max() < math.inf):
             raise ValidationError("coeffs must be finite and non-negative")
         if not (math.isfinite(self.norm_const) and self.norm_const > 0):
             raise ValidationError(f"norm_const must be positive, got {self.norm_const}")

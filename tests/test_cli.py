@@ -858,3 +858,37 @@ def test_cli_import_and_every_command_load_no_scipy(tmp_path):
     assert {run[0].split()[0] for run in seen} == {"import", *_COMMANDS}
     for command, rc, loaded in seen:
         assert (command, rc, loaded) == (command, 0, [])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, reused by every main() call
+
+
+def test_main_reuses_its_parser_with_the_bytes_of_a_fresh_process(tmp_path, capsys):
+    helps = []
+    for _ in range(2):
+        for command in _COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+    assert helps[: len(_COMMANDS)] == helps[len(_COMMANDS) :]
+    assert cvteleport.cli._build_parser() is cvteleport.cli._build_parser()
+    # a usage error and a refused value leave nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--bogus"])
+    assert exc.value.code == 2
+    assert main(["teleport", "--chi", "2"]) == 2
+    runs = {
+        "f": ["teleport", "--chi", "0.5", "--method", "grid2d"],
+        "g": ["sweep", "--chi-stop", "0.3"],
+    }
+    src = os.path.dirname(os.path.dirname(cvteleport.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "cvteleport", *argv, "--out", f"{name}.fresh"], cwd=tmp_path,
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.fresh").read_bytes()

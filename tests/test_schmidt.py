@@ -21,6 +21,11 @@ def test_state_rejects_bad_inputs():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValidationError):
             SchmidtState(coeffs=np.array([bad]), norm_const=1.0)
+    # a bad level after a good one, each caught by the min or the max reduction
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            SchmidtState(coeffs=np.array([0.8, bad, 0.6]), norm_const=1.0)
+    assert SchmidtState(coeffs=[1.0, -0.0], norm_const=1.0).dim == 2
     with pytest.raises(ValidationError):
         SchmidtState(coeffs=np.array([1.0]), norm_const=-1.0)
     with pytest.raises(ValidationError):
