@@ -148,7 +148,8 @@ def _ladder_state(
     refusal is raised here and nowhere else, as NumericsError naming the
     label: a state that needs more than policy.max_dim levels (the D named
     is exact for power 0 and a lower bound otherwise), and a tail budget
-    epsilon * prob that underflows to 0, which no D meets.
+    epsilon * prob that underflows to 0, which no D meets. The generator
+    stamped on the state is (chi, power, nla); make_amplified_twb returns prob.
     """
     k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
     # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
@@ -191,5 +192,5 @@ def _ladder_state(
         norm_const=math.sqrt(one_minus_x / (prob * weight)),
         tail_bound=tail / prob,
         label=label,
-        generator=(chi, power, nla, prob),
+        generator=(chi, power, nla),
     )

@@ -36,6 +36,19 @@ def _real(name: str, x) -> float:
     raise ValidationError(f"{name} must be a real number, got {x!r}")
 
 
+def _complex(name: str, z) -> complex:
+    """z as a finite complex: any number but a bool (a string is no number)."""
+    if isinstance(z, (complex, float, int, numbers.Number)) and not isinstance(z, bool):
+        try:
+            z = complex(z)
+        except OverflowError:  # an int past float range
+            z = complex(math.inf)
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+        raise ValidationError(f"{name} must be finite")
+    raise ValidationError(f"{name} must be a number, got {z!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls how aggressively Fock space is truncated.
@@ -68,7 +81,7 @@ class SchmidtState:
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
-    generator is the (chi, power, nla, prob) that resources._ladder_state
+    generator is the (chi, power, nla) that resources._ladder_state
     built k_n from, so that estimators can score the untruncated resource in
     closed form; it stays None for a state built by hand.
     """

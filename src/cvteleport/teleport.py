@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
 from .resources import TwbParams
-from .schmidt import SchmidtState, _integer, schmidt_probabilities
+from .schmidt import SchmidtState, _complex, _integer, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -72,42 +72,23 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _check_amplitude(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValidationError("alpha must be finite")
-    if abs(alpha) > MAX_AMPLITUDE:
-        raise ValidationError(f"|alpha| exceeds the numerical guard {MAX_AMPLITUDE}")
-    return alpha
-
-
-def _check_outcome(beta: complex) -> complex:
-    beta = complex(beta)
-    if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-        raise ValidationError("beta must be finite")
-    return beta
-
-
 def _poisson_sum(weights: np.ndarray, t):
-    """sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0.
+    """sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0, for one row of D weights.
 
-    weights is one row (D,) or a stack of rows (r, D); the result has shape
-    weights.shape[:-1] + t.shape. Every point runs the nested Horner form
+    The result has the shape of t. Every point runs the nested Horner form
     w_0 + t(w_1 + t/2(w_2 + ...)) over all D terms and forms no n!: each step
     multiplies by t and by the scalar 1/n, a third of the cost of dividing
     by n (the largest average-fidelity move measured against division was
     1.0e-15). e^-t is applied in log space, and values are rescaled only
     where a bound, at most max|w| e^t, passes 1e300.
     """
-    weights = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     t = np.asarray(t, dtype=float)
-    rows = weights.reshape(-1, weights.shape[-1])
     flat = t.reshape(-1)
-    columns = rows.T[:, :, None]
-    top = rows.shape[1] - 1
-    part = np.repeat(columns[top], flat.size, axis=1)
+    top = w.size - 1
+    part = np.full(flat.size, w[top])
     with np.errstate(over="ignore", divide="ignore"):
-        w_max = float(np.abs(rows).max(initial=0.0))
+        w_max = float(np.abs(w).max(initial=0.0))
         t_max = float(flat.max(initial=0.0))
         # once rescaled, part holds each value times scale = 1e-250^rescales
         bound, scale, rescales = w_max, None, 0.0
@@ -121,13 +102,13 @@ def _poisson_sum(weights: np.ndarray, t):
                 bound = 1e200 * t_max / n + w_max
             part *= flat
             part *= 1.0 / n
-            part += columns[n - 1] if scale is None else columns[n - 1] * scale
+            part += w[n - 1] if scale is None else w[n - 1] * scale
         log_part = np.log(part, out=part)
     if scale is not None:
         log_part -= rescales * math.log(1e-250)
     log_part -= flat
     np.exp(log_part, out=log_part)
-    return log_part.reshape(weights.shape[:-1] + t.shape)
+    return log_part.reshape(t.shape)
 
 
 # Touchard polynomials, ascending: sum_n (n+1)^j y^n / n! = e^y Q_j(y)
@@ -199,7 +180,7 @@ def _log_amplified(y, p: int, log_w: float):
 
 
 def _closed_form_fidelity(generator, t):
-    """F(t) of the untruncated resource that generator (chi, power, nla, prob) names.
+    """F(t) of the untruncated resource that generator (chi, power, nla) names.
 
     With y = chi t, g(t) = sum_n k_n pois_n(t) = e^-(1-chi)t G(y) and
     sum_n k_n^2 pois_n(t) = e^-(1-chi^2)t H(chi y), so F = e^-(1-chi)^2 t G^2 / H,
@@ -207,7 +188,7 @@ def _closed_form_fidelity(generator, t):
     (power 0) G = sum_(n<=p) g^(n-p) pois_n(y) + P(Pois(y) > p) and H the same
     with g^2. N^2 cancels. t is at most 1e300, where F is 0 for every chi < 1.
     """
-    chi, power, nla, _ = generator
+    chi, power, nla = generator
     log_f = -((1.0 - chi) ** 2) * t
     if nla:
         log_g, p = math.log(nla.gain), nla.threshold
@@ -230,7 +211,8 @@ def _outcome_fidelity(resource: SchmidtState, t):
     t = np.minimum(np.asarray(t, dtype=float), 1e300)
     if resource.generator is not None:
         return _closed_form_fidelity(resource.generator, t)
-    amp, density = _poisson_sum(np.vstack([resource.coeffs, schmidt_probabilities(resource)]), t)
+    amp = _poisson_sum(resource.coeffs, t)
+    density = _poisson_sum(schmidt_probabilities(resource), t)
     if not np.all(density >= math.pi * 1e-300):
         raise NumericsError(
             f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
@@ -246,8 +228,11 @@ def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) 
     for the twin-beam. A state built by hand goes through _poisson_sum, and
     its F(beta) is the truncated sum's.
     """
+    alpha = _complex("alpha", alpha)
+    if abs(alpha) > MAX_AMPLITUDE:
+        raise ValidationError(f"|alpha| exceeds the numerical guard {MAX_AMPLITUDE}")
+    d = alpha - _complex("beta", beta)
     # hypot and a product, not abs() and **: past float range they give inf, not OverflowError
-    d = _check_amplitude(alpha) - _check_outcome(beta)
     r = math.hypot(d.real, d.imag)
     t = r * r
     fid = float(_outcome_fidelity(resource, t))
@@ -382,9 +367,9 @@ def average_fidelity_grid2d(
     sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it.
     t = x^2 + y^2 on an exactly symmetric axis: points k and points - 1 - k
     have the same x^2, so t depends only on the unordered pair of folded
-    indices min(k, points - 1 - k), and the kernel runs once per pair.
-    Warns if the integrand has not decayed to 1e-12 of its peak at the
-    boundary.
+    indices min(k, points - 1 - k): the kernel runs once per pair, filling
+    one symmetric quarter that the folded indices spread over the grid. Warns
+    if the integrand has not decayed to 1e-12 of its peak at the boundary.
     """
     half_width = _grid_half_width(resource)
     points = spec.grid_points
@@ -395,14 +380,13 @@ def average_fidelity_grid2d(
     lo, hi = np.triu_indices(half)  # each unordered pair of folded indices once
     t = squares[lo] + squares[hi]
     amp = (resource.norm_const / _SQRT_PI) * _poisson_sum(resource.coeffs, t)
-    pair = np.empty((half, half), dtype=np.intp)
-    pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
+    quarter = np.empty((half, half))
+    quarter[lo, hi] = quarter[hi, lo] = amp * amp
     fold = np.minimum(np.arange(points), np.arange(points)[::-1])
-    integrand = (amp * amp)[pair[np.ix_(fold, fold)]]
-    peak = integrand.max()
-    edge = max(
-        integrand[0].max(), integrand[-1].max(), integrand[:, 0].max(), integrand[:, -1].max()
-    )
+    integrand = quarter[np.ix_(fold, fold)]
+    peak = quarter.max()
+    # fold sends both ends to 0 and quarter is symmetric: every grid edge is quarter[0]
+    edge = quarter[0].max()
     if edge > 1e-12 * peak:
         warnings.warn(
             f"integrand at grid boundary is {edge / peak:.2e} of its peak "

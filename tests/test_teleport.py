@@ -168,13 +168,9 @@ def test_poisson_sum_matches_decimal_reference(chi):
         make_photon_subtracted_twb(params, policy),
         make_added_then_subtracted_twb(params, policy),
     ):
-        rows = np.vstack([state.coeffs, schmidt_probabilities(state)])
-        # the (2, D) stack the sampler passes, rescaled together past t = 700
-        stacked = _poisson_sum(rows, np.array(ts))
-        for weights, stacked_values in zip(rows, stacked):
+        for weights in (state.coeffs, schmidt_probabilities(state)):
             values = _poisson_sum(weights, np.array(ts))
             assert np.all(np.isfinite(values))
-            assert np.array_equal(stacked_values, values), state.label
             for t, value in zip(ts, values):
                 expected = poisson_sum_reference(weights, t)
                 assert abs(value - expected) <= 1e-12 * expected, (state.label, t)
@@ -215,14 +211,15 @@ def test_poisson_sum_against_decimal(weights, ts):
         assert abs(value - expected) <= max(1e-12 * expected, 1e-300), (len(weights), t)
 
 
-def test_poisson_sum_stacks_weights_and_keeps_shape():
-    state = make_twb(TwbParams(0.97))
-    pn = schmidt_probabilities(state)
+def test_poisson_sum_keeps_the_shape_of_t():
+    weights = make_twb(TwbParams(0.97)).coeffs
+    scalar = _poisson_sum(weights, 2.5)
+    assert scalar.shape == ()
+    assert scalar == _poisson_sum(weights, np.array([2.5]))[0]
     t = np.random.default_rng(3).gamma(np.arange(24.0).reshape(2, 3, 4) + 1.0)
-    stacked = _poisson_sum(np.vstack([state.coeffs, pn]), t)
-    assert stacked.shape == (2, 2, 3, 4)
-    assert np.array_equal(stacked[0], _poisson_sum(state.coeffs, t))
-    assert np.array_equal(stacked[1], _poisson_sum(pn, t))
+    values = _poisson_sum(weights, t)
+    assert values.shape == (2, 3, 4)
+    assert np.array_equal(values, _poisson_sum(weights, t.reshape(-1)).reshape(2, 3, 4))
 
 
 def test_conditional_fidelity_twb_closed_form():
@@ -361,6 +358,20 @@ def test_amplitude_guard():
     for alpha, beta in ((51.0, 0.0), (0.0, float("nan")), (complex("inf"), 0.0)):
         with pytest.raises(ValidationError):
             conditional_fidelity(VACUUM, alpha, beta)
+
+
+def test_conditional_fidelity_takes_any_finite_number():
+    # one type rule for alpha and beta, as schmidt._real's for real values
+    for bad in ("1", "1+2j", True, np.True_, None, [1]):
+        for args in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValidationError, match="must be a number"):
+                conditional_fidelity(VACUUM, *args)
+    with pytest.raises(ValidationError, match="beta must be finite"):  # an int past float range
+        conditional_fidelity(VACUUM, 0.0, 10**400)
+    expected = conditional_fidelity(VACUUM, 1.0, 1.0 + 2.0j)
+    numpy_scalars = ((np.int64(1), np.complex128(1 + 2j)), (np.float32(1.0), 1 + 2j))
+    for alpha, beta in ((1, 1 + 2j), *numpy_scalars):
+        assert conditional_fidelity(VACUUM, alpha, beta) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +513,40 @@ def test_grid2d_window_holds_the_outcome_mass():
             n = np.arange(resource.dim)
             tail = np.sum(schmidt_probabilities(resource) * gammaincc(n + 1.0, h * h))
             assert tail <= 1e-12, resource.label
+
+
+def _naive_grid2d(resource: SchmidtState, points: int) -> tuple[float, bool]:
+    """grid2d with the kernel run at every one of the points^2 outcomes, and whether it warns."""
+    half_width = teleport_module._grid_half_width(resource)
+    axis = np.linspace(-half_width, half_width, points)
+    axis = (axis - axis[::-1]) / 2
+    t = axis[:, None] ** 2 + axis[None, :] ** 2
+    amp = (resource.norm_const / math.sqrt(math.pi)) * _poisson_sum(resource.coeffs, t)
+    integrand = amp * amp
+    edge = max(
+        integrand[0].max(), integrand[-1].max(), integrand[:, 0].max(), integrand[:, -1].max()
+    )
+    fbar = float(np.trapezoid(np.trapezoid(integrand, x=axis, axis=1), x=axis))
+    return fbar, bool(edge > 1e-12 * integrand.max())
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda k: max(k) > 0.01),
+    points=st.integers(1, 41),
+)
+@example(coeffs=[1.0], points=1)
+@example(coeffs=[0.6, 0.8], points=2)
+def test_grid2d_matches_the_unfolded_grid(coeffs, points):
+    # small states built by hand: grid2d sums the kernel over k_n whatever the state
+    k = np.array(coeffs)
+    resource = SchmidtState(k, 1.0 / math.sqrt(k @ k), label="hand-built")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryMassWarning)
+        fbar = average_fidelity_grid2d(resource, QuadratureSpec(grid_points=points))
+    expected, warns = _naive_grid2d(resource, points)
+    assert fbar == expected  # bitwise: the same t, kernel values and trapezoid sums
+    assert [w.category for w in caught] == [BoundaryMassWarning] * warns
 
 
 def test_grid2d_warns_when_the_window_is_too_small(monkeypatch):
