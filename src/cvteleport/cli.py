@@ -21,25 +21,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .metrics import (
-    entanglement_entropy,
-    epr_correlation,
-    mean_photon,
-    metrics_report,
-    non_gaussianity,
-)
+from .metrics import _entropy, _epr, _moments, _non_gaussianity, mean_photon, metrics_report
 from .resources import (
     NlaConfig,
     TwbParams,
-    make_added_then_subtracted_twb,
-    make_amplified_twb,
-    make_photon_subtracted_twb,
-    make_twb,
+    _amplified_column,
+    _ladder_column,
     success_probability,
 )
 from .schmidt import TruncationPolicy, schmidt_probabilities
 from .teleport import (
     QuadratureSpec,
+    _series_fidelity,
     average_fidelity_grid2d,
     average_fidelity_radial,
     average_fidelity_sampled,
@@ -265,34 +258,47 @@ def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
 # ---------------------------------------------------------------------------
 # resource families and metrics
 #
-# Builders and metrics name the resources/metrics/teleport functions inside
-# their bodies, so each call looks them up in this module's globals: code
-# that rebinds those names here (a profiler or tracer) sees every call.
+# Sweeps and figures build each (family, gain, threshold) as one column of
+# states over the chi grid and read each row through the metric kernels; no
+# state is built, and no public constructor or metric called, per chi. The
+# builders, kernels and estimators are named inside the bodies below, so each
+# call looks them up in this module's globals: code that rebinds those names
+# here (a profiler or tracer) sees every call.
 
 
-# --resource name -> (fig5 tag, builder). A builder takes (params, nla,
-# policy) and returns (state, success probability or None); only the
-# amplified family reads nla.
+# --resource name -> (fig5 tag, builder). A builder takes (chis, nla, policy) and returns
+# (resources._LadderColumn, success probabilities or None); only the amplified family reads nla.
 FAMILIES = {
-    "twb": ("twb", lambda params, nla, policy: (make_twb(params, policy), None)),
-    "amplified": ("nla", lambda params, nla, policy: make_amplified_twb(params, nla, policy)),
+    "twb": ("twb", lambda chis, nla, policy: (_ladder_column(chis, 0, policy, "twb"), None)),
+    "amplified": ("nla", lambda chis, nla, policy: _amplified_column(chis, nla, policy)),
     "subtracted": (
         "photsub",
-        lambda params, nla, policy: (make_photon_subtracted_twb(params, policy), None),
+        lambda chis, nla, policy: (_ladder_column(chis, 1, policy, "photsub"), None),
     ),
     "added-subtracted": (
         "addsub",
-        lambda params, nla, policy: (make_added_then_subtracted_twb(params, policy), None),
+        lambda chis, nla, policy: (_ladder_column(chis, 2, policy, "addsub"), None),
     ),
 }
 
-# metric name -> value of a resource state
+
+class _Row(NamedTuple):
+    """Row i of a resource column: its k_n and p_n, and its moment triple or False."""
+
+    column: object
+    i: int
+    coeffs: np.ndarray
+    probs: np.ndarray
+    moments: tuple | bool
+
+
+# metric name -> value of a _Row
 METRICS = {
-    "entropy": lambda state: entanglement_entropy(state),
-    "epr": lambda state: epr_correlation(state),
-    "ng": lambda state: non_gaussianity(state),
-    "fbar": lambda state: average_fidelity_series(state),
-    "fbar_grid2d": lambda state: average_fidelity_grid2d(state),
+    "entropy": lambda row: _entropy(row.probs),
+    "epr": lambda row: _epr(row.moments),
+    "ng": lambda row: _non_gaussianity(row.moments),
+    "fbar": lambda row: _series_fidelity(row.coeffs, row.column.norm_consts[row.i]),
+    "fbar_grid2d": lambda row: average_fidelity_grid2d(row.column.state(row.i)),
 }
 
 # --method name -> (average fidelity, standard error or None) of a state under a QuadratureSpec
@@ -309,38 +315,43 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
 
     configs are (family, gain, threshold). A scalar metric gives one block
     per config with one row per chi; pdist gives one block per (config, chi)
-    with one row per Fock level. Each (config, chi) state is built once and
-    psucc is the builder's, but when psucc is the only metric no state is
-    built and psucc is computed alone. extra fills the last column of the
-    fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
+    with one row per Fock level. Each config's states are built once, as one
+    column over chis, and psucc is the builder's; when psucc is the only
+    metric no state is built and psucc is computed alone. Each row's moment
+    triple is computed once, for epr and ng together. extra fills the last
+    column of the fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
+    with_moments = bool({"epr", "ng"} & set(groups))
     for family, g, p in configs:
         nla = NlaConfig(gain=g, threshold=p)
         if nla.threshold + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms
             raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
         tag, build = FAMILIES[family]
         columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
-        psuccs = []
-        for chi in chis:
-            params = TwbParams(chi)
-            state, psucc = (
-                build(params, nla, policy) if stateful else (None, success_probability(params, nla))
-            )
-            psuccs.append(psucc)
-            for metric, column in columns.items():
-                column.append(METRICS[metric](state))
-            if "pdist" in groups:
-                probs = schmidt_probabilities(state).tolist()
-                groups["pdist"].append(RowBlock(chi, g, p, "pdist", probs, range(len(probs))))
+        if stateful:
+            column, psuccs = build(chis, nla, policy)
+            bounds, coeffs, probs = column.bounds, column.coeffs, column.probabilities()
+            for i, chi in enumerate(chis):
+                k, row_probs = coeffs[bounds[i] : bounds[i + 1]], probs[bounds[i] : bounds[i + 1]]
+                norm_const, label = column.norm_consts[i], column.labels[i]
+                moments = with_moments and _moments(k, norm_const, row_probs, label)
+                row = _Row(column, i, k, row_probs, moments)
+                for metric, values in columns.items():
+                    values.append(METRICS[metric](row))
+                if "pdist" in groups:
+                    dist = row_probs.tolist()
+                    groups["pdist"].append(RowBlock(chi, g, p, "pdist", dist, range(len(dist))))
+        else:
+            psuccs = [success_probability(TwbParams(chi), nla) for chi in chis]
         if "psucc" in groups:
             columns["psucc"] = psuccs
         cell = {"tag": tag, "psucc": psuccs}.get(extra)
-        for metric, column in columns.items():
+        for metric, values in columns.items():
             extras = cell if metric in fidelities else None
-            groups[metric].append(RowBlock(chis, g, p, metric, column, extras))
+            groups[metric].append(RowBlock(chis, g, p, metric, values, extras))
     return [block for blocks in groups.values() for block in blocks]
 
 
@@ -539,7 +550,8 @@ def _cli_resource(args, policy):
     if nla_given and family != "amplified":
         raise ValidationError(f"--gain and --threshold do not apply to the {family} resource")
     nla = NlaConfig(gain=gain, threshold=threshold) if family == "amplified" else None
-    return FAMILIES[family][1](TwbParams(args.chi), nla, policy)
+    column, psuccs = FAMILIES[family][1]((TwbParams(args.chi).chi,), nla, policy)
+    return column.state(0), psuccs and psuccs[0]
 
 
 def _cmd_state(args) -> None:

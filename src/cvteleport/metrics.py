@@ -22,14 +22,20 @@ _PHYS_TOL = 1e-9
 
 def mean_photon(state: SchmidtState) -> float:
     """Average photon number in one mode, sum_n n p_n."""
-    p = schmidt_probabilities(state)
-    return float(np.arange(state.dim) @ p)
+    return _mean_photon(schmidt_probabilities(state))
+
+
+def _mean_photon(probs: np.ndarray) -> float:
+    return float(np.arange(probs.size) @ probs)
 
 
 def cross_moment(state: SchmidtState) -> float:
     """Two-mode moment <ab> = N^2 sum_n k_n k_{n+1} (n+1)."""
-    k = state.coeffs
-    return float(state.norm_const**2 * ((k[:-1] * k[1:]) @ np.arange(1, state.dim)))
+    return _cross_moment(state.coeffs, state.norm_const)
+
+
+def _cross_moment(k: np.ndarray, norm_const: float) -> float:
+    return float(norm_const**2 * ((k[:-1] * k[1:]) @ np.arange(1, k.size)))
 
 
 def entanglement_entropy(state: SchmidtState) -> float:
@@ -37,8 +43,11 @@ def entanglement_entropy(state: SchmidtState) -> float:
 
     Equals the excess entropy entanglement measure for these pure states.
     """
-    p = schmidt_probabilities(state)
-    p = p[p > 0]  # 0 ln 0 = 0
+    return _entropy(schmidt_probabilities(state))
+
+
+def _entropy(probs: np.ndarray) -> float:
+    p = probs[probs > 0]  # 0 ln 0 = 0
     return max(0.0, -float(np.sum(p * np.log(p))))
 
 
@@ -52,22 +61,25 @@ def twb_entropy_closed(params: TwbParams) -> float:
     return -math.log(1.0 - c2) - c2 * math.log(c2) / (1.0 - c2)
 
 
-def _moments(state: SchmidtState) -> tuple[float, float, float]:
-    """(<n>, <ab>, (1/2 + <n>)^2 - <ab>^2) of a state, refused unless the last is >= 1/4.
+def _moments(k: np.ndarray, norm_const: float, probs: np.ndarray, label: str) -> tuple:
+    """(<n>, <ab>, (1/2 + <n>)^2 - <ab>^2) of the state N * sum_n k_n |n, n>
+    with p_n = probs, refused unless the last is >= 1/4.
 
     The last is the squared symplectic eigenvalue of the covariance matrix
     (see non_gaussianity), so the bound says it is at least 1/2; EPR and
-    non-Gaussianity both rest on it.
+    non-Gaussianity both rest on it, and read one triple.
     """
-    n = mean_photon(state)
-    ab = cross_moment(state)
+    n = _mean_photon(probs)
+    ab = _cross_moment(k, norm_const)
     i1 = 0.5 + n
     arg = i1 * i1 - ab * ab
     if arg < 0.25 - _PHYS_TOL:
-        raise NumericsError(
-            f"unphysical covariance data: i1^2 - i3^2 = {arg} < 1/4 for {state.label!r}"
-        )
+        raise NumericsError(f"unphysical covariance data: i1^2 - i3^2 = {arg} < 1/4 for {label!r}")
     return n, ab, arg
+
+
+def _state_moments(state: SchmidtState) -> tuple:
+    return _moments(state.coeffs, state.norm_const, schmidt_probabilities(state), state.label)
 
 
 def epr_correlation(state: SchmidtState) -> float:
@@ -77,7 +89,11 @@ def epr_correlation(state: SchmidtState) -> float:
     2 [1 + 2<n> - 2<ab>]. Values below 2 witness two-mode quantum
     correlations; 0 is the ideal EPR limit.
     """
-    n, ab, _ = _moments(state)
+    return _epr(_state_moments(state))
+
+
+def _epr(moments: tuple) -> float:
+    n, ab, _ = moments
     return 2.0 * (1.0 + 2.0 * n - 2.0 * ab)
 
 
@@ -103,17 +119,22 @@ def non_gaussianity(state: SchmidtState) -> float:
     and i3 = <ab>; both symplectic eigenvalues then equal
     d_plus = sqrt(i1^2 - i3^2). Zero exactly for the twin-beam.
     """
-    _, _, arg = _moments(state)
-    return max(0.0, 2.0 * h_function(math.sqrt(max(arg, 0.25))))
+    return _non_gaussianity(_state_moments(state))
+
+
+def _non_gaussianity(moments: tuple) -> float:
+    return max(0.0, 2.0 * h_function(math.sqrt(max(moments[2], 0.25))))
 
 
 def metrics_report(state: SchmidtState) -> dict:
     """All scalar metrics plus the photon number distribution of a state."""
+    probs = schmidt_probabilities(state)
+    moments = _moments(state.coeffs, state.norm_const, probs, state.label)
     return {
-        "entropy": entanglement_entropy(state),
-        "epr": epr_correlation(state),
-        "non_gaussianity": non_gaussianity(state),
-        "mean_photon": mean_photon(state),
-        "cross_moment": cross_moment(state),
-        "photon_distribution": schmidt_probabilities(state),
+        "entropy": _entropy(probs),
+        "epr": _epr(moments),
+        "non_gaussianity": _non_gaussianity(moments),
+        "mean_photon": moments[0],
+        "cross_moment": moments[1],
+        "photon_distribution": probs,
     }

@@ -13,13 +13,15 @@ The last two are the standard ladder-operator baselines used for
 fidelity comparisons.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy, _integer, _real
+from .schmidt import DEFAULT_POLICY, SchmidtState, TruncationPolicy, _check_rows, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class NlaConfig:
 
 def make_twb(params: TwbParams, policy: TruncationPolicy = DEFAULT_POLICY) -> SchmidtState:
     """Truncated twin-beam with k_n = chi^n and N = sqrt(1 - chi^2)."""
-    return _ladder_state(params.chi, 0, policy, f"twb chi={params.chi:g}")
+    return _ladder_column((params.chi,), 0, policy, "twb").state(0)
 
 
 def success_probability(params: TwbParams, nla: NlaConfig) -> float:
@@ -71,7 +73,10 @@ def success_probability(params: TwbParams, nla: NlaConfig) -> float:
     cancellation) and the geometric tail is folded in closed form, so the
     result stays accurate for chi near 1 and for g*chi > 1.
     """
-    chi, g, p = params.chi, nla.gain, nla.threshold
+    return _success_probability(params.chi, nla.gain, nla.threshold)
+
+
+def _success_probability(chi: float, g: float, p: int) -> float:
     head = math.fsum(g ** (2 * (n - p)) * chi ** (2 * n) for n in range(p + 1))
     tail = chi ** (2 * (p + 1)) / (1.0 - chi * chi)
     return (1.0 - chi * chi) * (head + tail)
@@ -89,13 +94,19 @@ def make_amplified_twb(
     1/P renormalization so the discarded mass stays within policy.epsilon.
     At g = 1 the amplifier is the identity, and the state is make_twb's.
     """
-    chi, g, p = params.chi, nla.gain, nla.threshold
+    column, (prob,) = _amplified_column((params.chi,), nla, policy)
+    return column.state(0), prob
+
+
+def _amplified_column(chis, nla: NlaConfig, policy: TruncationPolicy):
+    """(column, heralding probabilities) of the amplified twin-beam at each chi."""
+    g, p = nla.gain, nla.threshold
     if p + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-    prob = success_probability(params, nla)  # a sum of p + 1 terms
+    probs = [_success_probability(chi, g, p) for chi in chis]  # p + 1 terms each
     if g == 1.0:
-        return make_twb(params, policy), prob
-    return _ladder_state(chi, 0, policy, f"nla g={g:g} p={p} chi={chi:g}", nla, prob), prob
+        return _ladder_column(chis, 0, policy, "twb"), probs
+    return _ladder_column(chis, 0, policy, f"nla g={g:g} p={p}", nla, probs), probs
 
 
 def make_photon_subtracted_twb(
@@ -106,7 +117,7 @@ def make_photon_subtracted_twb(
     Applying the two annihilation operators to the twin-beam and
     renormalizing yields k_n proportional to (n+1) chi^n.
     """
-    return _ladder_state(params.chi, 1, policy, f"photsub chi={params.chi:g}")
+    return _ladder_column((params.chi,), 1, policy, "photsub").state(0)
 
 
 def make_added_then_subtracted_twb(
@@ -117,7 +128,7 @@ def make_added_then_subtracted_twb(
     The creation pair followed by the annihilation pair weights the ladder
     by (n+1)^2, so k_n is proportional to (n+1)^2 chi^n.
     """
-    return _ladder_state(params.chi, 2, policy, f"addsub chi={params.chi:g}")
+    return _ladder_column((params.chi,), 2, policy, "addsub").state(0)
 
 
 # Eulerian polynomials A_j, ascending: sum_{m>=0} m^j x^m = x^[j>0] A_j(x) / (1-x)^(j+1)
@@ -128,40 +139,31 @@ def _eulerian(j: int, x: float) -> float:
     return sum(a * x**i for i, a in enumerate(_EULERIAN[j]))
 
 
-def _ladder_state(
-    chi: float,
-    power: int,
-    policy: TruncationPolicy,
-    label: str,
-    nla: NlaConfig | None = None,
-    prob: float = 1.0,
-) -> SchmidtState:
-    """State with k_n = h_n (n+1)^power chi^n, truncated and normalized in closed form.
+def _ladder_rule(chi, power, policy, label, p=0, prob=1.0) -> tuple[int, float, float]:
+    """(D, N, tail bound) of the state with k_n = h_n (n+1)^power chi^n.
 
-    h_n = g^min(n-p, 0) under the amplifier nla (with power 0), else 1, and
-    prob is its heralding probability. With x = chi^2 and k = 2*power,
-    sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1), whose inverse is N^2.
-    D starts from the geometric bound x^D <= epsilon * prob, D > p. For
-    power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
+    h_n = g^min(n-p, 0) under an amplifier with threshold p (with power 0),
+    else 1, and prob is its heralding probability. With x = chi^2 and
+    k = 2*power, sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1), whose inverse
+    is N^2. D starts from the geometric bound x^D <= epsilon * prob, D > p.
+    For power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
     F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive
     terms, and D rises until x^D F(D)/F(0) <= epsilon. Every truncation
     refusal is raised here and nowhere else, as NumericsError naming the
     label: a state that needs more than policy.max_dim levels (the D named
     is exact for power 0 and a lower bound otherwise), and a tail budget
-    epsilon * prob that underflows to 0, which no D meets. The generator
-    stamped on the state is (chi, power, nla); make_amplified_twb returns prob.
+    epsilon * prob that underflows to 0, which no D meets.
     """
     k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
     # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
     # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
     one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
-    p = nla.threshold if nla else 0
     if policy.epsilon * prob == 0.0:
         raise NumericsError(
             f"{label}: success probability underflows the tail budget: epsilon * {prob:g} = 0"
         )
     dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
-    weight = _eulerian(k, x) / one_minus_x**k  # exactly 1 at power 0
+    weight = _eulerian(k, x) / one_minus_x**k if power else 1.0
     if power:
         c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
             math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
@@ -181,16 +183,59 @@ def _ladder_state(
         raise NumericsError(f"{label} needs at least {dim} levels, over max_dim={policy.max_dim}")
     # x^D, or x^D F(D)/F(0) in log space
     tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
-    n = np.arange(dim)
-    coeffs = chi**n
+    return dim, math.sqrt(one_minus_x / (prob * weight)), tail / prob
+
+
+class _LadderColumn(NamedTuple):
+    """The states k_n = h_n (n+1)^power chi^n at each chi of chis, built by
+    _ladder_column: row i is coeffs[bounds[i]:bounds[i+1]], its own D long,
+    with N norm_consts[i] and tail bound tail_bounds[i]."""
+
+    chis: tuple
+    power: int
+    nla: NlaConfig | None
+    labels: list
+    coeffs: np.ndarray
+    bounds: list
+    norm_consts: tuple
+    tail_bounds: tuple
+
+    def probabilities(self) -> np.ndarray:
+        """p_n = N^2 k_n^2 of every row, laid out as coeffs."""
+        return (np.repeat(self.norm_consts, np.diff(self.bounds)) * self.coeffs) ** 2
+
+    def state(self, i: int) -> SchmidtState:
+        """Row i as a SchmidtState, its coefficients a view of the column's."""
+        return SchmidtState(
+            coeffs=self.coeffs[self.bounds[i] : self.bounds[i + 1]],
+            norm_const=self.norm_consts[i],
+            tail_bound=self.tail_bounds[i],
+            label=self.labels[i],
+            generator=(self.chis[i], self.power, self.nla),
+        )
+
+
+def _ladder_column(chis, power, policy, prefix, nla=None, probs=None) -> _LadderColumn:
+    """The states k_n = h_n (n+1)^power chi^n at each chi of chis in (0, 1).
+
+    Each row has _ladder_rule's D, N and tail bound (probs holds the
+    amplifier's heralding probability at each chi). All rows' k_n are formed
+    at once, laid end to end with no padding, by a single state's elementwise
+    rule, and checked as SchmidtState checks its own.
+    """
+    p = nla.threshold if nla else 0
+    labels = [f"{prefix} chi={chi:g}" for chi in chis]
+    rules = [
+        _ladder_rule(chi, power, policy, label, p, prob)
+        for chi, label, prob in zip(chis, labels, probs or itertools.repeat(1.0))
+    ]
+    dims, norm_consts, tail_bounds = zip(*rules)
+    bounds = [0, *itertools.accumulate(dims)]
+    n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], dims)  # 0..D-1 in each row
+    coeffs = np.repeat(chis, dims) ** n
     if power:
         coeffs = (n + 1.0) ** power * coeffs
     if nla:
         coeffs = nla.gain ** np.minimum(n - float(p), 0.0) * coeffs
-    return SchmidtState(
-        coeffs=coeffs,
-        norm_const=math.sqrt(one_minus_x / (prob * weight)),
-        tail_bound=tail / prob,
-        label=label,
-        generator=(chi, power, nla),
-    )
+    _check_rows(coeffs, bounds, norm_consts, tail_bounds)
+    return _LadderColumn(tuple(chis), power, nla, labels, coeffs, bounds, norm_consts, tail_bounds)

@@ -32,7 +32,10 @@ def _real(name: str, x) -> float:
     """x as a float: any real number but a bool; the caller checks its range."""
     # float and int first: the numbers.Real check alone costs about 0.7 us a call
     if isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int past float range
+            raise ValidationError(f"{name} must be finite, got an int past float range") from None
     raise ValidationError(f"{name} must be a real number, got {x!r}")
 
 
@@ -81,7 +84,7 @@ class SchmidtState:
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
-    generator is the (chi, power, nla) that resources._ladder_state
+    generator is the (chi, power, nla) that resources._ladder_column
     built k_n from, so that estimators can score the untruncated resource in
     closed form; it stays None for a state built by hand.
     """
@@ -98,22 +101,32 @@ class SchmidtState:
         object.__setattr__(self, "coeffs", k)
         if k.ndim != 1 or k.size < 1:
             raise ValidationError("coeffs must be a non-empty 1-d sequence")
-        # two reductions: a nan makes min nan, +inf fails max, -inf and negatives fail min
-        if not (k.min() >= 0.0 and k.max() < math.inf):
-            raise ValidationError("coeffs must be finite and non-negative")
-        if not (math.isfinite(self.norm_const) and self.norm_const > 0):
-            raise ValidationError(f"norm_const must be positive, got {self.norm_const}")
-        if self.tail_bound < 0:
-            raise ValidationError("tail_bound must be non-negative")
-        total = self.norm_const**2 * float(np.dot(k, k))
-        if abs(total - 1.0) > self.tail_bound + _FLOAT_SLACK:
-            raise ValidationError(
-                f"state not normalized within tail_bound: |{total} - 1| > {self.tail_bound}"
-            )
+        _check_rows(k, (0, k.size), (self.norm_const,), (self.tail_bound,))
 
     @property
     def dim(self) -> int:
         return int(self.coeffs.size)
+
+
+def _check_rows(coeffs: np.ndarray, bounds, norm_consts, tail_bounds) -> None:
+    """Refuse rows of coefficients laid end to end, row i being
+    coeffs[bounds[i]:bounds[i+1]] with N norm_consts[i] and tail bound
+    tail_bounds[i], unless every k_n is finite and non-negative and every
+    row has N^2 sum k_n^2 within its tail bound of 1."""
+    # two reductions: a nan makes min nan, +inf fails max, -inf and negatives fail min
+    if not (coeffs.min() >= 0.0 and coeffs.max() < math.inf):
+        raise ValidationError("coeffs must be finite and non-negative")
+    for lo, hi, norm_const, tail_bound in zip(bounds, bounds[1:], norm_consts, tail_bounds):
+        if not (math.isfinite(norm_const) and norm_const > 0):
+            raise ValidationError(f"norm_const must be positive, got {norm_const}")
+        if tail_bound < 0:
+            raise ValidationError("tail_bound must be non-negative")
+        k = coeffs[lo:hi]
+        total = norm_const**2 * float(np.dot(k, k))
+        if abs(total - 1.0) > tail_bound + _FLOAT_SLACK:
+            raise ValidationError(
+                f"state not normalized within tail_bound: |{total} - 1| > {tail_bound}"
+            )
 
 
 def schmidt_probabilities(state: SchmidtState) -> np.ndarray:

@@ -282,8 +282,11 @@ def average_fidelity_series(resource: SchmidtState) -> float:
     F = N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1), with the weights taken
     from the shared series kernel. Independent of the input amplitude.
     """
-    k = resource.coeffs
-    return float(resource.norm_const**2 * (k @ _series_weights(resource.dim) @ k))
+    return _series_fidelity(resource.coeffs, resource.norm_const)
+
+
+def _series_fidelity(k: np.ndarray, norm_const: float) -> float:
+    return float(norm_const**2 * (k @ _series_weights(k.size) @ k))
 
 
 @lru_cache(maxsize=8)

@@ -25,6 +25,7 @@ from cvteleport.cli import (
     SWEEP_METRICS,
     RowBlock,
     SweepSpec,
+    _metric_blocks,
     _rows_text,
     figure_data,
     main,
@@ -34,8 +35,20 @@ from cvteleport.cli import (
 )
 from cvteleport import (
     BoundaryMassWarning,
+    NlaConfig,
     NumericsError,
+    TruncationPolicy,
+    TwbParams,
     ValidationError,
+    average_fidelity_series,
+    entanglement_entropy,
+    epr_correlation,
+    make_added_then_subtracted_twb,
+    make_amplified_twb,
+    make_photon_subtracted_twb,
+    make_twb,
+    non_gaussianity,
+    schmidt_probabilities,
 )
 from helpers import flatten_blocks, rows_text_reference
 
@@ -892,3 +905,81 @@ def test_main_reuses_its_parser_with_the_bytes_of_a_fresh_process(tmp_path, caps
             env=env, capture_output=True, timeout=120, check=True,
         )
         assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.fresh").read_bytes()
+
+
+# family -> (state, psucc or None) at one chi, by the public constructors
+_PUBLIC_BUILDERS = {
+    "twb": lambda params, nla, policy: (make_twb(params, policy), None),
+    "amplified": lambda params, nla, policy: make_amplified_twb(params, nla, policy),
+    "subtracted": lambda params, nla, policy: (make_photon_subtracted_twb(params, policy), None),
+    "added-subtracted": lambda params, nla, policy: (
+        make_added_then_subtracted_twb(params, policy), None
+    ),
+}
+_COLUMN_METRICS = ("entropy", "epr", "ng", "fbar", "pdist", "psucc")
+# room for the weighted families at chi 0.985 (1127 and 1298 levels)
+_WIDE = TruncationPolicy(max_dim=2048)
+
+
+def _assert_column_equals_public_states(configs, chis, policy=_WIDE):
+    """_metric_blocks's rows equal, as floats, what the public constructors and
+    metrics give state by state: entropy, EPR, NG, series F, psucc and pdist."""
+    blocks = _metric_blocks(_COLUMN_METRICS, configs, chis, policy)
+    per_config = len(configs)
+    entropy, epr, ng, fbar = (blocks[i * per_config : (i + 1) * per_config] for i in range(4))
+    pdist = blocks[4 * per_config : 4 * per_config + per_config * len(chis)]
+    psucc = blocks[4 * per_config + per_config * len(chis) :]
+    assert len(psucc) == per_config
+    for c, (family, g, p) in enumerate(configs):
+        psuccs = psucc[c].value or [None] * len(chis)  # None off the amplified family
+        for i, chi in enumerate(chis):
+            state, prob = _PUBLIC_BUILDERS[family](TwbParams(chi), NlaConfig(g, p), policy)
+            where = (family, g, p, chi)
+            assert entropy[c].value[i] == entanglement_entropy(state), where
+            assert epr[c].value[i] == epr_correlation(state), where
+            assert ng[c].value[i] == non_gaussianity(state), where
+            assert fbar[c].value[i] == average_fidelity_series(state), where
+            assert psuccs[i] == prob, where
+            dist = pdist[c * len(chis) + i]
+            assert (dist.chi, dist.g, dist.p) == (chi, g, p), where
+            assert dist.value == schmidt_probabilities(state).tolist(), where
+
+
+_NLA_GRID = [("amplified", g, p) for g in (1.0, 1.5, 4.0) for p in (0, 2, 7)]
+_ALL_FAMILIES = [("twb", 1.0, 0), ("subtracted", 1.0, 0), ("added-subtracted", 1.0, 0), *_NLA_GRID]
+
+
+def test_column_rows_equal_public_states():
+    # D runs from 2 (chi 0.001) past 900 (chi 0.985); at p = 7 and g > 1, p + 1
+    # sets D above the geometric bound at the small chis
+    chis = (0.001, 0.01, 0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.85, 0.9, 0.95, 0.97, 0.985)
+    _assert_column_equals_public_states(_ALL_FAMILIES, chis)
+
+
+@settings(deadline=None)  # hypothesis's default budget here, the ci profile's in CI
+@given(
+    config=st.sampled_from(_ALL_FAMILIES),
+    chis=st.lists(st.floats(min_value=0.001, max_value=0.985), min_size=1, max_size=6),
+)
+def test_column_rows_equal_public_states_at_random_chis(config, chis):
+    # unsorted and repeated chis put each row at an arbitrary offset of the column
+    _assert_column_equals_public_states([config], chis)
+
+
+@pytest.mark.parametrize(
+    "config, build",
+    [
+        (("twb", 1.0, 0), lambda params: make_twb(params)),
+        (("subtracted", 1.0, 0), lambda params: make_photon_subtracted_twb(params)),
+        (("amplified", 2.0, 2), lambda params: make_amplified_twb(params, NlaConfig(2.0, 2))),
+    ],
+    ids=["twb", "subtracted", "amplified"],
+)
+def test_column_refusal_names_the_state_as_its_constructor(config, build):
+    # a column with a state over max_dim is refused with the single state's text
+    with pytest.raises(NumericsError) as single:
+        build(TwbParams(0.999))
+    with pytest.raises(NumericsError) as column:
+        _metric_blocks(("entropy",), [config], (0.5, 0.999, 0.6), TruncationPolicy())
+    assert str(column.value) == str(single.value)
+    assert "chi=0.999 needs at least" in str(column.value)

@@ -53,6 +53,18 @@ def test_real_parameters_refuse_non_numbers(value):
             build(value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [TwbParams, lambda v: NlaConfig(v, 2), lambda v: TruncationPolicy(epsilon=v)],
+    ids=["chi", "gain", "epsilon"],
+)
+def test_real_parameters_refuse_ints_past_float_range(build):
+    # float() of such an int overflows; it is refused as a value, not raised as OverflowError
+    for value in (10**400, -(10**400)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            build(value)
+
+
 def test_real_parameters_become_floats():
     assert type(TwbParams(np.float64(0.5)).chi) is float
     assert NlaConfig(2, 2).gain == 2.0 and type(NlaConfig(2, 2).gain) is float
