@@ -166,16 +166,20 @@ def _round12(x):
     return x
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to a fresh temp file beside path, then rename it into place.
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of text chunks to a fresh temp file beside path, then
+    rename it into place.
 
-    The temp name is unique per call, so concurrent writers to one path
-    never share a temp file; it is removed if anything fails.
+    The chunks are written as they come, so a lazy iterable never holds the
+    whole file in memory. The temp name is unique per call, so concurrent
+    writers to one path never share a temp file; it is removed if anything
+    fails, a chunk iterable that raises included, and path is then left as
+    it was.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.lexists(tmp):
@@ -190,7 +194,7 @@ def _float_cells(floats, fmt: str) -> list[str]:
     12 or more or lies below 1e-299 (a subnormal holds fewer digits), so
     repr runs only on a column that holds such a cell.
     """
-    text = list(map("{:.12g}".format, floats))
+    text = list(map("%.12g".__mod__, floats))
     if fmt == "csv":
         return text
     joined = ",".join(text)
@@ -212,47 +216,80 @@ def _cell(x, fmt: str) -> str:
 
 _SEQUENCES = (list, tuple, range)
 
+# format -> (the text before each field of a row, the text after a row's last field,
+# the text between two rows)
+_ROW_LAYOUT = {
+    "csv": (("",) + (",",) * 5, "\n", ""),
+    "json": (
+        (' {\n  "chi": ', *(f',\n  "{key}": ' for key in RowBlock._fields[1:])), "\n }", ",\n"
+    ),
+}
+
 
 def _column_cells(column, fmt: str):
-    """A sequence column as one cell per row, each by the _cell rule; a JSON
-    record template prints the ints of a range of Fock levels itself."""
+    """A sequence column as one text cell per row, each by the _cell rule,
+    all formatted in one call."""
     if isinstance(column, range):
-        return map(str, column) if fmt == "csv" else column
+        return map(str, column)
     if all(map(isinstance, column, repeat(float))):
         return _float_cells(column, fmt)
     return [_cell(x, fmt) for x in column]
 
 
-def _rows_text(blocks, fmt: str = "csv", comments=()) -> str:
-    """Blocks of rows as CSV (header after the `# ` comment lines) or as a
-    JSON list of records laid out as json.dumps(..., indent=1) lays them out.
+def _rows_text(blocks, fmt: str = "csv", comments=()):
+    """A list of blocks of rows as CSV (header after the `# ` comment lines)
+    or as a JSON list of records laid out as json.dumps(..., indent=1) lays
+    them out, as an iterator of text chunks (one per block that has rows,
+    then the closing text) that _atomic_write streams to the file.
 
-    Each column of a block is formatted in one call, by the _cell rule: a
-    shared cell once, a sequence of cells all at a time. A CSV row joins its
-    cells; a JSON block is one record template, with its shared cells in
-    place, that the sequence columns fill row by row. A non-finite value
-    raises.
+    A non-finite value raises here, before any chunk is made or file opened.
+    Each block's chunk is then one join over a list that holds each row's
+    sequence cells, slice-assigned a column at a time, and between them the
+    fixed text: the format's labels and delimiters with the block's shared
+    cells, each formatted once by the _cell rule, already joined in. CSV and
+    JSON differ only in that fixed text.
     """
-    texts = []
     for block in blocks:
         value = block.value
         if not all(map(math.isfinite, value)):
             i = next(i for i, v in enumerate(value) if not math.isfinite(v))
             bad = RowBlock(*(c[i] if isinstance(c, _SEQUENCES) else c for c in block))
             raise NumericsError(f"non-finite value for {bad.metric} at chi={bad.chi}")
-        sequences = [isinstance(c, _SEQUENCES) for c in block]
-        cells = [_column_cells(c, fmt) if s else _cell(c, fmt) for c, s in zip(block, sequences)]
-        if fmt == "csv":
-            columns = [c if s else repeat(c, len(value)) for c, s in zip(cells, sequences)]
-            texts += map(",".join, zip(*columns, strict=True))
-        else:
-            fields = ["%s" if s else c.replace("%", "%%") for c, s in zip(cells, sequences)]
-            row = " {\n" + ",\n".join(map('  "{}": {}'.format, RowBlock._fields, fields)) + "\n }"
-            columns = [c for c, s in zip(cells, sequences) if s]
-            texts += map(row.__mod__, zip(*columns, strict=True))
+    return _block_chunks(blocks, fmt, comments)
+
+
+def _block_chunks(blocks, fmt: str, comments):
+    """The chunks of _rows_text, each made as the writer asks for it."""
+    labels, row_end, row_sep = _ROW_LAYOUT[fmt]
     if fmt == "csv":
-        return "\n".join([*(f"# {c}" for c in comments), ",".join(RowBlock._fields), *texts]) + "\n"
-    return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
+        lead = "".join(f"# {c}\n" for c in comments) + ",".join(RowBlock._fields) + "\n"
+        empty, closing = lead, ""
+    else:
+        lead, empty, closing = "[\n", "[]\n", "\n]\n"
+    wrote = False
+    for block in blocks:
+        fixed, cells = [""], []  # fixed[j] comes before sequence column j, fixed[-1] after the last
+        for label, column in zip(labels, block):
+            if isinstance(column, _SEQUENCES):
+                cells.append(_column_cells(column, fmt))
+                fixed[-1] += label
+                fixed.append("")
+            else:
+                fixed[-1] += label + _cell(column, fmt)
+        head, *inner, tail = fixed
+        tail += row_end
+        row = [tail + row_sep + head, None]
+        for text in inner:
+            row += (text, None)
+        parts = row * len(block.value)
+        for j, column in enumerate(cells):
+            parts[2 * j + 1 :: len(row)] = column
+        if parts:
+            parts[0] = lead + head
+            parts.append(tail)
+            lead, wrote = row_sep, True
+            yield "".join(parts)
+    yield closing if wrote else empty
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +567,7 @@ def _policy(args) -> TruncationPolicy:
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(_round12(payload), indent=1) + "\n"
     if out_path:
-        _atomic_write(out_path, text)
+        _atomic_write(out_path, (text,))
     else:
         sys.stdout.write(text)
 

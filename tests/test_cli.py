@@ -22,9 +22,11 @@ from cvteleport.cli import (
     _FLAGS,
     FAMILIES,
     FIGURES,
+    METRICS,
     SWEEP_METRICS,
     RowBlock,
     SweepSpec,
+    _atomic_write,
     _metric_blocks,
     _rows_text,
     figure_data,
@@ -174,6 +176,41 @@ def test_rows_text_names_the_chi_of_a_non_finite_row():
                 _rows_text([good, block], fmt)
 
 
+def test_atomic_write_keeps_the_old_file_when_a_chunk_raises(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"chi,value\n0.5,0.75\n")
+
+    def chunks():
+        yield "chi,value\n"
+        raise RuntimeError("second chunk failed")
+
+    with pytest.raises(RuntimeError, match="second chunk failed"):
+        _atomic_write(str(path), chunks())
+    assert path.read_bytes() == b"chi,value\n0.5,0.75\n"
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left beside it
+
+
+@pytest.mark.parametrize(
+    "argv, metric",
+    [
+        (["sweep", "--chi-start", "0.2", "--chi-stop", "0.4", "--chi-step", "0.2",
+          "--gains", "1,2", "--outputs", "entropy,fbar"], "entropy"),
+        (["sweep", "--chi-start", "0.2", "--chi-stop", "0.4", "--chi-step", "0.2",
+          "--outputs", "pdist,ng", "--format", "json"], "ng"),
+        (["figure", "fig3", "--step", "0.1"], "entropy"),
+    ],
+)
+def test_refused_run_keeps_the_previous_output(argv, metric, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    monkeypatch.setitem(METRICS, metric, lambda row: float("nan"))
+    assert main([*argv, "--out", str(out)]) == 3
+    assert f"non-finite value for {metric} at chi=" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]
+
+
 _FLOATS = st.sampled_from([5e-5, 0.1, 0.6, 1e12, 1e16, 1e300, 1.0, 0.0, -0.0]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
@@ -246,10 +283,28 @@ def _row_blocks(draw):
             RowBlock(0.5, "%d", 2, ["%", "a%%b"], [0.1, 0.2], "%(x)s")],
     comments=["%"],
 )
+@example(  # consecutive pdist blocks: shared chi, g, p and metric, a range of Fock levels
+    blocks=[RowBlock(0.6, 1.0, 2, "pdist", [0.64, 0.2304, 0.082944], range(3)),
+            RowBlock(0.6, 2.0, 2, "pdist", [0.5, 0.25], range(2)),
+            RowBlock(0.65, 2.0, 2, "pdist", [1.0], range(1))],
+    comments=[],
+)
+@example(  # an empty block between non-empty ones adds no row and no delimiter
+    blocks=[RowBlock([0.1, 0.2], 2.0, 2, "fbar", [0.55, 0.6], [0.9, 0.8]),
+            RowBlock([], 2.0, 4, "fbar", [], []),
+            RowBlock(0.3, 3.0, 4, "pdist", [0.7, 0.3], range(2))],
+    comments=["figure:fig1 caption:x"],
+)
+@example(  # value is the only sequence column
+    blocks=[RowBlock(0.5, 2.0, 2, "entropy", [0.1, 0.2, 1e-14]),
+            RowBlock(0.6, 1.0, 0, "fbar", [0.8], "twb")],
+    comments=[],
+)
 def test_rows_text_matches_per_cell_writer(blocks, comments):
     rows = flatten_blocks(blocks)
     for fmt in ("csv", "json"):
-        assert _rows_text(blocks, fmt, comments) == rows_text_reference(rows, fmt, comments)
+        text = "".join(_rows_text(blocks, fmt, comments))
+        assert text == rows_text_reference(rows, fmt, comments)
 
 
 def test_sweep_pdist_rows_cover_fock_levels(tmp_path):
