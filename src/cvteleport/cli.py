@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .metrics import _entropy, _epr, _moments, _non_gaussianity, mean_photon, metrics_report
-from .resources import (
-    NlaConfig,
-    TwbParams,
-    _amplified_column,
-    _ladder_column,
-    success_probability,
-)
+from .resources import FAMILIES, NlaConfig, TwbParams, _family_column, _heralding
 from .schmidt import TruncationPolicy, schmidt_probabilities
 from .teleport import (
     QuadratureSpec,
@@ -296,27 +290,11 @@ def _block_chunks(blocks, fmt: str, comments):
 # resource families and metrics
 #
 # Sweeps and figures build each (family, gain, threshold) as one column of
-# states over the chi grid and read each row through the metric kernels; no
-# state is built, and no public constructor or metric called, per chi. The
-# builders, kernels and estimators are named inside the bodies below, so each
-# call looks them up in this module's globals: code that rebinds those names
-# here (a profiler or tracer) sees every call.
-
-
-# --resource name -> (fig5 tag, builder). A builder takes (chis, nla, policy) and returns
-# (resources._LadderColumn, success probabilities or None); only the amplified family reads nla.
-FAMILIES = {
-    "twb": ("twb", lambda chis, nla, policy: (_ladder_column(chis, 0, policy, "twb"), None)),
-    "amplified": ("nla", lambda chis, nla, policy: _amplified_column(chis, nla, policy)),
-    "subtracted": (
-        "photsub",
-        lambda chis, nla, policy: (_ladder_column(chis, 1, policy, "photsub"), None),
-    ),
-    "added-subtracted": (
-        "addsub",
-        lambda chis, nla, policy: (_ladder_column(chis, 2, policy, "addsub"), None),
-    ),
-}
+# states over the chi grid, by resources._family_column, with an amplified
+# config's psucc computed once before any state; each row is read through the
+# metric kernels, and no state is built or public function called per chi.
+# The estimators and the grid2d metric are named inside the bodies below, so a
+# profiler or tracer that rebinds those names in this module sees every call.
 
 
 class _Row(NamedTuple):
@@ -353,10 +331,11 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     configs are (family, gain, threshold). A scalar metric gives one block
     per config with one row per chi; pdist gives one block per (config, chi)
     with one row per Fock level. Each config's states are built once, as one
-    column over chis, and psucc is the builder's; when psucc is the only
-    metric no state is built and psucc is computed alone. Each row's moment
-    triple is computed once, for epr and ng together. extra fills the last
-    column of the fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
+    column over chis, and none when psucc is the only metric. psucc is the
+    amplifier's, computed once per config before any state, and None off the
+    amplified family. Each row's moment triple is computed once, for epr and
+    ng together. extra fills the last column of the fidelity rows: None,
+    "tag" (the family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
@@ -364,12 +343,10 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     with_moments = bool({"epr", "ng"} & set(groups))
     for family, g, p in configs:
         nla = NlaConfig(gain=g, threshold=p)
-        if nla.threshold + 1 > policy.max_dim:  # refused before psucc sums p + 1 terms
-            raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-        tag, build = FAMILIES[family]
+        psuccs = _heralding(chis, nla, policy) if family == "amplified" else None
         columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
         if stateful:
-            column, psuccs = build(chis, nla, policy)
+            column = _family_column(family, chis, policy, nla, psuccs)
             bounds, coeffs, probs = column.bounds, column.coeffs, column.probabilities()
             for i, chi in enumerate(chis):
                 k, row_probs = coeffs[bounds[i] : bounds[i + 1]], probs[bounds[i] : bounds[i + 1]]
@@ -381,11 +358,9 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
                 if "pdist" in groups:
                     dist = row_probs.tolist()
                     groups["pdist"].append(RowBlock(chi, g, p, "pdist", dist, range(len(dist))))
-        else:
-            psuccs = [success_probability(TwbParams(chi), nla) for chi in chis]
         if "psucc" in groups:
             columns["psucc"] = psuccs
-        cell = {"tag": tag, "psucc": psuccs}.get(extra)
+        cell = {"tag": FAMILIES[family][0], "psucc": psuccs}.get(extra)
         for metric, values in columns.items():
             extras = cell if metric in fidelities else None
             groups[metric].append(RowBlock(chis, g, p, metric, values, extras))
@@ -587,8 +562,9 @@ def _cli_resource(args, policy):
     if nla_given and family != "amplified":
         raise ValidationError(f"--gain and --threshold do not apply to the {family} resource")
     nla = NlaConfig(gain=gain, threshold=threshold) if family == "amplified" else None
-    column, psuccs = FAMILIES[family][1]((TwbParams(args.chi).chi,), nla, policy)
-    return column.state(0), psuccs and psuccs[0]
+    chis = (TwbParams(args.chi).chi,)
+    psuccs = _heralding(chis, nla, policy) if nla else None
+    return _family_column(family, chis, policy, nla, psuccs).state(0), psuccs and psuccs[0]
 
 
 def _cmd_state(args) -> None:

@@ -59,9 +59,18 @@ class NlaConfig:
             raise ValidationError(f"threshold must be a non-negative integer, got {self.threshold}")
 
 
+# --resource name -> (fig5 tag and label prefix, power of (n+1) in k_n)
+FAMILIES = {
+    "twb": ("twb", 0),
+    "amplified": ("nla", 0),
+    "subtracted": ("photsub", 1),
+    "added-subtracted": ("addsub", 2),
+}
+
+
 def make_twb(params: TwbParams, policy: TruncationPolicy = DEFAULT_POLICY) -> SchmidtState:
     """Truncated twin-beam with k_n = chi^n and N = sqrt(1 - chi^2)."""
-    return _ladder_column((params.chi,), 0, policy, "twb").state(0)
+    return _family_column("twb", (params.chi,), policy).state(0)
 
 
 def success_probability(params: TwbParams, nla: NlaConfig) -> float:
@@ -94,19 +103,28 @@ def make_amplified_twb(
     1/P renormalization so the discarded mass stays within policy.epsilon.
     At g = 1 the amplifier is the identity, and the state is make_twb's.
     """
-    column, (prob,) = _amplified_column((params.chi,), nla, policy)
-    return column.state(0), prob
+    probs = _heralding((params.chi,), nla, policy)
+    return _family_column("amplified", (params.chi,), policy, nla, probs).state(0), probs[0]
 
 
-def _amplified_column(chis, nla: NlaConfig, policy: TruncationPolicy):
-    """(column, heralding probabilities) of the amplified twin-beam at each chi."""
-    g, p = nla.gain, nla.threshold
+def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> list[float]:
+    """The amplifier's heralding probability at each chi of chis, p + 1 terms each."""
+    p = nla.threshold
     if p + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-    probs = [_success_probability(chi, g, p) for chi in chis]  # p + 1 terms each
-    if g == 1.0:
-        return _ladder_column(chis, 0, policy, "twb"), probs
-    return _ladder_column(chis, 0, policy, f"nla g={g:g} p={p}", nla, probs), probs
+    return [_success_probability(chi, nla.gain, p) for chi in chis]
+
+
+def _family_column(family: str, chis, policy: TruncationPolicy, nla=None, probs=None):
+    """The _LadderColumn of family's states at each chi of chis; only the
+    amplified family reads nla and probs, its heralding probability at each chi."""
+    if family == "amplified" and nla.gain == 1.0:
+        family = "twb"  # the identity amplifier: the twin-beam's states, label and generator
+    prefix, power = FAMILIES[family]
+    if family == "amplified":
+        prefix = f"{prefix} g={nla.gain:g} p={nla.threshold}"
+        return _ladder_column(chis, power, policy, prefix, nla, probs)
+    return _ladder_column(chis, power, policy, prefix)
 
 
 def make_photon_subtracted_twb(
@@ -117,7 +135,7 @@ def make_photon_subtracted_twb(
     Applying the two annihilation operators to the twin-beam and
     renormalizing yields k_n proportional to (n+1) chi^n.
     """
-    return _ladder_column((params.chi,), 1, policy, "photsub").state(0)
+    return _family_column("subtracted", (params.chi,), policy).state(0)
 
 
 def make_added_then_subtracted_twb(
@@ -128,7 +146,7 @@ def make_added_then_subtracted_twb(
     The creation pair followed by the annihilation pair weights the ladder
     by (n+1)^2, so k_n is proportional to (n+1)^2 chi^n.
     """
-    return _ladder_column((params.chi,), 2, policy, "addsub").state(0)
+    return _family_column("added-subtracted", (params.chi,), policy).state(0)
 
 
 # Eulerian polynomials A_j, ascending: sum_{m>=0} m^j x^m = x^[j>0] A_j(x) / (1-x)^(j+1)

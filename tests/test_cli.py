@@ -1038,3 +1038,39 @@ def test_column_refusal_names_the_state_as_its_constructor(config, build):
         _metric_blocks(("entropy",), [config], (0.5, 0.999, 0.6), TruncationPolicy())
     assert str(column.value) == str(single.value)
     assert "chi=0.999 needs at least" in str(column.value)
+
+
+def _psucc_rows(text: str, fmt: str) -> list[str]:
+    """The psucc rows of a sweep file, each as the text written for it."""
+    if fmt == "csv":
+        return [line for line in text.splitlines(keepends=True) if ",psucc," in line]
+    return [rec for rec in re.findall(r" \{\n.*?\n \}", text, re.S) if '"metric": "psucc"' in rec]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_psucc_rows_do_not_depend_on_the_other_outputs(fmt, tmp_path):
+    # psucc is the amplifier's, computed once per config before any state:
+    # a psucc-only sweep, which builds none, writes the bytes of the psucc
+    # rows of a sweep that builds states for its other outputs
+    grid = ["--chi-start", "0.1", "--chi-stop", "0.9", "--chi-step", "0.2",
+            "--gains", "1,1.5,4", "--thresholds", "0,2,7", "--format", fmt]
+    texts = []
+    for outputs in ("psucc", "entropy,epr,fbar,psucc"):
+        out = tmp_path / f"{outputs}.{fmt}"
+        assert main(["sweep", *grid, "--outputs", outputs, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    alone, alongside = texts
+    rows = _psucc_rows(alongside, fmt)
+    assert len(rows) == 5 * 3 * 3
+    if fmt == "csv":
+        assert alone == ",".join(RowBlock._fields) + "\n" + "".join(rows)
+    else:
+        assert alone == "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+def test_psucc_is_none_off_the_amplified_family():
+    # with or without states built, a family with no amplifier has no heralding probability
+    configs = [("twb", 1.0, 0), ("subtracted", 1.0, 0), ("added-subtracted", 1.0, 0)]
+    for metrics in (("psucc",), ("entropy", "psucc")):
+        blocks = _metric_blocks(metrics, configs, (0.3, 0.6), TruncationPolicy())
+        assert [b.value for b in blocks if b.metric == "psucc"] == [None] * 3, metrics

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,3 +292,37 @@ def test_constructors_produce_valid_states(chi, g, p):
         kept = state.norm_const**2 * float(np.dot(state.coeffs, state.coeffs))
         assert abs(kept + state.tail_bound - 1.0) <= 1e-14, state.label
         assert state.norm_const**2 == pytest.approx(norm2, rel=1e-13, abs=0.0), state.label
+
+
+# chis of the exact-rational checks; max_dim 4096 holds every family at chi 0.985
+_EXACT_CHIS = (0.01, 0.1, 0.22, 0.5, 0.8, 0.9, 0.95, 0.97, 0.985)
+_EXACT_NLA = ((1.5, 2), (2.0, 2), (4.0, 7), (2.0, 0))
+_EXACT_POLICY = TruncationPolicy(max_dim=4096)
+
+
+def _relative_error(value: float, exact: Fraction) -> float:
+    return float(abs(Fraction(value) - exact) / exact)
+
+
+@pytest.mark.parametrize("chi", _EXACT_CHIS)
+def test_norm_and_psucc_against_exact_rationals(chi):
+    # sum_n k_n^2 at the float chi in exact rationals, x = chi^2: the Eulerian
+    # totals sum_n (n+1)^(2j) x^n = A_2j(x) / (1-x)^(2j+1), A_0 = 1, A_2 = 1 + x,
+    # A_4 = 1 + 11x + 11x^2 + x^3; the amplifier's head up to p plus its geometric tail
+    x, params = Fraction(chi) ** 2, TwbParams(chi)
+    totals = [
+        (make_twb(params, _EXACT_POLICY), 1 / (1 - x)),
+        (make_photon_subtracted_twb(params, _EXACT_POLICY), (1 + x) / (1 - x) ** 3),
+        (
+            make_added_then_subtracted_twb(params, _EXACT_POLICY),
+            (1 + 11 * x + 11 * x**2 + x**3) / (1 - x) ** 5,
+        ),
+    ]
+    for g, p in _EXACT_NLA:
+        head = sum(Fraction(g) ** (2 * (n - p)) * x**n for n in range(p + 1))
+        total = head + x ** (p + 1) / (1 - x)
+        state, psucc = make_amplified_twb(params, NlaConfig(g, p), _EXACT_POLICY)
+        assert _relative_error(psucc, (1 - x) * total) <= 4e-15, (chi, g, p)
+        totals.append((state, total))
+    for state, total in totals:
+        assert _relative_error(state.norm_const**2, 1 / total) <= 4e-15, state.label
