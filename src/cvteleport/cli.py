@@ -236,7 +236,8 @@ def _rows_text(blocks, fmt: str = "csv", comments=()):
     them out, as an iterator of text chunks (one per block that has rows,
     then the closing text) that _atomic_write streams to the file.
 
-    A non-finite value raises here, before any chunk is made or file opened.
+    A block without values (psucc off the amplified family) or with a
+    non-finite value raises here, before any chunk is made or file opened.
     Each block's chunk is then one join over a list that holds each row's
     sequence cells, slice-assigned a column at a time, and between them the
     fixed text: the format's labels and delimiters with the block's shared
@@ -245,6 +246,8 @@ def _rows_text(blocks, fmt: str = "csv", comments=()):
     """
     for block in blocks:
         value = block.value
+        if value is None:
+            raise ValidationError(f"no {block.metric} values to write for g={block.g} p={block.p}")
         if not all(map(math.isfinite, value)):
             i = next(i for i, v in enumerate(value) if not math.isfinite(v))
             bad = RowBlock(*(c[i] if isinstance(c, _SEQUENCES) else c for c in block))

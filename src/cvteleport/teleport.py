@@ -189,14 +189,16 @@ def _closed_form_fidelity(generator, t):
     with g^2. N^2 cancels. t is at most 1e300, where F is 0 for every chi < 1.
     """
     chi, power, nla = generator
-    log_f = -((1.0 - chi) ** 2) * t
+    # one buffer, an array even for a scalar t, that exp and minimum then overwrite
+    log_f = np.multiply(-((1.0 - chi) ** 2), t, out=np.empty_like(t))
     if nla:
         log_g, p = math.log(nla.gain), nla.threshold
         log_f += 2.0 * _log_amplified(chi * t, p, log_g)
         log_f -= _log_amplified(chi * chi * t, p, 2.0 * log_g)
     elif power:
         log_f += 2.0 * _log_touchard(power, chi * t) - _log_touchard(2 * power, chi * chi * t)
-    return np.minimum(np.exp(log_f), 1.0)
+    np.exp(log_f, out=log_f)
+    return np.minimum(log_f, 1.0, out=log_f)
 
 
 def _outcome_fidelity(resource: SchmidtState, t):
@@ -217,7 +219,10 @@ def _outcome_fidelity(resource: SchmidtState, t):
         raise NumericsError(
             f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
         )
-    return resource.norm_const**2 * amp**2 / density
+    np.square(amp, out=amp)
+    amp *= resource.norm_const**2
+    amp /= density
+    return amp
 
 
 def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) -> float:
@@ -402,6 +407,28 @@ def average_fidelity_grid2d(
     return float(np.trapezoid(np.trapezoid(integrand, x=axis, axis=1), x=axis))
 
 
+def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right") for a non-decreasing cdf and u in [0, 1).
+
+    A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)): with K the least
+    power of two >= 8 len(cdf), guide[j] is the answer at u = j/K, so u in
+    [j/K, (j+1)/K) has its answer in [guide[j], guide[j+1]]. K is a power
+    of two, so u K and j/K are exact and j = floor(u K). Where guide[j] ==
+    guide[j+1] the answer is guide[j]; the binary search runs only on the
+    rest, the samples in buckets that hold a cdf value (at most len(cdf) of
+    the K buckets).
+    """
+    k = 1 << (8 * cdf.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(k + 1) / k, side="right")
+    searched = guide[:-1] != guide[1:]
+    j = (u * k).astype(np.intp)
+    index = guide[j]
+    hard = np.flatnonzero(searched[j])
+    del j
+    index[hard] = cdf.searchsorted(u[hard], side="right")
+    return index
+
+
 def average_fidelity_sampled(
     resource: SchmidtState, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[float, float]:
@@ -409,17 +436,24 @@ def average_fidelity_sampled(
 
     The outcome density p(beta) = (1/pi) sum_n p_n e^-t t^n / n! with
     t = |alpha - beta|^2 is a mixture of Gamma(n + 1, 1) laws in t, so each
-    outcome radius is drawn exactly: n ~ p_n, then t ~ Gamma(n + 1). The
-    stream is fully determined by spec.rng_seed. Each outcome is scored by
+    outcome radius is drawn exactly: n ~ p_n, by the inverse CDF through a
+    guide table (_guide_search), then t ~ Gamma(n + 1). The stream is fully
+    determined by spec.rng_seed, and is the one Generator.choice and
+    Generator.gamma draw. Each outcome is scored by
     _outcome_fidelity, in closed form for a constructor-built state.
     """
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)
-    # renormalised: a truncated state's p_n sum to 1 - tail, which choice may reject
-    n = rng.choice(resource.dim, size=spec.mc_samples, p=pn / pn.sum())
-    t = rng.gamma(n + 1.0)
+    # the cdf and uniforms of Generator.choice(dim, p=pn / pn.sum()), so n is the
+    # draw choice makes; renormalised, as a truncated state's p_n sum to 1 - tail
+    cdf = (pn / pn.sum()).cumsum()
+    cdf /= cdf[-1]
+    n = _guide_search(cdf, rng.random(spec.mc_samples))
+    t = rng.standard_gamma(n + 1.0)
+    del n  # each sample-sized buffer is dropped once read, to keep the peak down
 
     fid = _outcome_fidelity(resource, t)
+    del t
     estimate = float(np.mean(fid))
     std_error = float(np.std(fid, ddof=1) / math.sqrt(fid.size))
     return estimate, std_error

@@ -23,8 +23,10 @@ from cvteleport import (
     make_amplified_twb,
     make_photon_subtracted_twb,
     make_twb,
+    schmidt_probabilities,
 )
 from cvteleport.cli import RowBlock, figure_data
+from cvteleport.teleport import _outcome_fidelity
 
 # Tight truncation for tests whose tolerances (1e-9..1e-10) sit below the
 # default 1e-12 tail once amplified by moment cancellations.
@@ -97,6 +99,19 @@ def series_fidelity_direct(state) -> float:
         rows.append(row)
     weights = np.array(rows)
     return float(state.norm_const**2 * (state.coeffs @ weights @ state.coeffs))
+
+
+def sampled_reference(resource, spec) -> tuple[float, float]:
+    """average_fidelity_sampled's (mean, standard error) with n drawn by
+    Generator.choice and t by Generator.gamma, as the sampler drew them
+    before its guide table: the oracle of its stream, draw for draw. Each
+    outcome is scored by the package's _outcome_fidelity."""
+    pn = schmidt_probabilities(resource)
+    rng = np.random.default_rng(spec.rng_seed)
+    n = rng.choice(resource.dim, size=spec.mc_samples, p=pn / pn.sum())
+    t = rng.gamma(n + 1.0)
+    fid = _outcome_fidelity(resource, t)
+    return float(np.mean(fid)), float(np.std(fid, ddof=1) / math.sqrt(fid.size))
 
 
 def poisson_sum_reference(weights, t: float) -> float:

@@ -176,6 +176,15 @@ def test_rows_text_names_the_chi_of_a_non_finite_row():
                 _rows_text([good, block], fmt)
 
 
+def test_rows_text_names_the_metric_of_a_block_without_values():
+    # psucc off the amplified family has no values, as _metric_blocks gives it
+    blocks = _metric_blocks(("psucc",), [("twb", 1.0, 0)], (0.3, 0.6), TruncationPolicy())
+    for block in (RowBlock((0.5,), 1.0, 0, "psucc", None), *blocks):
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValidationError, match=r"^no psucc values to write for g=1.0 p=0$"):
+                _rows_text([block], fmt)
+
+
 def test_atomic_write_keeps_the_old_file_when_a_chunk_raises(tmp_path):
     path = tmp_path / "out.csv"
     path.write_bytes(b"chi,value\n0.5,0.75\n")

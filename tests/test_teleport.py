@@ -31,7 +31,7 @@ from cvteleport import (
 )
 import cvteleport.teleport as teleport_module
 from cvteleport.cli import _round12, report_crossover
-from cvteleport.teleport import _poisson_sum
+from cvteleport.teleport import _guide_search, _poisson_sum
 from helpers import (
     TIGHT,
     fidelity_matrix,
@@ -39,6 +39,7 @@ from helpers import (
     ladder_fidelity_sum,
     nla_fidelity_closed,
     poisson_sum_reference,
+    sampled_reference,
     series_fidelity_direct,
 )
 from oracle import displaced_frame_fidelity, displaced_frame_transfer, displaced_overlaps
@@ -618,6 +619,74 @@ def test_sampled_values_at_fixed_seed(chi, mean, std_error):
     resource = make_twb(TwbParams(chi))
     estimate, err = average_fidelity_sampled(resource, QuadratureSpec(rng_seed=305))
     assert (_round12(estimate), _round12(err)) == (mean, std_error)
+
+
+@pytest.mark.parametrize(
+    "make, seed, mean, std_error",
+    [
+        # README's teleport --chi 0.5 --gain 2 --threshold 2 --method mc --seed 7
+        (lambda: make_amplified_twb(TwbParams(0.5), NlaConfig(2.0, 2))[0], 7,
+         0.808914224014, 0.000681393931412),
+        (lambda: make_photon_subtracted_twb(TwbParams(0.5)), 305, 0.84383875708, 0.000562080458999),
+        (lambda: make_added_then_subtracted_twb(TwbParams(0.5)), 305,
+         0.82630905614, 0.00049826268317),
+    ],
+)
+def test_sampled_values_of_the_other_families_at_fixed_seed(make, seed, mean, std_error):
+    estimate, err = average_fidelity_sampled(make(), QuadratureSpec(rng_seed=seed))
+    assert (_round12(estimate), _round12(err)) == (mean, std_error)
+
+
+@pytest.mark.parametrize(
+    "resource",
+    [
+        make_twb(TwbParams(0.5)),  # D = 20
+        make_twb(TwbParams(0.985)),  # D = 915
+        make_amplified_twb(TwbParams(0.9), NlaConfig(2.0, 2))[0],  # D = 133
+        make_amplified_twb(TwbParams(0.97), NlaConfig(3.0, 4))[0],
+        make_photon_subtracted_twb(TwbParams(0.5)),  # D = 25
+        make_photon_subtracted_twb(TwbParams(0.97)),  # D = 559
+        make_added_then_subtracted_twb(TwbParams(0.98)),  # D = 971
+        VACUUM,
+        # flat runs in the CDF, one of them at its start
+        SchmidtState(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]), 1.0 / math.sqrt(3.0)),
+        # p_n summing to about 1 - 1e-3, renormalised before the draw
+        make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3)),
+    ],
+    ids=lambda resource: resource.label or f"hand-built D={resource.dim}",
+)
+def test_sampled_draws_what_choice_and_gamma_draw(resource):
+    for samples in (1000, 4321, 100_000):
+        for seed in (0, 305, 12345):
+            spec = QuadratureSpec(mc_samples=samples, rng_seed=seed)
+            assert average_fidelity_sampled(resource, spec) == sampled_reference(resource, spec)
+
+
+# every bucket edge j/K of a guide table with K <= 1024 buckets, as the
+# cdfs below (at most 80 entries, so K <= 8 * 80 rounded up) take
+_EDGES = np.arange(1024) / 1024
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(1e-12, 1e3)),
+        min_size=1,
+        max_size=80,
+    ).filter(any),
+    extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+)
+@example(weights=[1.0, 0.0, 1.0, 2.0], extra=[])  # cdf values on bucket edges, a flat run
+@example(weights=[0.0, 0.0, 3.0, 0.0, 1.0], extra=[0.0])  # a cdf that starts at 0
+@example(weights=[1.0], extra=[0.0, 0.5])
+def test_guide_search_matches_searchsorted(weights, extra):
+    w = np.array(weights)
+    cdf = (w / w.sum()).cumsum()  # as average_fidelity_sampled forms it
+    cdf /= cdf[-1]
+    marks = np.concatenate([cdf, _EDGES])
+    u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0), extra])
+    u = u[u < 1.0]
+    assert np.array_equal(_guide_search(cdf, u), cdf.searchsorted(u, side="right"))
 
 
 @pytest.mark.parametrize(
