@@ -82,13 +82,7 @@ def success_probability(params: TwbParams, nla: NlaConfig) -> float:
     cancellation) and the geometric tail is folded in closed form, so the
     result stays accurate for chi near 1 and for g*chi > 1.
     """
-    return _success_probability(params.chi, nla.gain, nla.threshold)
-
-
-def _success_probability(chi: float, g: float, p: int) -> float:
-    head = math.fsum(g ** (2 * (n - p)) * chi ** (2 * n) for n in range(p + 1))
-    tail = chi ** (2 * (p + 1)) / (1.0 - chi * chi)
-    return (1.0 - chi * chi) * (head + tail)
+    return Ladder(params.chi, 0, nla).success_probability()
 
 
 def make_amplified_twb(
@@ -109,22 +103,9 @@ def make_amplified_twb(
 
 def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> list[float]:
     """The amplifier's heralding probability at each chi of chis, p + 1 terms each."""
-    p = nla.threshold
-    if p + 1 > policy.max_dim:
+    if (p := nla.threshold) + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-    return [_success_probability(chi, nla.gain, p) for chi in chis]
-
-
-def _family_column(family: str, chis, policy: TruncationPolicy, nla=None, probs=None):
-    """The _LadderColumn of family's states at each chi of chis; only the
-    amplified family reads nla and probs, its heralding probability at each chi."""
-    if family == "amplified" and nla.gain == 1.0:
-        family = "twb"  # the identity amplifier: the twin-beam's states, label and generator
-    prefix, power = FAMILIES[family]
-    if family == "amplified":
-        prefix = f"{prefix} g={nla.gain:g} p={nla.threshold}"
-        return _ladder_column(chis, power, policy, prefix, nla, probs)
-    return _ladder_column(chis, power, policy, prefix)
+    return [Ladder(chi, 0, nla).success_probability() for chi in chis]
 
 
 def make_photon_subtracted_twb(
@@ -152,66 +133,168 @@ def make_added_then_subtracted_twb(
 # Eulerian polynomials A_j, ascending: sum_{m>=0} m^j x^m = x^[j>0] A_j(x) / (1-x)^(j+1)
 _EULERIAN = ((1.0,), (1.0,), (1.0, 1.0), (1.0, 4.0, 1.0), (1.0, 11.0, 11.0, 1.0))
 
+# Touchard polynomials, ascending: sum_n (n+1)^j y^n / n! = e^y Q_j(y)
+_TOUCHARD = {1: (1.0, 1.0), 2: (1.0, 3.0, 1.0), 4: (1.0, 15.0, 25.0, 10.0, 1.0)}
+
 
 def _eulerian(j: int, x: float) -> float:
     return sum(a * x**i for i, a in enumerate(_EULERIAN[j]))
 
 
-def _ladder_rule(chi, power, policy, label, p=0, prob=1.0) -> tuple[int, float, float]:
-    """(D, N, tail bound) of the state with k_n = h_n (n+1)^power chi^n.
+def _log_touchard(j: int, y):
+    """ln Q_j(y) for y >= 0, as deg ln max(y, 1) + ln(Q_j(y) / max(y, 1)^deg).
 
-    h_n = g^min(n-p, 0) under an amplifier with threshold p (with power 0),
-    else 1, and prob is its heralding probability. With x = chi^2 and
-    k = 2*power, sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1), whose inverse
-    is N^2. D starts from the geometric bound x^D <= epsilon * prob, D > p.
-    For power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
-    F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive
-    terms, and D rises until x^D F(D)/F(0) <= epsilon. Every truncation
-    refusal is raised here and nowhere else, as NumericsError naming the
-    label: a state that needs more than policy.max_dim levels (the D named
-    is exact for power 0 and a lower bound otherwise), and a tail budget
-    epsilon * prob that underflows to 0, which no D meets.
+    The quotient is sum_i c_i s^i u^(deg-i) with (s, u) = (y, 1) up to 1 and
+    (1, 1/y) above: it lies in [1, Q_j(1)], so nothing overflows or vanishes.
     """
-    k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
-    # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
-    # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
-    one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
-    if policy.epsilon * prob == 0.0:
-        raise NumericsError(
-            f"{label}: success probability underflows the tail budget: epsilon * {prob:g} = 0"
-        )
-    dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
-    weight = _eulerian(k, x) / one_minus_x**k if power else 1.0
-    if power:
-        c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
-            math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
-            for j in range(k + 1)
-        ]
+    c = _TOUCHARD[j]
+    deg = len(c) - 1
+    big = np.maximum(y, 1.0)
+    s, u = y / big, 1.0 / big
+    return deg * np.log(big) + np.log(sum(ci * s**i * u ** (deg - i) for i, ci in enumerate(c)))
 
-        def log_factor(d: int) -> float:  # ln F(d)
-            return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
 
-        log_total = log_factor(0)
-        log_budget = math.log(policy.epsilon * prob) + log_total
-        # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
-        # it one and moves up until the tail passes or D passes max_dim
-        while dim <= policy.max_dim and dim * log_x + (log_f := log_factor(dim)) > log_budget:
-            dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
-    if dim > policy.max_dim:
-        raise NumericsError(f"{label} needs at least {dim} levels, over max_dim={policy.max_dim}")
-    # x^D, or x^D F(D)/F(0) in log space
-    tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
-    return dim, math.sqrt(one_minus_x / (prob * weight)), tail / prob
+def _series(ratio):
+    """1 + r(0) + r(0) r(1) + ..., elementwise, for ratios in [0, 1) that fall with m.
+
+    Past a term T the rest is at most T r / (1 - r), r the next ratio; the sum
+    stops once that is below 1e-17 of it everywhere.
+    """
+    term = total = 1.0
+    for m in itertools.count(1):
+        term = term * ratio(m - 1)
+        total = total + term
+        r = ratio(m)
+        if not np.any(term * r > 1e-17 * total * (1.0 - r)):
+            return total
+
+
+def _log_amplified(y, p: int, log_w: float):
+    """ln[sum_{n<=p} w^(n-p) pois_n(y) + P(Pois(y) > p)], elementwise over y in [0, 1e300].
+
+    For w >= 1. Each side of the Poisson law at p is a series of falling
+    ratios from p outward, taken where that side is the smaller one (below 1/2):
+    P(N > p) = pois_(p+1)(z) sum_m prod_(i<m) z/(p+2+i) for z < p + 1, and
+    sum_(n<=p) w^(n-p) pois_n(y) = pois_p(y) sum_m prod_(i<m) (p-i)/(w y) for
+    w y >= p + 1. On the other side a part is log1p of minus the series, the
+    head as w^-p e^(w y - y) P(Pois(w y) <= p), so no small probability is
+    one minus a near one and no exponent grows past p + 1. w enters by its
+    log, and w y may overflow to inf, so any gain g with w = g^2 is taken.
+    """
+    lg_p = math.lgamma(p + 1)
+
+    def upper(z):  # ln P(Pois(z) > p), z < p + 1
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            log_z = np.log(z)
+        return (p + 1) * log_z - z - math.lgamma(p + 2) + np.log(_series(lambda m: z / (p + 2 + m)))
+
+    def head(x, z):  # ln sum_(n<=p) (z/x)^(n-p) pois_n(x), z >= p + 1
+        return p * np.log(x) - x - lg_p + np.log(_series(lambda m: (p - m) / z))
+
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = np.exp(log_w + np.log(y))
+    log_head, log_tail = np.empty_like(y), np.empty_like(y)
+    low = lam < p + 1
+    log_head[low] = lam[low] - y[low] - p * log_w + np.log1p(-np.exp(upper(lam[low])))
+    log_head[~low] = head(y[~low], lam[~low])
+    low = y < p + 1
+    log_tail[low] = upper(y[low])
+    log_tail[~low] = np.log1p(-np.exp(head(y[~low], y[~low])))
+    return np.logaddexp(log_head, log_tail)
+
+
+class Ladder(NamedTuple):
+    """The untruncated resource k_n = h_n (n+1)^power chi^n and its closed forms,
+    h_n = g^min(n-p, 0) under the amplifier nla (with power 0), else 1: the
+    generator of each constructor-built state, unpacking as (chi, power, nla)."""
+
+    chi: float
+    power: int
+    nla: NlaConfig | None
+
+    def success_probability(self) -> float:
+        """The amplifier's heralding probability P, as success_probability gives it."""
+        chi, g, p = self.chi, self.nla.gain, self.nla.threshold
+        head = math.fsum(g ** (2 * (n - p)) * chi ** (2 * n) for n in range(p + 1))
+        tail = chi ** (2 * (p + 1)) / (1.0 - chi * chi)
+        return (1.0 - chi * chi) * (head + tail)
+
+    def truncation(self, policy: TruncationPolicy, label: str, prob: float):
+        """(D, N, tail bound) of the state truncated under policy.
+
+        prob is the amplifier's heralding probability and p its threshold (0
+        without one). With x = chi^2 and k = 2*power, N^2 is the inverse of
+        sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1). D starts from the geometric
+        bound x^D <= epsilon * prob, D > p. For power > 0 the tail
+        sum_{n>=D} (n+1)^k x^n is x^D F(D), with F(D) = sum_j C(k,j) (D+1)^(k-j)
+        sum_{m>=0} m^j x^m a sum of positive terms, and D rises until
+        x^D F(D)/F(0) <= epsilon. Every truncation refusal is raised here and
+        nowhere else, as NumericsError naming the label: a state that needs more
+        than policy.max_dim levels (the D named is exact for power 0 and a lower
+        bound otherwise), and a tail budget epsilon * prob that underflows to 0.
+        """
+        chi, power, p = self.chi, self.power, self.nla.threshold if self.nla else 0
+        k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
+        # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
+        # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
+        one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
+        if policy.epsilon * prob == 0.0:
+            raise NumericsError(
+                f"{label}: success probability underflows the tail budget: epsilon * {prob:g} = 0"
+            )
+        dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
+        weight = _eulerian(k, x) / one_minus_x**k if power else 1.0
+        if power:
+            c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
+                math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
+                for j in range(k + 1)
+            ]
+
+            def log_factor(d: int) -> float:  # ln F(d)
+                return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
+
+            log_total = log_factor(0)
+            log_budget = math.log(policy.epsilon * prob) + log_total
+            # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
+            # it one and moves up until the tail passes or D passes max_dim
+            while dim <= policy.max_dim and dim * log_x + (log_f := log_factor(dim)) > log_budget:
+                dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
+        if dim > policy.max_dim:
+            raise NumericsError(
+                f"{label} needs at least {dim} levels, over max_dim={policy.max_dim}"
+            )
+        # x^D, or x^D F(D)/F(0) in log space
+        tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
+        return dim, math.sqrt(one_minus_x / (prob * weight)), tail / prob
+
+    def fidelity(self, t):
+        """The conditional fidelity F(t) of the untruncated resource, elementwise over t.
+
+        With y = chi t, g(t) = sum_n k_n pois_n(t) = e^-(1-chi)t G(y) and
+        sum_n k_n^2 pois_n(t) = e^-(1-chi^2)t H(chi y), so F = e^-(1-chi)^2 t G^2 / H,
+        summed in log space: G = Q_power (H = Q_(2 power)), or for the amplifier
+        (power 0) G = sum_(n<=p) g^(n-p) pois_n(y) + P(Pois(y) > p) and H the same
+        with g^2. N^2 cancels. t is at most 1e300, where F is 0 for every chi < 1.
+        """
+        chi, j = self.chi, self.power
+        # one buffer, an array even for a scalar t, that exp and minimum then overwrite
+        log_f = np.multiply(-((1.0 - chi) ** 2), t, out=np.empty_like(t))
+        if self.nla:
+            log_g, p = math.log(self.nla.gain), self.nla.threshold
+            log_f += 2.0 * _log_amplified(chi * t, p, log_g)
+            log_f -= _log_amplified(chi * chi * t, p, 2.0 * log_g)
+        elif j:
+            log_f += 2.0 * _log_touchard(j, chi * t) - _log_touchard(2 * j, chi * chi * t)
+        np.exp(log_f, out=log_f)
+        return np.minimum(log_f, 1.0, out=log_f)
 
 
 class _LadderColumn(NamedTuple):
-    """The states k_n = h_n (n+1)^power chi^n at each chi of chis, built by
-    _ladder_column: row i is coeffs[bounds[i]:bounds[i+1]], its own D long,
-    with N norm_consts[i] and tail bound tail_bounds[i]."""
+    """One family's states at each chi of a grid, built by _family_column:
+    row i is ladders[i] truncated, its k_n coeffs[bounds[i]:bounds[i+1]],
+    its own D long, with N norm_consts[i] and tail bound tail_bounds[i]."""
 
-    chis: tuple
-    power: int
-    nla: NlaConfig | None
+    ladders: tuple
     labels: list
     coeffs: np.ndarray
     bounds: list
@@ -229,23 +312,25 @@ class _LadderColumn(NamedTuple):
             norm_const=self.norm_consts[i],
             tail_bound=self.tail_bounds[i],
             label=self.labels[i],
-            generator=(self.chis[i], self.power, self.nla),
+            generator=self.ladders[i],
         )
 
 
-def _ladder_column(chis, power, policy, prefix, nla=None, probs=None) -> _LadderColumn:
-    """The states k_n = h_n (n+1)^power chi^n at each chi of chis in (0, 1).
-
-    Each row has _ladder_rule's D, N and tail bound (probs holds the
-    amplifier's heralding probability at each chi). All rows' k_n are formed
-    at once, laid end to end with no padding, by a single state's elementwise
-    rule, and checked as SchmidtState checks its own.
-    """
-    p = nla.threshold if nla else 0
+def _family_column(family: str, chis, policy: TruncationPolicy, nla=None, probs=None):
+    """The _LadderColumn of family's states at each chi of chis in (0, 1), all
+    rows' k_n formed at once and checked as SchmidtState checks its own.
+    Only the amplified family reads nla and probs, its heralding probability
+    at each chi; at gain 1 it is the twin-beam."""
+    if family == "amplified" and nla.gain == 1.0:
+        family = "twb"  # the identity amplifier: the twin-beam's states, label and generator
+    nla, probs = (nla, probs) if family == "amplified" else (None, None)
+    prefix, power = FAMILIES[family]
+    prefix += f" g={nla.gain:g} p={nla.threshold}" if nla else ""
+    ladders = tuple(Ladder(chi, power, nla) for chi in chis)
     labels = [f"{prefix} chi={chi:g}" for chi in chis]
     rules = [
-        _ladder_rule(chi, power, policy, label, p, prob)
-        for chi, label, prob in zip(chis, labels, probs or itertools.repeat(1.0))
+        ladder.truncation(policy, label, prob)
+        for ladder, label, prob in zip(ladders, labels, probs or itertools.repeat(1.0))
     ]
     dims, norm_consts, tail_bounds = zip(*rules)
     bounds = [0, *itertools.accumulate(dims)]
@@ -254,6 +339,6 @@ def _ladder_column(chis, power, policy, prefix, nla=None, probs=None) -> _Ladder
     if power:
         coeffs = (n + 1.0) ** power * coeffs
     if nla:
-        coeffs = nla.gain ** np.minimum(n - float(p), 0.0) * coeffs
+        coeffs = nla.gain ** np.minimum(n - float(nla.threshold), 0.0) * coeffs
     _check_rows(coeffs, bounds, norm_consts, tail_bounds)
-    return _LadderColumn(tuple(chis), power, nla, labels, coeffs, bounds, norm_consts, tail_bounds)
+    return _LadderColumn(ladders, labels, coeffs, bounds, norm_consts, tail_bounds)

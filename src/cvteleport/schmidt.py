@@ -3,17 +3,22 @@
 Every entangled resource handled by this package is of the form
 N * sum_n k_n |n, n>, with non-negative coefficients k_n and a separate
 normalization constant N. States are stored truncated to a finite Fock
-dimension D with an explicit bound on the discarded probability mass, so
-that downstream tolerances are never polluted by truncation error.
+dimension D with an explicit bound on the discarded probability mass. A
+constructor-built state also names its untruncated resource, a
+resources.Ladder whose closed forms the estimators score in its place.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:  # resources imports this module
+    from .resources import Ladder
 
 # Floating-point grace added on top of declared tail bounds.
 _FLOAT_SLACK = 1e-12
@@ -84,16 +89,16 @@ class SchmidtState:
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
-    generator is the (chi, power, nla) that resources._ladder_column
-    built k_n from, so that estimators can score the untruncated resource in
-    closed form; it stays None for a state built by hand.
+    generator is the resources.Ladder, unpacking as (chi, power, nla), that
+    k_n was built from, so that estimators score the untruncated resource by
+    its closed forms; it stays None for a state built by hand.
     """
 
     coeffs: np.ndarray
     norm_const: float
     tail_bound: float = 0.0
     label: str = ""
-    generator: tuple | None = None
+    generator: "Ladder | None" = None
 
     def __post_init__(self):
         k = np.asarray(self.coeffs, dtype=float)

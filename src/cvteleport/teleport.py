@@ -7,10 +7,10 @@ beta = x_- + i p_+. Since |<n|D(-beta)|alpha>|^2 = pois_n(t), the Poisson
 weight e^-t t^n / n! at t = |alpha - beta|^2, an outcome enters only
 through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
 the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)).
-A state from the resource constructors carries its generator, and F is
-scored in closed form as the untruncated resource's; _poisson_sum, one
-Poisson kernel, takes the sums of a state built by hand and of the radial
-and grid estimators.
+A state from the resource constructors carries its generator, a
+resources.Ladder, and F is its fidelity: the untruncated resource's, in
+closed form. _poisson_sum, one Poisson kernel, takes the sums of a state
+built by hand and of the radial and grid estimators.
 
 Average fidelity over outcomes is evaluated four ways, from the production
 path to progressively more independent oracles:
@@ -111,111 +111,21 @@ def _poisson_sum(weights: np.ndarray, t):
     return log_part.reshape(t.shape)
 
 
-# Touchard polynomials, ascending: sum_n (n+1)^j y^n / n! = e^y Q_j(y)
-_TOUCHARD = {1: (1.0, 1.0), 2: (1.0, 3.0, 1.0), 4: (1.0, 15.0, 25.0, 10.0, 1.0)}
-
-
-def _log_touchard(j: int, y):
-    """ln Q_j(y) for y >= 0, as deg ln max(y, 1) + ln(Q_j(y) / max(y, 1)^deg).
-
-    The quotient is sum_i c_i s^i u^(deg-i) with (s, u) = (y, 1) up to 1 and
-    (1, 1/y) above: it lies in [1, Q_j(1)], so nothing overflows or vanishes.
-    """
-    c = _TOUCHARD[j]
-    deg = len(c) - 1
-    big = np.maximum(y, 1.0)
-    s, u = y / big, 1.0 / big
-    return deg * np.log(big) + np.log(sum(ci * s**i * u ** (deg - i) for i, ci in enumerate(c)))
-
-
-def _series(ratio):
-    """1 + r(0) + r(0) r(1) + ..., elementwise, for ratios in [0, 1) that fall with m.
-
-    Past a term T the rest is at most T r / (1 - r), r the next ratio; the sum
-    stops once that is below 1e-17 of it everywhere.
-    """
-    term = total = 1.0
-    m = 0
-    while True:
-        term = term * ratio(m)
-        total = total + term
-        m += 1
-        r = ratio(m)
-        if not np.any(term * r > 1e-17 * total * (1.0 - r)):
-            return total
-
-
-def _log_amplified(y, p: int, log_w: float):
-    """ln[sum_{n<=p} w^(n-p) pois_n(y) + P(Pois(y) > p)], elementwise over y in [0, 1e300].
-
-    For w >= 1. Each side of the Poisson law at p is a series of falling
-    ratios from p outward, taken where that side is the smaller one (below 1/2):
-    P(N > p) = pois_(p+1)(z) sum_m prod_(i<m) z/(p+2+i) for z < p + 1, and
-    sum_(n<=p) w^(n-p) pois_n(y) = pois_p(y) sum_m prod_(i<m) (p-i)/(w y) for
-    w y >= p + 1. On the other side a part is log1p of minus the series, the
-    head as w^-p e^(w y - y) P(Pois(w y) <= p), so no small probability is
-    one minus a near one and no exponent grows past p + 1. w enters by its
-    log, and w y may overflow to inf, so any gain g with w = g^2 is taken.
-    """
-    lg_p = math.lgamma(p + 1)
-
-    def upper(z):  # ln P(Pois(z) > p), z < p + 1
-        with np.errstate(divide="ignore"):  # ln 0 = -inf
-            log_z = np.log(z)
-        return (p + 1) * log_z - z - math.lgamma(p + 2) + np.log(_series(lambda m: z / (p + 2 + m)))
-
-    def head(x, z):  # ln sum_(n<=p) (z/x)^(n-p) pois_n(x), z >= p + 1
-        return p * np.log(x) - x - lg_p + np.log(_series(lambda m: (p - m) / z))
-
-    with np.errstate(divide="ignore", over="ignore"):
-        lam = np.exp(log_w + np.log(y))
-    log_head, log_tail = np.empty_like(y), np.empty_like(y)
-    low = lam < p + 1
-    log_head[low] = lam[low] - y[low] - p * log_w + np.log1p(-np.exp(upper(lam[low])))
-    log_head[~low] = head(y[~low], lam[~low])
-    low = y < p + 1
-    log_tail[low] = upper(y[low])
-    log_tail[~low] = np.log1p(-np.exp(head(y[~low], y[~low])))
-    return np.logaddexp(log_head, log_tail)
-
-
-def _closed_form_fidelity(generator, t):
-    """F(t) of the untruncated resource that generator (chi, power, nla) names.
-
-    With y = chi t, g(t) = sum_n k_n pois_n(t) = e^-(1-chi)t G(y) and
-    sum_n k_n^2 pois_n(t) = e^-(1-chi^2)t H(chi y), so F = e^-(1-chi)^2 t G^2 / H,
-    summed in log space: G = Q_power (H = Q_(2 power)), or for the amplifier
-    (power 0) G = sum_(n<=p) g^(n-p) pois_n(y) + P(Pois(y) > p) and H the same
-    with g^2. N^2 cancels. t is at most 1e300, where F is 0 for every chi < 1.
-    """
-    chi, power, nla = generator
-    # one buffer, an array even for a scalar t, that exp and minimum then overwrite
-    log_f = np.multiply(-((1.0 - chi) ** 2), t, out=np.empty_like(t))
-    if nla:
-        log_g, p = math.log(nla.gain), nla.threshold
-        log_f += 2.0 * _log_amplified(chi * t, p, log_g)
-        log_f -= _log_amplified(chi * chi * t, p, 2.0 * log_g)
-    elif power:
-        log_f += 2.0 * _log_touchard(power, chi * t) - _log_touchard(2 * power, chi * chi * t)
-    np.exp(log_f, out=log_f)
-    return np.minimum(log_f, 1.0, out=log_f)
-
-
 def _outcome_fidelity(resource: SchmidtState, t):
     """F = N^2 [sum_n k_n pois_n(t)]^2 / sum_n p_n pois_n(t), elementwise over t.
 
     t is capped at 1e300 (inf included). A constructor-built state is scored
-    in closed form, as its untruncated resource (_closed_form_fidelity). A
+    in closed form, as its untruncated resource (its generator's fidelity). A
     state without a generator is summed by _poisson_sum; the denominator is
     pi p(beta) at t = |alpha - beta|^2, and NumericsError is raised where
-    p(beta) is below 1e-300 or nan, before anything is divided.
+    p(beta) is below 1e-300, not finite or nan, before anything is divided.
     """
     t = np.minimum(np.asarray(t, dtype=float), 1e300)
     if resource.generator is not None:
-        return _closed_form_fidelity(resource.generator, t)
+        return resource.generator.fidelity(t)
     amp = _poisson_sum(resource.coeffs, t)
     density = _poisson_sum(schmidt_probabilities(resource), t)
-    if not np.all(density >= math.pi * 1e-300):
+    if not np.all((density >= math.pi * 1e-300) & (density < math.inf)):
         raise NumericsError(
             f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
         )
@@ -253,7 +163,7 @@ _series_kernel = np.empty((0, 0))
 
 
 def _series_weights(d: int) -> np.ndarray:
-    """W[:d, :d], first growing the kernel to the next power of two >= d.
+    """W[:d, :d], first growing the kernel to the least 2^m >= d.
 
     Pascal's rule C(m+n, n) = C(m+n-1, n) + C(m+n-1, n-1) gives
     W[m, n] = (W[m-1, n] + W[m, n-1]) / 2, so each anti-diagonal m + n = s
@@ -411,9 +321,9 @@ def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """cdf.searchsorted(u, side="right") for a non-decreasing cdf and u in [0, 1).
 
     A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)): with K the least
-    power of two >= 8 len(cdf), guide[j] is the answer at u = j/K, so u in
-    [j/K, (j+1)/K) has its answer in [guide[j], guide[j+1]]. K is a power
-    of two, so u K and j/K are exact and j = floor(u K). Where guide[j] ==
+    2^m >= 8 len(cdf), guide[j] is the answer at u = j/K, so u in
+    [j/K, (j+1)/K) has its answer in [guide[j], guide[j+1]]. K is 2^m, so
+    u K and j/K are exact and j = floor(u K). Where guide[j] ==
     guide[j+1] the answer is guide[j]; the binary search runs only on the
     rest, the samples in buckets that hold a cdf value (at most len(cdf) of
     the K buckets).

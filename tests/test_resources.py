@@ -18,6 +18,7 @@ from cvteleport import (
     schmidt_probabilities,
     success_probability,
 )
+from cvteleport.resources import Ladder
 from helpers import (
     brute_pair_ladder,
     brute_success_probability,
@@ -135,6 +136,7 @@ def test_amplified_unit_gain_is_twb():
             twb.dim, twb.norm_const, twb.tail_bound, twb.label
         )
         assert np.array_equal(amp.coeffs, twb.coeffs)
+        assert amp.generator == twb.generator
 
 
 def test_amplified_frozen_ground_level():
@@ -274,17 +276,25 @@ def test_success_probability_closed_form_property(chi, g, p):
 def test_constructors_produce_valid_states(chi, g, p):
     policy = TruncationPolicy()
     x = chi * chi
-    amplified, prob = make_amplified_twb(TwbParams(chi), NlaConfig(g, p), policy)
-    # each family's N^2 is the inverse of its untruncated sum_n k_n^2, in closed form
-    for state, norm2 in (
-        (make_twb(TwbParams(chi), policy), 1.0 - x),
-        (amplified, (1.0 - x) / prob),
-        (make_photon_subtracted_twb(TwbParams(chi), policy), (1.0 - x) ** 3 / (1.0 + x)),
+    nla = NlaConfig(g, p)
+    amplified, prob = make_amplified_twb(TwbParams(chi), nla, policy)
+    # each family's N^2 is the inverse of its untruncated sum_n k_n^2, in closed
+    # form, and its generator is Ladder(chi, power, nla), unpacking as README says;
+    # at unit gain the amplifier's is the twin-beam's
+    for state, norm2, power, amplifier in (
+        (make_twb(TwbParams(chi), policy), 1.0 - x, 0, None),
+        (amplified, (1.0 - x) / prob, 0, nla if g != 1.0 else None),
+        (make_photon_subtracted_twb(TwbParams(chi), policy), (1.0 - x) ** 3 / (1.0 + x), 1, None),
         (
             make_added_then_subtracted_twb(TwbParams(chi), policy),
             (1.0 - x) ** 5 / (1.0 + 11.0 * x + 11.0 * x * x + x**3),
+            2,
+            None,
         ),
     ):
+        assert state.generator == Ladder(chi, power, amplifier), state.label
+        generator_chi, generator_power, generator_nla = state.generator
+        assert (generator_chi, generator_power, generator_nla) == (chi, power, amplifier)
         total = schmidt_probabilities(state).sum()
         assert 1.0 - state.tail_bound - 1e-12 <= total <= 1.0 + 1e-12
         assert state.tail_bound <= policy.epsilon * (1 + 1e-9)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cvteleport import (
     BoundaryMassWarning,
@@ -244,11 +244,19 @@ def test_conditional_fidelity_vacuum_resource():
 def test_conditional_fidelity_rejects_vanishing_density():
     with pytest.raises(NumericsError):
         conditional_fidelity(VACUUM, 0.0, 30.0)
-    # t = 1e280, and t past float range, capped at 1e300: the kernel's density vanishes
+    # t = 1e280, and t past float range, capped at 1e300: the kernel's density vanishes.
+    # At D = 20, t = 1e120 and 1e200, the kernel's sums overflow to inf: an
+    # infinite density is refused too, where it gave 0.0 and nan (inf / inf)
     hand_built = SchmidtState([0.6, 0.8], 1.0)
-    for beta in (1e140, 1e200, complex(1.7e308, -1.7e308)):
-        with pytest.raises(NumericsError, match=r"p\(beta\) vanishes"):
-            conditional_fidelity(hand_built, 0.0, beta)
+    k = 0.97 ** np.arange(20)
+    geometric = SchmidtState(k, 1.0 / math.sqrt(k @ k))
+    for state, betas in (
+        (hand_built, (1e140, 1e200, complex(1.7e308, -1.7e308))),
+        (geometric, (1e60, 1e100)),
+    ):
+        for beta in betas:
+            with pytest.raises(NumericsError, match=r"p\(beta\) vanishes"):
+                conditional_fidelity(state, 0.0, beta)
 
 
 def test_conditional_fidelity_of_an_outcome_past_float_range():
@@ -353,6 +361,29 @@ def test_conditional_fidelity_closed_form_matches_oracle(family, chi, g, p, ar, 
     fid = conditional_fidelity(resource, alpha, beta)
     assert 0.0 <= fid <= 1.0
     assert abs(fid - displaced_frame_fidelity(resource, alpha, beta)) <= 1e-10
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+    log_t=st.floats(-3.0, 300.0),
+)
+@example(weights=list(0.97 ** np.arange(20)), log_t=200.0)
+@example(weights=[0.6, 0.8], log_t=-math.inf)
+def test_hand_built_conditional_fidelity_is_bounded_or_refused(weights, log_t):
+    # a state built by hand goes through the kernel at every t in [0, 1e300]:
+    # F is in [0, 1] or refused, never nan, and no warning is raised
+    k = np.array(weights)
+    assume(k.max() > 0.0)
+    k /= k.max()
+    state = SchmidtState(k, 1.0 / math.sqrt(k @ k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fid = conditional_fidelity(state, 0.0, math.sqrt(10.0**log_t))
+        except NumericsError:
+            return
+    assert 0.0 <= fid <= 1.0
 
 
 def test_amplitude_guard():
