@@ -635,11 +635,23 @@ def test_main_unit_gain_is_the_twin_beam(capsys):
     assert main(["teleport", "--chi", "0.5", "--gain", "1", "--threshold", "2000"]) == 3
 
 
-def test_main_metrics_twb_payload(capsys):
-    assert main(["metrics", "--chi", "0.5"]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["--chi", "0.5"], ["--chi", "0.6"], ["--chi", "0.6", "--gain", "2", "--threshold", "2"]],
+    ids=["twb-0.5", "twb-0.6", "nla-0.6"],
+)
+def test_main_metrics_payload(argv, capsys):
+    assert main(["metrics", *argv]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["non_gaussianity"] == pytest.approx(0.0, abs=1e-8)
     assert "non_gaussianity_additive" not in payload
+    if "--gain" in argv:
+        # EPR-correlated, and non-Gaussian above the twin-beam's float floor, which is itself > 0
+        assert payload["epr"] < 2
+        assert payload["non_gaussianity"] > 1e-8
+    else:
+        chi = float(argv[1])
+        assert payload["epr"] == pytest.approx(2 * (1 - chi) / (1 + chi), abs=1e-9)
+        assert payload["non_gaussianity"] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_main_metrics_baseline_resources(capsys):
@@ -663,10 +675,17 @@ def test_main_teleport_methods_agree(capsys):
     assert fbars["series"] == pytest.approx(fbars["mc"], abs=0.01)
 
 
-def test_main_teleport_mc_at_large_dimension(capsys):
-    assert main(["teleport", "--chi", "0.985", "--method", "mc", "--seed", "7"]) == 0
+@pytest.mark.parametrize(
+    "flags, tol",
+    [(["--method", "mc", "--seed", "7"], 1e-3), (["--method", "radial"], 1e-5),
+     (["--method", "grid2d"], 1e-5)],
+    ids=["mc", "radial", "grid2d"],
+)
+def test_main_teleport_at_large_dimension(flags, tol, capsys):
+    # D = 915, against the exact (1 + chi) / 2
+    assert main(["teleport", "--chi", "0.985", *flags]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["average_fidelity"] == pytest.approx(0.9925, abs=1e-3)
+    assert payload["average_fidelity"] == pytest.approx(0.9925, abs=tol)
 
 
 def test_main_teleport_radial_beyond_node_floor_exits_0(capsys):
@@ -709,9 +728,15 @@ def test_sweep_settings_have_one_name_each(tmp_path, monkeypatch):
     flags = [f for f in _COMMANDS["sweep"][1] if f != "--config"]
     dests = [argparse.ArgumentParser().add_argument(f, **_FLAGS[f]).dest for f in flags]
     assert [field.name for field in fields(SweepSpec)] == dests
+    config = json.dumps({field.name: field.default for field in fields(SweepSpec)})
+    assert json.loads(config) == {
+        "chi_start": 0.05, "chi_stop": 0.9, "chi_step": 0.05, "gains": [1.0, 2.0],
+        "thresholds": [2], "outputs": ["entropy", "epr", "ng", "fbar", "psucc"],
+        "epsilon": 1e-12, "format": "csv", "out": "sweep.csv",
+    }
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "defaults.json"
-    cfg.write_text(json.dumps({field.name: field.default for field in fields(SweepSpec)}))
+    cfg.write_text(config)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert main(["sweep", "--out", "bare.csv"]) == 0
     run_sweep(SweepSpec(out="library.csv"))
@@ -859,14 +884,15 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
         (["twb", "--chi", "0.999"], "twb chi=0.999"),
         (["amplify", "--chi", "0.999", "--gain", "2", "--threshold", "2"], "nla g=2 p=2 chi=0.999"),
         (["figure", "fig3", "--step", "0.1", "--epsilon", "1e-300"], "twb chi=0.8"),
+        (["metrics", "--resource", "added-subtracted", "--chi", "0.99"], "addsub chi=0.99"),
     ],
-    ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure"],
+    ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure", "metrics-added-subtracted"],
 )
 def test_main_state_beyond_max_dim_exits_3(argv, label, tmp_path, capsys):
     # a truncated state whose tail needs more than max_dim levels is refused, by name
     assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert f"{label} needs at least" in err and "max_dim=1024" in err
+    assert re.search(rf"{re.escape(label)} needs at least \d+ levels, over max_dim=1024", err)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -912,8 +938,9 @@ runs = [
     ["twb", "--chi", "0.5"],
     ["amplify", "--chi", "0.5", "--gain", "2", "--threshold", "2"],
     ["metrics", "--chi", "0.5", "--resource", "subtracted"],
-    *(["teleport", "--chi", "0.97", "--method", m] for m in ("series", "radial", "grid2d", "mc")),
-    ["sweep", "--chi-stop", "0.3", "--outputs", "entropy,ng,fbar,fbar_grid2d,pdist"],
+    *(["teleport", "--chi", chi, "--method", m]
+      for chi in ("0.97", "0.985") for m in ("series", "radial", "grid2d", "mc")),
+    ["sweep", "--outputs", "entropy,ng,fbar,fbar_grid2d,pdist"],
     ["figure", "fig5", "--step", "0.05"],
     ["crossover", "--gain", "2", "--threshold", "4"],
 ]
@@ -935,6 +962,13 @@ def test_cli_import_and_every_command_load_no_scipy(tmp_path):
     assert {run[0].split()[0] for run in seen} == {"import", *_COMMANDS}
     for command, rc, loaded in seen:
         assert (command, rc, loaded) == (command, 0, [])
+
+
+def test_runtime_dependencies_name_no_scipy():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    runtime = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert runtime and not [r for r in runtime if "scipy" in r], runtime
 
 
 # ---------------------------------------------------------------------------
@@ -1056,21 +1090,34 @@ def _psucc_rows(text: str, fmt: str) -> list[str]:
     return [rec for rec in re.findall(r" \{\n.*?\n \}", text, re.S) if '"metric": "psucc"' in rec]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_psucc_rows_do_not_depend_on_the_other_outputs(fmt, tmp_path):
+_PSUCC_GRID = ["--chi-start", "0.1", "--chi-stop", "0.9", "--chi-step", "0.2",
+               "--gains", "1,1.5,4", "--thresholds", "0,2,7"]
+_PSUCC_OTHERS = ["--outputs", "entropy,epr,fbar,psucc"]
+
+
+@pytest.mark.parametrize(
+    "fmt, grid, others, count",
+    [
+        ("csv", _PSUCC_GRID, _PSUCC_OTHERS, 5 * 3 * 3),
+        ("json", _PSUCC_GRID, _PSUCC_OTHERS, 5 * 3 * 3),
+        # the default grid (chi 0.05 to 0.9 step 0.05, gains 1 and 2, threshold 2)
+        # against a bare sweep's default outputs
+        ("csv", [], [], 18 * 2),
+    ],
+    ids=["csv", "json", "default-grid"],
+)
+def test_psucc_rows_do_not_depend_on_the_other_outputs(fmt, grid, others, count, tmp_path):
     # psucc is the amplifier's, computed once per config before any state:
     # a psucc-only sweep, which builds none, writes the bytes of the psucc
     # rows of a sweep that builds states for its other outputs
-    grid = ["--chi-start", "0.1", "--chi-stop", "0.9", "--chi-step", "0.2",
-            "--gains", "1,1.5,4", "--thresholds", "0,2,7", "--format", fmt]
     texts = []
-    for outputs in ("psucc", "entropy,epr,fbar,psucc"):
-        out = tmp_path / f"{outputs}.{fmt}"
-        assert main(["sweep", *grid, "--outputs", outputs, "--out", str(out)]) == 0
+    for name, outputs in (("alone", ["--outputs", "psucc"]), ("alongside", others)):
+        out = tmp_path / f"{name}.{fmt}"
+        assert main(["sweep", *grid, "--format", fmt, *outputs, "--out", str(out)]) == 0
         texts.append(out.read_text())
     alone, alongside = texts
     rows = _psucc_rows(alongside, fmt)
-    assert len(rows) == 5 * 3 * 3
+    assert len(rows) == count
     if fmt == "csv":
         assert alone == ",".join(RowBlock._fields) + "\n" + "".join(rows)
     else:

@@ -261,9 +261,10 @@ def test_conditional_fidelity_rejects_vanishing_density():
 
 def test_conditional_fidelity_of_an_outcome_past_float_range():
     # |alpha - beta|^2 overflows to inf, which the closed form scores as 0
-    state = make_twb(TwbParams(0.5))
-    for beta in (1e200, complex(1.7e308, -1.7e308)):
-        assert conditional_fidelity(state, 0.0, beta) == 0.0
+    for chi in (0.5, 0.985):
+        state = make_twb(TwbParams(chi))
+        for beta in (1e200, complex(1.7e308, -1.7e308)):
+            assert conditional_fidelity(state, 0.0, beta) == 0.0, (chi, beta)
 
 
 def test_conditional_fidelity_past_the_kernel_rescale():
