@@ -16,7 +16,6 @@ from .metrics import (
     mean_photon,
     metrics_report,
     non_gaussianity,
-    twb_entropy_closed,
 )
 from .resources import (
     NlaConfig,
@@ -26,6 +25,8 @@ from .resources import (
     make_photon_subtracted_twb,
     make_twb,
     success_probability,
+    twb_average_fidelity_closed,
+    twb_entropy_closed,
 )
 from .schmidt import (
     DEFAULT_POLICY,
@@ -41,7 +42,6 @@ from .teleport import (
     average_fidelity_series,
     classify_fidelity,
     conditional_fidelity,
-    twb_average_fidelity_closed,
 )
 
 __version__ = "0.1.0"

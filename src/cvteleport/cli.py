@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .metrics import _entropy, _epr, _moments, _non_gaussianity, mean_photon, metrics_report
-from .resources import FAMILIES, NlaConfig, TwbParams, _family_column, _heralding
+from .resources import (
+    FAMILIES,
+    NlaConfig,
+    TwbParams,
+    _family_column,
+    _heralding,
+    twb_average_fidelity_closed,
+)
 from .schmidt import TruncationPolicy, schmidt_probabilities
 from .teleport import (
     QuadratureSpec,
@@ -32,7 +39,6 @@ from .teleport import (
     average_fidelity_sampled,
     average_fidelity_series,
     classify_fidelity,
-    twb_average_fidelity_closed,
 )
 
 SWEEP_METRICS = ("entropy", "epr", "ng", "pdist", "fbar", "fbar_grid2d", "psucc")
@@ -293,8 +299,8 @@ def _block_chunks(blocks, fmt: str, comments):
 # resource families and metrics
 #
 # Sweeps and figures build each (family, gain, threshold) as one column of
-# states over the chi grid, by resources._family_column, with an amplified
-# config's psucc computed once before any state; each row is read through the
+# states over the chi grid, by resources._family_column, which heralds an
+# amplified config's rows itself; each row the column yields is read through the
 # metric kernels, and no state is built or public function called per chi.
 # The estimators and the grid2d metric are named inside the bodies below, so a
 # profiler or tracer that rebinds those names in this module sees every call.
@@ -334,11 +340,10 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     configs are (family, gain, threshold). A scalar metric gives one block
     per config with one row per chi; pdist gives one block per (config, chi)
     with one row per Fock level. Each config's states are built once, as one
-    column over chis, and none when psucc is the only metric. psucc is the
-    amplifier's, computed once per config before any state, and None off the
-    amplified family. Each row's moment triple is computed once, for epr and
-    ng together. extra fills the last column of the fidelity rows: None,
-    "tag" (the family's fig5 tag) or "psucc".
+    column over chis, and none when psucc is the only metric; psucc is the
+    amplifier's, None off its family. Each row's moment triple is computed
+    once, for epr and ng together. extra fills the last column of the
+    fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
@@ -346,14 +351,11 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     with_moments = bool({"epr", "ng"} & set(groups))
     for family, g, p in configs:
         nla = NlaConfig(gain=g, threshold=p)
-        psuccs = _heralding(chis, nla, policy) if family == "amplified" else None
         columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
         if stateful:
-            column = _family_column(family, chis, policy, nla, psuccs)
-            bounds, coeffs, probs = column.bounds, column.coeffs, column.probabilities()
-            for i, chi in enumerate(chis):
-                k, row_probs = coeffs[bounds[i] : bounds[i + 1]], probs[bounds[i] : bounds[i + 1]]
-                norm_const, label = column.norm_consts[i], column.labels[i]
+            column = _family_column(family, chis, policy, nla)
+            psuccs = column.psuccs
+            for i, (chi, (k, row_probs, norm_const, label)) in enumerate(zip(chis, column.rows())):
                 moments = with_moments and _moments(k, norm_const, row_probs, label)
                 row = _Row(column, i, k, row_probs, moments)
                 for metric, values in columns.items():
@@ -361,6 +363,8 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
                 if "pdist" in groups:
                     dist = row_probs.tolist()
                     groups["pdist"].append(RowBlock(chi, g, p, "pdist", dist, range(len(dist))))
+        else:  # psucc alone: no state
+            psuccs = _heralding(chis, nla, policy)[1] if family == "amplified" else None
         if "psucc" in groups:
             columns["psucc"] = psuccs
         cell = {"tag": FAMILIES[family][0], "psucc": psuccs}.get(extra)
@@ -496,7 +500,7 @@ def secure_only_window(chis, amplified, standard):
     equally long runs, or None when no point qualifies."""
     window, length, run = None, 0, 0
     for i, (f_amp, f_std) in enumerate(zip(amplified, standard, strict=True)):
-        run = run + 1 if f_amp > 2.0 / 3.0 >= f_std else 0
+        run = run + 1 if classify_fidelity(f_amp) == "secure" != classify_fidelity(f_std) else 0
         if run > length:
             window, length = (chis[i - run + 1], chis[i]), run
     return window
@@ -565,9 +569,8 @@ def _cli_resource(args, policy):
     if nla_given and family != "amplified":
         raise ValidationError(f"--gain and --threshold do not apply to the {family} resource")
     nla = NlaConfig(gain=gain, threshold=threshold) if family == "amplified" else None
-    chis = (TwbParams(args.chi).chi,)
-    psuccs = _heralding(chis, nla, policy) if nla else None
-    return _family_column(family, chis, policy, nla, psuccs).state(0), psuccs and psuccs[0]
+    column = _family_column(family, (TwbParams(args.chi).chi,), policy, nla)
+    return column.state(0), column.psuccs and column.psuccs[0]
 
 
 def _cmd_state(args) -> None:

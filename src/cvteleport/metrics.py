@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .resources import TwbParams
 from .schmidt import SchmidtState, schmidt_probabilities
 
 # Tolerated float defect below the physical lower bounds.
@@ -49,16 +48,6 @@ def entanglement_entropy(state: SchmidtState) -> float:
 def _entropy(probs: np.ndarray) -> float:
     p = probs[probs > 0]  # 0 ln 0 = 0
     return max(0.0, -float(np.sum(p * np.log(p))))
-
-
-def twb_entropy_closed(params: TwbParams) -> float:
-    """Closed-form twin-beam entanglement entropy.
-
-    S = -ln(1-chi^2) - chi^2 ln(chi^2) / (1-chi^2), the entropy of the
-    geometric Schmidt spectrum p_n = (1-chi^2) chi^(2n).
-    """
-    c2 = params.chi**2
-    return -math.log(1.0 - c2) - c2 * math.log(c2) / (1.0 - c2)
 
 
 def _moments(k: np.ndarray, norm_const: float, probs: np.ndarray, label: str) -> tuple:

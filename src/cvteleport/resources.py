@@ -1,4 +1,4 @@
-"""Constructors for the entangled resources.
+"""Constructors for the entangled resources, and the twin-beam's closed forms.
 
 Covered states, all Schmidt-diagonal with non-negative coefficients:
 
@@ -97,15 +97,30 @@ def make_amplified_twb(
     1/P renormalization so the discarded mass stays within policy.epsilon.
     At g = 1 the amplifier is the identity, and the state is make_twb's.
     """
-    probs = _heralding((params.chi,), nla, policy)
-    return _family_column("amplified", (params.chi,), policy, nla, probs).state(0), probs[0]
+    column = _family_column("amplified", (params.chi,), policy, nla)
+    return column.state(0), column.psuccs[0]
 
 
-def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> list[float]:
-    """The amplifier's heralding probability at each chi of chis, p + 1 terms each."""
+def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> tuple[list, list[float]]:
+    """The amplifier's Ladder and heralding probability (p + 1 terms) at each chi of chis."""
     if (p := nla.threshold) + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-    return [Ladder(chi, 0, nla).success_probability() for chi in chis]
+    ladders = [Ladder(chi, 0, nla) for chi in chis]
+    return ladders, [ladder.success_probability() for ladder in ladders]
+
+
+def twb_entropy_closed(params: TwbParams) -> float:
+    """Closed-form twin-beam entanglement entropy S = -ln(1-chi^2) - chi^2 ln(chi^2) / (1-chi^2),
+    the entropy of the geometric Schmidt spectrum p_n = (1-chi^2) chi^(2n)."""
+    c2 = params.chi**2
+    return -math.log(1.0 - c2) - c2 * math.log(c2) / (1.0 - c2)
+
+
+def twb_average_fidelity_closed(params: TwbParams) -> float:
+    """Closed-form twin-beam average fidelity (1 + chi)/2, the double series with geometric
+    coefficients: it crosses the cloning-security boundary 2/3 exactly at chi = 1/3 and
+    tends to 1 in the infinite-squeezing limit."""
+    return 0.5 * (1.0 + params.chi)
 
 
 def make_photon_subtracted_twb(
@@ -292,18 +307,22 @@ class Ladder(NamedTuple):
 class _LadderColumn(NamedTuple):
     """One family's states at each chi of a grid, built by _family_column:
     row i is ladders[i] truncated, its k_n coeffs[bounds[i]:bounds[i+1]],
-    its own D long, with N norm_consts[i] and tail bound tail_bounds[i]."""
+    its own D long, with N norm_consts[i] and tail bound tail_bounds[i];
+    psuccs are the amplifier's heralding probabilities, None off its family."""
 
-    ladders: tuple
+    ladders: list
     labels: list
     coeffs: np.ndarray
     bounds: list
     norm_consts: tuple
     tail_bounds: tuple
+    psuccs: list | None
 
-    def probabilities(self) -> np.ndarray:
-        """p_n = N^2 k_n^2 of every row, laid out as coeffs."""
-        return (np.repeat(self.norm_consts, np.diff(self.bounds)) * self.coeffs) ** 2
+    def rows(self):
+        """(k_n, p_n = N^2 k_n^2, N, label) of each row, k_n and p_n views of one array each."""
+        probs = (np.repeat(self.norm_consts, np.diff(self.bounds)) * self.coeffs) ** 2
+        for i, (lo, hi) in enumerate(itertools.pairwise(self.bounds)):
+            yield self.coeffs[lo:hi], probs[lo:hi], self.norm_consts[i], self.labels[i]
 
     def state(self, i: int) -> SchmidtState:
         """Row i as a SchmidtState, its coefficients a view of the column's."""
@@ -316,21 +335,21 @@ class _LadderColumn(NamedTuple):
         )
 
 
-def _family_column(family: str, chis, policy: TruncationPolicy, nla=None, probs=None):
+def _family_column(family: str, chis, policy: TruncationPolicy, nla=None):
     """The _LadderColumn of family's states at each chi of chis in (0, 1), all
     rows' k_n formed at once and checked as SchmidtState checks its own.
-    Only the amplified family reads nla and probs, its heralding probability
-    at each chi; at gain 1 it is the twin-beam."""
-    if family == "amplified" and nla.gain == 1.0:
-        family = "twb"  # the identity amplifier: the twin-beam's states, label and generator
-    nla, probs = (nla, probs) if family == "amplified" else (None, None)
+    Only the amplified family reads nla: each row's one Ladder gives its psucc,
+    then its truncation; at gain 1 the rows are the twin-beam's, psuccs the amplifier's."""
+    ladders, psuccs = _heralding(chis, nla, policy) if family == "amplified" else (None, None)
+    family = "twb" if family == "amplified" and nla.gain == 1.0 else family  # identity amplifier
     prefix, power = FAMILIES[family]
+    if family != "amplified":  # the twin-beam's rows, label and generator at gain 1 too
+        nla, ladders = None, [Ladder(chi, power, None) for chi in chis]
     prefix += f" g={nla.gain:g} p={nla.threshold}" if nla else ""
-    ladders = tuple(Ladder(chi, power, nla) for chi in chis)
     labels = [f"{prefix} chi={chi:g}" for chi in chis]
     rules = [
         ladder.truncation(policy, label, prob)
-        for ladder, label, prob in zip(ladders, labels, probs or itertools.repeat(1.0))
+        for ladder, label, prob in zip(ladders, labels, psuccs if nla else itertools.repeat(1.0))
     ]
     dims, norm_consts, tail_bounds = zip(*rules)
     bounds = [0, *itertools.accumulate(dims)]
@@ -341,4 +360,4 @@ def _family_column(family: str, chis, policy: TruncationPolicy, nla=None, probs=
     if nla:
         coeffs = nla.gain ** np.minimum(n - float(nla.threshold), 0.0) * coeffs
     _check_rows(coeffs, bounds, norm_consts, tail_bounds)
-    return _LadderColumn(ladders, labels, coeffs, bounds, norm_consts, tail_bounds)
+    return _LadderColumn(ladders, labels, coeffs, bounds, norm_consts, tail_bounds, psuccs)

@@ -33,7 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
-from .resources import TwbParams
 from .schmidt import SchmidtState, _complex, _integer, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -367,16 +366,6 @@ def average_fidelity_sampled(
     estimate = float(np.mean(fid))
     std_error = float(np.std(fid, ddof=1) / math.sqrt(fid.size))
     return estimate, std_error
-
-
-def twb_average_fidelity_closed(params: TwbParams) -> float:
-    """Closed-form twin-beam average fidelity (1 + chi)/2.
-
-    Follows from the double series with geometric coefficients; crosses
-    the cloning-security boundary 2/3 exactly at chi = 1/3 and tends to 1
-    in the infinite-squeezing limit.
-    """
-    return 0.5 * (1.0 + params.chi)
 
 
 def classify_fidelity(fbar: float) -> str:

@@ -422,7 +422,7 @@ def test_figure_rejects_unknown_id(tmp_path):
         figure_data("fig9", str(tmp_path / "x.csv"))
 
 
-def test_figure_determinism_across_jobs(tmp_path):
+def test_figure_bytes_repeat_across_calls(tmp_path):
     a = figure_data("fig2", str(tmp_path / "a.csv"), step=0.05)
     b = figure_data("fig2", str(tmp_path / "b.csv"), step=0.05)
     assert Path(a).read_bytes() == Path(b).read_bytes()
@@ -876,6 +876,11 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
     assert not stray, (argv, stray)
 
 
+# chi 0.99 to 0.999, where no twin-beam fits below max_dim; --outputs goes last
+_HIGH_CHI_SWEEP = ["sweep", "--chi-start", "0.99", "--chi-stop", "0.999", "--chi-step", "0.001",
+                   "--gains", "1,2", "--thresholds", "2,4", "--outputs"]
+
+
 @pytest.mark.parametrize(
     "argv, label",
     [
@@ -885,8 +890,11 @@ def test_main_fuzzed_argv_exits_with_contract_code(command, data, tmp_path):
         (["amplify", "--chi", "0.999", "--gain", "2", "--threshold", "2"], "nla g=2 p=2 chi=0.999"),
         (["figure", "fig3", "--step", "0.1", "--epsilon", "1e-300"], "twb chi=0.8"),
         (["metrics", "--resource", "added-subtracted", "--chi", "0.99"], "addsub chi=0.99"),
+        # the psucc rows alone build no state there (test_main_psucc_only_sweep_builds_no_state)
+        ([*_HIGH_CHI_SWEEP, "psucc,epr"], "twb chi=0.99"),
     ],
-    ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure", "metrics-added-subtracted"],
+    ids=["teleport", "metrics-subtracted", "twb", "amplify", "figure", "metrics-added-subtracted",
+         "sweep-psucc-epr"],
 )
 def test_main_state_beyond_max_dim_exits_3(argv, label, tmp_path, capsys):
     # a truncated state whose tail needs more than max_dim levels is refused, by name
@@ -905,6 +913,16 @@ def test_main_psucc_sweep_refuses_threshold_above_max_dim(tmp_path, capsys):
     assert main(argv) == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_psucc_only_sweep_builds_no_state(tmp_path, capsys):
+    # psucc needs no truncated state, so chis whose states max_dim refuses still give it
+    out = tmp_path / "psucc.csv"
+    assert main([*_HIGH_CHI_SWEEP, "psucc", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 10 * 2 * 2 and {r["metric"] for r in rows} == {"psucc"}
+    assert all(0.0 < float(r["value"]) <= 1.0 for r in rows)
+    assert capsys.readouterr().out == f"wrote 40 rows to {out}\n"
 
 
 @pytest.mark.parametrize("resource", ["subtracted", "added-subtracted"])
@@ -1038,6 +1056,8 @@ def _assert_column_equals_public_states(configs, chis, policy=_WIDE):
             assert ng[c].value[i] == non_gaussianity(state), where
             assert fbar[c].value[i] == average_fidelity_series(state), where
             assert psuccs[i] == prob, where
+            if state.generator.nla:  # an amplified row: heralded by the Ladder it carries
+                assert state.generator.success_probability() == psuccs[i], where
             dist = pdist[c * len(chis) + i]
             assert (dist.chi, dist.g, dist.p) == (chi, g, p), where
             assert dist.value == schmidt_probabilities(state).tolist(), where
@@ -1107,8 +1127,8 @@ _PSUCC_OTHERS = ["--outputs", "entropy,epr,fbar,psucc"]
     ids=["csv", "json", "default-grid"],
 )
 def test_psucc_rows_do_not_depend_on_the_other_outputs(fmt, grid, others, count, tmp_path):
-    # psucc is the amplifier's, computed once per config before any state:
-    # a psucc-only sweep, which builds none, writes the bytes of the psucc
+    # psucc is the amplifier's, one per row of the column that heralds it:
+    # a psucc-only sweep, which builds no state, writes the bytes of the psucc
     # rows of a sweep that builds states for its other outputs
     texts = []
     for name, outputs in (("alone", ["--outputs", "psucc"]), ("alongside", others)):
