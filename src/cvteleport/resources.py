@@ -228,7 +228,9 @@ class Ladder(NamedTuple):
     nla: NlaConfig | None
 
     def success_probability(self) -> float:
-        """The amplifier's heralding probability P, as success_probability gives it."""
+        """The amplifier's heralding probability P, as success_probability gives it (1 without)."""
+        if not self.nla:
+            return 1.0
         chi, g, p = self.chi, self.nla.gain, self.nla.threshold
         head = math.fsum(g ** (2 * (n - p)) * chi ** (2 * n) for n in range(p + 1))
         tail = chi ** (2 * (p + 1)) / (1.0 - chi * chi)
@@ -302,6 +304,37 @@ class Ladder(NamedTuple):
             log_f += 2.0 * _log_touchard(j, chi * t) - _log_touchard(2 * j, chi * chi * t)
         np.exp(log_f, out=log_f)
         return np.minimum(log_f, 1.0, out=log_f)
+
+    def log_amplitude(self, t):
+        """ln g(t) = -(1-chi)t + ln G(chi t), g(t) = sum_n k_n pois_n(t) of the untruncated
+        resource and G as in fidelity, elementwise over an array t >= 0."""
+        log_a = -(1.0 - self.chi) * t
+        if self.nla:
+            return log_a + _log_amplified(self.chi * t, self.nla.threshold, math.log(self.nla.gain))
+        return log_a + _log_touchard(self.power, self.chi * t) if self.power else log_a
+
+    def outcome_tail(self, s):
+        """A bound on the mass of the untruncated resource's p(beta) past t = s, elementwise.
+
+        With x = chi^2, c = 1 - x and Q_(2 power)(y) = sum_m q_m y^m (1 for the twin-beam),
+        sum_n k_n^2 pois_n(t) = e^-ct sum_m q_m x^m t^m, so the mass past s is exactly
+        sum_m w_m P(Pois(cs) <= m) / sum_m w_m, w_m = q_m m! (x/c)^m. Under the amplifier the
+        mass sum_j pois_j(s) S_j, S_j = sum_(n>=j) p_n, has S_j <= 1 up to p and x^j/P past
+        it, so with a = p + 1 it is at most P(Pois(s) <= a) + e^-cs P(Pois(xs) >= a)/P, each
+        Poisson tail at most Chernoff's e^(a - l) (l/a)^a at its mean l, as l passes a.
+        """
+        x = self.chi * self.chi
+        cs = (1.0 - x) * s
+        if self.nla:
+            a = self.nla.threshold + 1.0
+            with np.errstate(divide="ignore"):  # l = 0 gives e^-inf = 0
+                low, high = (np.exp(a - l + a * np.log(l / a))
+                             for l in (np.maximum(s, a), np.minimum(x * s, a)))
+            return low + np.exp(-cs) * high / self.success_probability()
+        touchard = _TOUCHARD.get(2 * self.power, (1.0,))
+        w = [q * math.factorial(m) * (x / (1.0 - x)) ** m for m, q in enumerate(touchard)]
+        pois = [np.exp(-cs) * cs**i / math.factorial(i) for i in range(len(w))]
+        return sum(wm * sum(pois[: m + 1]) for m, wm in enumerate(w)) / sum(w)
 
 
 class _LadderColumn(NamedTuple):

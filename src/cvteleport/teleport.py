@@ -9,8 +9,9 @@ through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
 the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)).
 A state from the resource constructors carries its generator, a
 resources.Ladder, and F is its fidelity: the untruncated resource's, in
-closed form. _poisson_sum, one Poisson kernel, takes the sums of a state
-built by hand and of the radial and grid estimators.
+closed form; the grid integrates its closed-form amplitude too.
+_poisson_sum, one Poisson kernel, takes the sums of a state built by hand
+and of the radial estimator.
 
 Average fidelity over outcomes is evaluated four ways, from the production
 path to progressively more independent oracles:
@@ -18,7 +19,8 @@ path to progressively more independent oracles:
 * double series N^2 sum_{m,n} k_m k_n C(m+n, n) / 2^(m+n+1), from the
   radial substitution t = |alpha - beta|^2, exact for the truncated state;
 * 1-d Gauss-Laguerre quadrature of N^2 int_0^inf [sum_n k_n e^-t t^n/n!]^2 dt;
-* brute 2-d grid quadrature of the outcome integral (oracle);
+* brute 2-d grid quadrature of the outcome integral (oracle), of the
+  untruncated resource for a constructor-built state;
 * Monte Carlo over the outcome distribution p(beta), scored by F (oracle).
 
 The average fidelity is the same for every coherent input (Braunstein &
@@ -33,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
-from .schmidt import SchmidtState, _complex, _integer, schmidt_probabilities
+from .schmidt import SchmidtState, TruncationPolicy, _complex, _integer, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -258,16 +260,30 @@ def average_fidelity_radial(
 def _grid_half_width(resource: SchmidtState) -> float:
     """Half-width h of a square outcome window holding all but 1e-12 of p(beta).
 
-    The mass of p(beta) at t = |alpha - beta|^2 > s is
-    sum_n p_n P(Gamma(n+1) > s) = sum_n p_n P(Pois(s) <= n)
-    = sum_j pois_j(s) S_j with S_j = sum_{n>=j} p_n: one Poisson sum per s.
-    h = sqrt(s) for the first s on a unit ladder up to D + 12 sqrt(D) + 40
-    whose tail is at most 1e-12; the square holds the disk t <= s. Raises
-    NumericsError when no ladder point gets there.
+    h = sqrt(s) for the first s that passes on a unit ladder up to
+    D + 12 sqrt(D) + 40 (the square holds the disk t <= s), or NumericsError.
+    A state built by hand passes where its mass past s, sum_n p_n P(Pois(s) <= n)
+    = sum_j pois_j(s) S_j with S_j = sum_{n>=j} p_n, one Poisson sum, is at most
+    1e-12. A constructor-built state passes where its generator's outcome_tail
+    is at most 1e-12 and g(s)^2, g = sum_n k_n pois_n, at most 1e-12 of its
+    largest value on the ladder up to s: a mass alone does not bound the edge
+    once g peaks away from t = 0. Its window is the untruncated resource's, so
+    D is its generator's under the default epsilon and no max_dim, whatever
+    policy truncated the state: a looser epsilon's D ends the ladder too soon.
     """
-    survival = np.cumsum(schmidt_probabilities(resource)[::-1])[::-1]
-    ladder = np.arange(resource.dim + 12.0 * math.sqrt(resource.dim) + 41.0)
-    inside = np.flatnonzero(_poisson_sum(survival, ladder) <= 1e-12)
+    dim = resource.dim
+    if (generator := resource.generator) is not None:
+        uncapped = TruncationPolicy(max_dim=2**62)
+        dim = generator.truncation(uncapped, resource.label, generator.success_probability())[0]
+    ladder = np.arange(dim + 12.0 * math.sqrt(dim) + 41.0)
+    if generator is None:
+        survival = np.cumsum(schmidt_probabilities(resource)[::-1])[::-1]
+        inside = _poisson_sum(survival, ladder) <= 1e-12
+    else:
+        log_g = generator.log_amplitude(ladder)
+        edge = 2.0 * (log_g - np.maximum.accumulate(log_g)) <= math.log(1e-12)
+        inside = (generator.outcome_tail(ladder) <= 1e-12) & edge
+    inside = np.flatnonzero(inside)
     if inside.size == 0:
         raise NumericsError(
             f"no grid window holds all but 1e-12 of p(beta) for {resource.label!r}"
@@ -283,10 +299,12 @@ def average_fidelity_grid2d(
     Trapezoid rule over a square grid of outcome offsets x + iy = beta - alpha,
     centered on 0, with the half-width of _grid_half_width: the integrand
     N^2/pi [sum_n k_n pois_n(t)]^2 is at most p(beta) (Cauchy-Schwarz, as
-    sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it.
+    sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it. The sum
+    is the generator's log_amplitude for a constructor-built state, so the
+    result is the untruncated resource's, and _poisson_sum over k_n else.
     t = x^2 + y^2 on an exactly symmetric axis: points k and points - 1 - k
     have the same x^2, so t depends only on the unordered pair of folded
-    indices min(k, points - 1 - k): the kernel runs once per pair, filling
+    indices min(k, points - 1 - k): the sum runs once per pair, filling
     one symmetric quarter that the folded indices spread over the grid. Warns
     if the integrand has not decayed to 1e-12 of its peak at the boundary.
     """
@@ -298,7 +316,9 @@ def average_fidelity_grid2d(
     squares = axis[:half] ** 2
     lo, hi = np.triu_indices(half)  # each unordered pair of folded indices once
     t = squares[lo] + squares[hi]
-    amp = (resource.norm_const / _SQRT_PI) * _poisson_sum(resource.coeffs, t)
+    gen = resource.generator
+    amp = _poisson_sum(resource.coeffs, t) if gen is None else np.exp(gen.log_amplitude(t))
+    amp *= resource.norm_const / _SQRT_PI
     quarter = np.empty((half, half))
     quarter[lo, hi] = quarter[hi, lo] = amp * amp
     fold = np.minimum(np.arange(points), np.arange(points)[::-1])

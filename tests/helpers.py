@@ -133,17 +133,20 @@ def poisson_sum_reference(weights, t: float) -> float:
         return float(total)
 
 
-def ladder_fidelity_sum(chi: float, power: int, nla, t: float) -> float:
-    """F(t) = [sum_n k_n pois_n(t)]^2 / sum_n k_n^2 pois_n(t) of an untruncated ladder.
-
-    k_n = h_n (n+1)^power chi^n, h_n = g^min(n-p, 0) under the amplifier nla,
-    summed by poisson_sum_reference over n < t + 40 sqrt(t) + 200, past which
-    Pois(t) has no mass at 40 digits. N^2 cancels.
-    """
+def ladder_coeffs(chi: float, power: int, nla, t: float) -> np.ndarray:
+    """k_n = h_n (n+1)^power chi^n, h_n = g^min(n-p, 0) under the amplifier nla,
+    for n < t + 40 sqrt(t) + 200, past which Pois(t) has no mass at 40 digits."""
     n = np.arange(int(t + 40.0 * math.sqrt(t) + 200.0))
     k = (n + 1.0) ** power * chi**n
     if nla:
         k = nla.gain ** np.minimum(n - float(nla.threshold), 0.0) * k
+    return k
+
+
+def ladder_fidelity_sum(chi: float, power: int, nla, t: float) -> float:
+    """F(t) = [sum_n k_n pois_n(t)]^2 / sum_n k_n^2 pois_n(t) of an untruncated ladder,
+    over ladder_coeffs, each sum by poisson_sum_reference. N^2 cancels."""
+    k = ladder_coeffs(chi, power, nla, t)
     return poisson_sum_reference(k, t) ** 2 / poisson_sum_reference(k * k, t)
 
 

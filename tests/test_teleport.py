@@ -31,10 +31,12 @@ from cvteleport import (
 )
 import cvteleport.teleport as teleport_module
 from cvteleport.cli import _round12, report_crossover
+from cvteleport.resources import Ladder, _family_column
 from cvteleport.teleport import _guide_search, _poisson_sum
 from helpers import (
     TIGHT,
     fidelity_matrix,
+    ladder_coeffs,
     fig6_fidelities,
     ladder_fidelity_sum,
     nla_fidelity_closed,
@@ -537,15 +539,102 @@ def test_grid2d_window_holds_the_outcome_mass():
             fbar = average_fidelity_grid2d(resource)
         assert fbar == pytest.approx((1 + chi) / 2, abs=1e-5)
     # the window's certificate, recomputed with scipy: the mass of p(beta)
-    # past t = h^2 is sum_n p_n Q(n + 1, h^2)
+    # past t = h^2 is sum_n p_n Q(n + 1, h^2); for the untruncated resource,
+    # over a long truncation plus its tail bound
     from scipy.special import gammaincc
 
+    long = TruncationPolicy(epsilon=1e-16, max_dim=4096)
     for chi in (0.22, 0.5, 0.8):
-        for resource in fidelity_matrix(chi):
+        for resource, untruncated in zip(fidelity_matrix(chi), fidelity_matrix(chi, long)):
             h = teleport_module._grid_half_width(resource)
-            n = np.arange(resource.dim)
-            tail = np.sum(schmidt_probabilities(resource) * gammaincc(n + 1.0, h * h))
-            assert tail <= 1e-12, resource.label
+            for state, slack in ((resource, 0.0), (untruncated, untruncated.tail_bound)):
+                q = gammaincc(np.arange(state.dim) + 1.0, h * h)
+                assert np.sum(schmidt_probabilities(state) * q) + slack <= 1e-12, state.label
+
+
+@pytest.mark.parametrize("chi", [0.22, 0.5, 0.8])
+def test_grid2d_matches_the_closed_forms(chi):
+    for resource in fidelity_matrix(chi):
+        ladder = resource.generator
+        if ladder.nla:
+            exact = nla_fidelity_closed(chi, ladder.nla.gain, ladder.nla.threshold)
+        elif ladder.power == 0:
+            exact = (1 + chi) / 2
+        elif ladder.power == 1 and chi == 0.5:
+            exact = 27 / 32  # N^2 int e^-t (1 + t/2)^2 dt with N^2 = (3/4)^3 / (5/4)
+        else:  # the series of a state whose dropped tail is below 1e-16
+            family = ("subtracted", "added-subtracted")[ladder.power - 1]
+            exact = average_fidelity_series(_family_column(family, (chi,), TIGHT).state(0))
+        assert abs(average_fidelity_grid2d(resource) - exact) <= 1e-10, resource.label
+
+
+@pytest.mark.parametrize("chi, g, p", [(0.01, 100.0, 20), (0.05, 10.0, 50), (0.1, 10.0, 50)])
+def test_grid2d_window_of_a_strong_amplifier(chi, g, p):
+    # P is 2e-79 down to 1e-100 here, so the bound e^-(1-chi^2)s / P on the mass
+    # past s reaches 1e-12 only past the ladder; its Chernoff form holds the mass
+    from scipy.special import gammaincc
+
+    resource = make_amplified_twb(TwbParams(chi), NlaConfig(g, p))[0]
+    h = teleport_module._grid_half_width(resource)
+    untruncated = make_amplified_twb(TwbParams(chi), NlaConfig(g, p), TruncationPolicy(1e-30))[0]
+    q = gammaincc(np.arange(untruncated.dim) + 1.0, h * h)
+    assert np.sum(schmidt_probabilities(untruncated) * q) + untruncated.tail_bound <= 1e-12
+    exact = average_fidelity_series(untruncated)
+    assert abs(average_fidelity_grid2d(resource) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, chi, g, p",
+    [
+        *((family, chi, 1.0, 0) for family in ("subtracted", "added-subtracted")
+          for chi in (0.95, 0.97, 0.98)),
+        ("amplified", 0.98, 4.0, 4),
+    ],
+)
+def test_grid2d_window_reaches_the_edge_of_a_peaked_integrand(family, chi, g, p):
+    # these integrands peak away from t = 0, where a window holding the mass
+    # alone left the edge above 1e-12 of the peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryMassWarning)
+        nla = NlaConfig(g, p) if family == "amplified" else None
+        average_fidelity_grid2d(_family_column(family, (chi,), TruncationPolicy(), nla).state(0))
+
+
+@pytest.mark.parametrize("chi, epsilon", [(0.9, 1e-3), (0.985, 1e-6)])
+@pytest.mark.parametrize("family", ["twb", "amplified", "subtracted", "added-subtracted"])
+def test_grid2d_window_does_not_depend_on_epsilon(family, chi, epsilon):
+    # the window certifies the untruncated resource's mass, so its ladder runs
+    # past what a loose epsilon's D would reach; max_dim holds every state here
+    nla = NlaConfig(2.0, 2) if family == "amplified" else None
+    loose, long = (
+        _family_column(family, (chi,), policy, nla).state(0)
+        for policy in (TruncationPolicy(epsilon), TruncationPolicy(max_dim=4096))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryMassWarning)
+        assert average_fidelity_grid2d(loose) == average_fidelity_grid2d(long), loose.label
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    family=st.sampled_from(["twb", "amplified", "subtracted", "added-subtracted"]),
+    chi=st.floats(0.01, 0.95),
+    g=st.floats(1.0, 5.0),
+    p=st.integers(0, 8),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+@example(family="amplified", chi=0.95, g=5.0, p=8, fractions=[0.0, 1.0])
+@example(family="added-subtracted", chi=0.95, g=1.0, p=0, fractions=[0.0, 1.0])
+def test_ladder_amplitude_matches_the_poisson_sum(family, chi, g, p, fractions):
+    # ln sum_n k_n pois_n(t) of the untruncated ladder against the kernel's sum
+    # over every n where Pois(t) has mass, for t from 0 to 2D
+    nla = NlaConfig(g, p) if family == "amplified" else None
+    resource = _family_column(family, (chi,), TruncationPolicy(), nla).state(0)
+    ladder = resource.generator
+    t = 2.0 * resource.dim * np.array(fractions)
+    k = ladder_coeffs(*ladder, t.max())
+    amplitude = np.exp(ladder.log_amplitude(t))
+    np.testing.assert_allclose(amplitude, _poisson_sum(k, t), rtol=1e-12, atol=0.0)
 
 
 def _naive_grid2d(resource: SchmidtState, points: int) -> tuple[float, bool]:
@@ -589,10 +678,15 @@ def test_grid2d_warns_when_the_window_is_too_small(monkeypatch):
 
 
 def test_grid_half_width_refuses_an_uncertified_window(monkeypatch):
-    # no ladder point with a tail of at most 1e-12: refused, not guessed
+    # no ladder point with a tail of at most 1e-12: refused, not guessed, for
+    # a state built by hand (the kernel's tail) and a constructor-built one
+    # (its generator's outcome_tail)
+    hand_built = SchmidtState(np.array([0.6, 0.8]), 1.0, label="hand-built")
     monkeypatch.setattr(teleport_module, "_poisson_sum", lambda w, t: np.ones_like(t))
-    with pytest.raises(NumericsError, match="no grid window"):
-        average_fidelity_grid2d(make_twb(TwbParams(0.5)))
+    monkeypatch.setattr(Ladder, "outcome_tail", lambda ladder, s: np.ones_like(s))
+    for resource in (hand_built, make_twb(TwbParams(0.5))):
+        with pytest.raises(NumericsError, match="no grid window"):
+            average_fidelity_grid2d(resource)
 
 
 def test_sampled_recovers_series():
@@ -721,15 +815,23 @@ def test_guide_search_matches_searchsorted(weights, extra):
     assert np.array_equal(_guide_search(cdf, u), cdf.searchsorted(u, side="right"))
 
 
+# the 12-digit values the CLI prints for teleport --method grid2d: the
+# untruncated twin-beam's (1 + chi)/2
+_GRID2D_VALUES = {0.5: 0.75, 0.9: 0.95, 0.97: 0.985, 0.985: 0.9925}
+
+
 @pytest.mark.parametrize(
     "chi, fbar",
     [(0.5, 0.74999999957), (0.9, 0.949999999994), (0.97, 0.984999999998), (0.985, 0.992499999998)],
 )
 def test_radial_and_grid2d_values(chi, fbar):
-    # the 12-digit values the CLI prints for teleport --method radial and grid2d
+    # the 12-digit values the CLI prints for teleport --method radial, the
+    # truncated state's, and for --method grid2d
     resource = make_twb(TwbParams(chi))
     assert _round12(average_fidelity_radial(resource)) == fbar
-    assert _round12(average_fidelity_grid2d(resource)) == fbar
+    grid2d = average_fidelity_grid2d(resource)
+    assert _round12(grid2d) == _GRID2D_VALUES[chi]
+    assert abs(grid2d - (1 + chi) / 2) <= 1e-12  # untruncated, not the truncated sum
 
 
 def test_sampled_rejects_small_sample_budget():
