@@ -284,6 +284,11 @@ class Ladder(NamedTuple):
         tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
         return dim, math.sqrt(one_minus_x / (prob * weight)), tail / prob
 
+    def window_dim(self, label: str) -> int:
+        """D under the default epsilon and no max_dim, whatever policy truncated the state."""
+        uncapped = TruncationPolicy(max_dim=2**62)
+        return self.truncation(uncapped, label, self.success_probability())[0]
+
     def fidelity(self, t):
         """The conditional fidelity F(t) of the untruncated resource, elementwise over t.
 

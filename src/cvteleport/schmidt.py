@@ -3,19 +3,19 @@
 Every entangled resource handled by this package is of the form
 N * sum_n k_n |n, n>, with non-negative coefficients k_n and a separate
 normalization constant N. States are stored truncated to a finite Fock
-dimension D with an explicit bound on the discarded probability mass. A
-constructor-built state also names its untruncated resource, a
-resources.Ladder whose closed forms the estimators score in its place.
+dimension D with an explicit bound on the discarded probability mass. Each
+state's generator, which the estimators score, is its untruncated resource
+(a resources.Ladder of closed forms) or, built by hand, its own D levels.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 if TYPE_CHECKING:  # resources imports this module
     from .resources import Ladder
@@ -89,16 +89,17 @@ class SchmidtState:
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
-    generator is the resources.Ladder, unpacking as (chi, power, nla), that
-    k_n was built from, so that estimators score the untruncated resource by
-    its closed forms; it stays None for a state built by hand.
+    generator is what the estimators score: the resources.Ladder, unpacking
+    as (chi, power, nla), that k_n was built from, whose closed forms are the
+    untruncated resource's; else _FiniteRow(k, N), rebuilt from k and N even
+    when one is given (dataclasses.replace passes the old state's on).
     """
 
     coeffs: np.ndarray
     norm_const: float
     tail_bound: float = 0.0
     label: str = ""
-    generator: "Ladder | None" = None
+    generator: "Ladder | _FiniteRow | None" = None
 
     def __post_init__(self):
         k = np.asarray(self.coeffs, dtype=float)
@@ -107,6 +108,8 @@ class SchmidtState:
         if k.ndim != 1 or k.size < 1:
             raise ValidationError("coeffs must be a non-empty 1-d sequence")
         _check_rows(k, (0, k.size), (self.norm_const,), (self.tail_bound,))
+        if self.generator is None or isinstance(self.generator, _FiniteRow):
+            object.__setattr__(self, "generator", _FiniteRow(k, self.norm_const))
 
     @property
     def dim(self) -> int:
@@ -132,6 +135,82 @@ def _check_rows(coeffs: np.ndarray, bounds, norm_consts, tail_bounds) -> None:
             raise ValidationError(
                 f"state not normalized within tail_bound: |{total} - 1| > {tail_bound}"
             )
+
+
+def _log_poisson_sum(weights: np.ndarray, t):
+    """ln sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0, for one row of D weights.
+
+    The result has the shape of t. Every point runs the nested Horner form
+    w_0 + t(w_1 + t/2(w_2 + ...)) over all D terms and forms no n!: each step
+    multiplies by t and by the scalar 1/n, a third of the cost of dividing
+    by n (the largest average-fidelity move measured against division was
+    1.0e-15). e^-t is applied in log space, and values are rescaled only
+    where a bound, at most max|w| e^t, passes 1e300.
+    """
+    w = np.asarray(weights, dtype=float)
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    top = w.size - 1
+    part = np.full(flat.size, w[top])
+    with np.errstate(over="ignore", divide="ignore"):
+        w_max = float(np.abs(w).max(initial=0.0))
+        t_max = float(flat.max(initial=0.0))
+        # once rescaled, part holds each value times scale = 1e-250^rescales
+        bound, scale, rescales = w_max, None, 0.0
+        for n in range(top, 0, -1):
+            bound = bound * t_max / n + w_max  # bounds |part| after this step
+            if bound > 1e300:  # scale the values past 1e200 before they can overflow
+                big = np.abs(part) > 1e200
+                part[big] *= 1e-250
+                rescales = rescales + big
+                scale = 1e-250**rescales  # flushes to 0 once the weights stop counting
+                bound = 1e200 * t_max / n + w_max
+            part *= flat
+            part *= 1.0 / n
+            part += w[n - 1] if scale is None else w[n - 1] * scale
+        log_part = np.log(part, out=part)
+    if scale is not None:
+        log_part -= rescales * math.log(1e-250)
+    log_part -= flat
+    return log_part.reshape(t.shape)
+
+
+def _poisson_sum(weights: np.ndarray, t):
+    """sum_n weights[n] e^-t t^n / n!, the exp of _log_poisson_sum, in the shape of t."""
+    log_sum = _log_poisson_sum(weights, t)
+    return np.exp(log_sum, out=log_sum)
+
+
+class _FiniteRow(NamedTuple):
+    """The generator of a state built by hand, N * sum_n k_n |n, n> over its own D
+    levels and none past them, with the Ladder methods the estimators read."""
+
+    coeffs: np.ndarray
+    norm_const: float
+
+    def fidelity(self, t):
+        """F = N^2 g(t)^2 / sum_n p_n pois_n(t), elementwise over t <= 1e300. The divisor is
+        pi p(beta): NumericsError where p(beta) is below 1e-300, not finite or nan."""
+        amp = _poisson_sum(self.coeffs, t)
+        density = _poisson_sum((self.norm_const * self.coeffs) ** 2, t)
+        if not np.all((density >= math.pi * 1e-300) & (density < math.inf)):
+            raise NumericsError(
+                f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
+            )
+        return np.divide(self.norm_const**2 * np.square(amp, out=amp), density, out=amp)
+
+    def log_amplitude(self, t):
+        """ln g(t), g(t) = sum_n k_n pois_n(t), elementwise over t >= 0."""
+        return _log_poisson_sum(self.coeffs, t)
+
+    def outcome_tail(self, s):
+        """The mass of p(beta) past t = s, sum_n p_n P(Pois(s) <= n) = sum_j pois_j(s) S_j
+        with S_j = sum_(n>=j) p_n, one Poisson sum, elementwise."""
+        return _poisson_sum(np.cumsum(((self.norm_const * self.coeffs) ** 2)[::-1])[::-1], s)
+
+    def window_dim(self, label: str) -> int:
+        """The row's own D, the outcome window's length scale (label serves a Ladder's refusal)."""
+        return self.coeffs.size
 
 
 def schmidt_probabilities(state: SchmidtState) -> np.ndarray:

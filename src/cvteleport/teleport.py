@@ -7,11 +7,9 @@ beta = x_- + i p_+. Since |<n|D(-beta)|alpha>|^2 = pois_n(t), the Poisson
 weight e^-t t^n / n! at t = |alpha - beta|^2, an outcome enters only
 through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
 the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)).
-A state from the resource constructors carries its generator, a
-resources.Ladder, and F is its fidelity: the untruncated resource's, in
-closed form; the grid integrates its closed-form amplitude too.
-_poisson_sum, one Poisson kernel, takes the sums of a state built by hand
-and of the radial estimator.
+F and that amplitude sum come from the state's generator: a constructor-built
+state's resources.Ladder, the untruncated resource in closed form, or a
+hand-built state's own D levels, summed by the Poisson kernel _poisson_sum.
 
 Average fidelity over outcomes is evaluated four ways, from the production
 path to progressively more independent oracles:
@@ -35,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
-from .schmidt import SchmidtState, TruncationPolicy, _complex, _integer, schmidt_probabilities
+from .schmidt import SchmidtState, _complex, _integer, _poisson_sum, schmidt_probabilities
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -73,76 +71,17 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _poisson_sum(weights: np.ndarray, t):
-    """sum_n weights[n] e^-t t^n / n!, elementwise over t >= 0, for one row of D weights.
-
-    The result has the shape of t. Every point runs the nested Horner form
-    w_0 + t(w_1 + t/2(w_2 + ...)) over all D terms and forms no n!: each step
-    multiplies by t and by the scalar 1/n, a third of the cost of dividing
-    by n (the largest average-fidelity move measured against division was
-    1.0e-15). e^-t is applied in log space, and values are rescaled only
-    where a bound, at most max|w| e^t, passes 1e300.
-    """
-    w = np.asarray(weights, dtype=float)
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    top = w.size - 1
-    part = np.full(flat.size, w[top])
-    with np.errstate(over="ignore", divide="ignore"):
-        w_max = float(np.abs(w).max(initial=0.0))
-        t_max = float(flat.max(initial=0.0))
-        # once rescaled, part holds each value times scale = 1e-250^rescales
-        bound, scale, rescales = w_max, None, 0.0
-        for n in range(top, 0, -1):
-            bound = bound * t_max / n + w_max  # bounds |part| after this step
-            if bound > 1e300:  # scale the values past 1e200 before they can overflow
-                big = np.abs(part) > 1e200
-                part[big] *= 1e-250
-                rescales = rescales + big
-                scale = 1e-250**rescales  # flushes to 0 once the weights stop counting
-                bound = 1e200 * t_max / n + w_max
-            part *= flat
-            part *= 1.0 / n
-            part += w[n - 1] if scale is None else w[n - 1] * scale
-        log_part = np.log(part, out=part)
-    if scale is not None:
-        log_part -= rescales * math.log(1e-250)
-    log_part -= flat
-    np.exp(log_part, out=log_part)
-    return log_part.reshape(t.shape)
-
-
 def _outcome_fidelity(resource: SchmidtState, t):
-    """F = N^2 [sum_n k_n pois_n(t)]^2 / sum_n p_n pois_n(t), elementwise over t.
-
-    t is capped at 1e300 (inf included). A constructor-built state is scored
-    in closed form, as its untruncated resource (its generator's fidelity). A
-    state without a generator is summed by _poisson_sum; the denominator is
-    pi p(beta) at t = |alpha - beta|^2, and NumericsError is raised where
-    p(beta) is below 1e-300, not finite or nan, before anything is divided.
-    """
-    t = np.minimum(np.asarray(t, dtype=float), 1e300)
-    if resource.generator is not None:
-        return resource.generator.fidelity(t)
-    amp = _poisson_sum(resource.coeffs, t)
-    density = _poisson_sum(schmidt_probabilities(resource), t)
-    if not np.all((density >= math.pi * 1e-300) & (density < math.inf)):
-        raise NumericsError(
-            f"conditional fidelity undefined: p(beta) vanishes at t = {np.max(t):.6g}"
-        )
-    np.square(amp, out=amp)
-    amp *= resource.norm_const**2
-    amp /= density
-    return amp
+    """The generator's F(t), elementwise over t capped at 1e300 (inf included)."""
+    return resource.generator.fidelity(np.minimum(t, 1e300))
 
 
 def conditional_fidelity(resource: SchmidtState, alpha: complex, beta: complex) -> float:
     """Fidelity F(beta) = |<alpha|T(beta)|alpha>|^2 / p(beta) in [0, 1].
 
-    For a state from the resource constructors, F(beta) is the untruncated
-    resource's, in closed form at every t = |alpha - beta|^2: e^-(1-chi)^2 t
-    for the twin-beam. A state built by hand goes through _poisson_sum, and
-    its F(beta) is the truncated sum's.
+    F(beta) is the generator's at t = |alpha - beta|^2: for a state from the
+    resource constructors the untruncated resource's, in closed form
+    (e^-(1-chi)^2 t for the twin-beam), and the truncated sum's else.
     """
     alpha = _complex("alpha", alpha)
     if abs(alpha) > MAX_AMPLITUDE:
@@ -262,32 +201,21 @@ def _grid_half_width(resource: SchmidtState) -> float:
 
     h = sqrt(s) for the first s that passes on a unit ladder up to
     D + 12 sqrt(D) + 40 (the square holds the disk t <= s), or NumericsError.
-    A state built by hand passes where its mass past s, sum_n p_n P(Pois(s) <= n)
-    = sum_j pois_j(s) S_j with S_j = sum_{n>=j} p_n, one Poisson sum, is at most
-    1e-12. A constructor-built state passes where its generator's outcome_tail
-    is at most 1e-12 and g(s)^2, g = sum_n k_n pois_n, at most 1e-12 of its
+    s passes where the generator's outcome_tail, a bound on the mass past s, is
+    at most 1e-12 and g(s)^2, g = sum_n k_n pois_n, at most 1e-12 of its
     largest value on the ladder up to s: a mass alone does not bound the edge
-    once g peaks away from t = 0. Its window is the untruncated resource's, so
-    D is its generator's under the default epsilon and no max_dim, whatever
-    policy truncated the state: a looser epsilon's D ends the ladder too soon.
+    once g peaks away from t = 0. D is the generator's window_dim: a hand-built
+    row's own, a Ladder's under the default epsilon and no max_dim, whatever
+    policy truncated the state, as a looser epsilon's D ends the ladder too soon.
     """
-    dim = resource.dim
-    if (generator := resource.generator) is not None:
-        uncapped = TruncationPolicy(max_dim=2**62)
-        dim = generator.truncation(uncapped, resource.label, generator.success_probability())[0]
+    dim = (generator := resource.generator).window_dim(resource.label)
     ladder = np.arange(dim + 12.0 * math.sqrt(dim) + 41.0)
-    if generator is None:
-        survival = np.cumsum(schmidt_probabilities(resource)[::-1])[::-1]
-        inside = _poisson_sum(survival, ladder) <= 1e-12
-    else:
-        log_g = generator.log_amplitude(ladder)
+    log_g = generator.log_amplitude(ladder)
+    with np.errstate(invalid="ignore"):  # k_0 = 0: ln g(0) = -inf, and -inf - -inf is nan
         edge = 2.0 * (log_g - np.maximum.accumulate(log_g)) <= math.log(1e-12)
-        inside = (generator.outcome_tail(ladder) <= 1e-12) & edge
-    inside = np.flatnonzero(inside)
+    inside = np.flatnonzero((generator.outcome_tail(ladder) <= 1e-12) & edge)
     if inside.size == 0:
-        raise NumericsError(
-            f"no grid window holds all but 1e-12 of p(beta) for {resource.label!r}"
-        )
+        raise NumericsError(f"no grid window holds all but 1e-12 of p(beta) for {resource.label!r}")
     return math.sqrt(ladder[inside[0]])
 
 
@@ -300,8 +228,8 @@ def average_fidelity_grid2d(
     centered on 0, with the half-width of _grid_half_width: the integrand
     N^2/pi [sum_n k_n pois_n(t)]^2 is at most p(beta) (Cauchy-Schwarz, as
     sum_n pois_n(t) <= 1), so the window drops at most 1e-12 of it. The sum
-    is the generator's log_amplitude for a constructor-built state, so the
-    result is the untruncated resource's, and _poisson_sum over k_n else.
+    is the generator's log_amplitude: the untruncated resource's for a
+    constructor-built state.
     t = x^2 + y^2 on an exactly symmetric axis: points k and points - 1 - k
     have the same x^2, so t depends only on the unordered pair of folded
     indices min(k, points - 1 - k): the sum runs once per pair, filling
@@ -316,8 +244,7 @@ def average_fidelity_grid2d(
     squares = axis[:half] ** 2
     lo, hi = np.triu_indices(half)  # each unordered pair of folded indices once
     t = squares[lo] + squares[hi]
-    gen = resource.generator
-    amp = _poisson_sum(resource.coeffs, t) if gen is None else np.exp(gen.log_amplitude(t))
+    amp = np.exp(resource.generator.log_amplitude(t))
     amp *= resource.norm_const / _SQRT_PI
     quarter = np.empty((half, half))
     quarter[lo, hi] = quarter[hi, lo] = amp * amp
@@ -368,8 +295,7 @@ def average_fidelity_sampled(
     outcome radius is drawn exactly: n ~ p_n, by the inverse CDF through a
     guide table (_guide_search), then t ~ Gamma(n + 1). The stream is fully
     determined by spec.rng_seed, and is the one Generator.choice and
-    Generator.gamma draw. Each outcome is scored by
-    _outcome_fidelity, in closed form for a constructor-built state.
+    Generator.gamma draw. Each outcome is scored by the generator's F.
     """
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)

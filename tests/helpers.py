@@ -9,6 +9,7 @@ import decimal
 import json
 import math
 from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,30 +45,29 @@ def brute_success_probability(chi: float, g: float, p: int, terms: int = 10_000)
 
 def _nla_forms(chi: float, g: float, p: int):
     """Fidelity overlap k.W.k and norm k.k of the NLA resource, with their
-    g-derivatives, summed in closed form.
+    g-derivatives, summed in closed form in exact rational arithmetic.
 
     Write k_n = chi^n + delta_n, delta_n = (g^(n-p) - 1) chi^n for n < p.
     With the series kernel W[m,n] = C(m+n,n)/2^(m+n+1) the geometric parts
     sum exactly: chi.W.chi = 1/(2(1-chi)), (W chi)_m = 1/(2-chi)^(m+1),
     chi.chi = 1/(1-chi^2). Only the p-dimensional head remains, so no
-    truncation enters.
+    truncation enters. For a strong amplifier the head cancels nearly all of
+    the geometric parts, which left no digit in floats; chi and g convert to
+    Fractions exactly, so every form is exact and a float formed from them is
+    correctly rounded.
     """
-    head = range(p)
-    delta = [(g ** (n - p) - 1.0) * chi**n for n in head]
+    chi, g, head = Fraction(chi), Fraction(g), range(p)
+    delta = [(g ** (n - p) - 1) * chi**n for n in head]
     d_delta = [(n - p) * g ** (n - p - 1) * chi**n for n in head]
-    w_chi = [(2.0 - chi) ** -(m + 1) for m in head]
+    w_chi = [1 / (2 - chi) ** (m + 1) for m in head]
     w_delta = [
-        math.fsum(math.comb(m + n, n) / 2.0 ** (m + n + 1) * delta[n] for n in head)
+        sum(Fraction(math.comb(m + n, n), 2 ** (m + n + 1)) * delta[n] for n in head)
         for m in head
     ]
-    overlap = 0.5 / (1.0 - chi) + math.fsum(
-        delta[m] * (2.0 * w_chi[m] + w_delta[m]) for m in head
-    )
-    norm = 1.0 / (1.0 - chi * chi) + math.fsum(
-        delta[n] * (2.0 * chi**n + delta[n]) for n in head
-    )
-    d_overlap = 2.0 * math.fsum(d_delta[m] * (w_chi[m] + w_delta[m]) for m in head)
-    d_norm = 2.0 * math.fsum(d_delta[n] * (chi**n + delta[n]) for n in head)
+    overlap = 1 / (2 * (1 - chi)) + sum(delta[m] * (2 * w_chi[m] + w_delta[m]) for m in head)
+    norm = 1 / (1 - chi * chi) + sum(delta[n] * (2 * chi**n + delta[n]) for n in head)
+    d_overlap = 2 * sum(d_delta[m] * (w_chi[m] + w_delta[m]) for m in head)
+    d_norm = 2 * sum(d_delta[n] * (chi**n + delta[n]) for n in head)
     return overlap, norm, d_overlap, d_norm
 
 
@@ -79,7 +79,7 @@ def nla_fidelity_closed(chi: float, g: float, p: int) -> float:
     truncated states and fidelity estimators.
     """
     overlap, norm, _, _ = _nla_forms(chi, g, p)
-    return overlap / norm
+    return float(overlap / norm)
 
 
 def series_fidelity_direct(state) -> float:
@@ -153,13 +153,13 @@ def ladder_fidelity_sum(chi: float, power: int, nla, t: float) -> float:
 def nla_fidelity_peak(chi: float, p: int, g_lo: float, g_hi: float) -> float:
     """Gain in (g_lo, g_hi) where dF/dg = 0, from the closed-form derivative.
 
-    dF/dg has the sign of (k.W.k)' (k.k) - (k.W.k) (k.k)'; brentq needs it
-    to change sign across the bracket.
+    dF/dg has the sign of (k.W.k)' (k.k) - (k.W.k) (k.k)', formed exactly
+    and then rounded; brentq needs it to change sign across the bracket.
     """
 
     def slope(g: float) -> float:
         overlap, norm, d_overlap, d_norm = _nla_forms(chi, g, p)
-        return d_overlap * norm - overlap * d_norm
+        return float(d_overlap * norm - overlap * d_norm)
 
     return brentq(slope, g_lo, g_hi, xtol=1e-14, rtol=1e-14)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from cvteleport import (
     schmidt_probabilities,
 )
 from cvteleport.errors import NumericsError
+from cvteleport.schmidt import _FiniteRow
 
 
 def test_state_rejects_bad_inputs():
@@ -52,6 +55,17 @@ def test_probabilities_twb():
 def test_probabilities_single_term():
     vac = SchmidtState(coeffs=np.array([1.0]), norm_const=1.0)
     assert schmidt_probabilities(vac).tolist() == [1.0]
+
+
+def test_a_state_built_by_hand_is_its_own_finite_row():
+    # every state has a generator; a hand-built one's is rebuilt from its own
+    # k_n and N, so a replaced copy is never scored by the old row
+    state = SchmidtState(coeffs=[0.6, 0.8], norm_const=1.0)
+    assert isinstance(state.generator, _FiniteRow)
+    assert state.generator.coeffs is state.coeffs and state.generator.norm_const == 1.0
+    vacuum = dataclasses.replace(state, coeffs=[1.0])
+    assert vacuum.generator.coeffs.tolist() == [1.0]
+    assert float(vacuum.generator.fidelity(1.0)) == pytest.approx(np.exp(-1.0), rel=1e-14)
 
 
 def test_probabilities_unit_gain_matches_twb():

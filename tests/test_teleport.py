@@ -32,6 +32,7 @@ from cvteleport import (
 import cvteleport.teleport as teleport_module
 from cvteleport.cli import _round12, report_crossover
 from cvteleport.resources import Ladder, _family_column
+from cvteleport.schmidt import _FiniteRow
 from cvteleport.teleport import _guide_search, _poisson_sum
 from helpers import (
     TIGHT,
@@ -271,7 +272,7 @@ def test_conditional_fidelity_of_an_outcome_past_float_range():
 
 def test_conditional_fidelity_past_the_kernel_rescale():
     # D = 915: from t of about 690 on, the kernel rescales its Horner sums. A
-    # copy without the generator is scored by the kernel, as a hand-built state is
+    # copy built without the generator is a _FiniteRow's, scored by the kernel
     chi = 0.985
     state = make_twb(TwbParams(chi))
     resource = SchmidtState(state.coeffs, state.norm_const, state.tail_bound)
@@ -659,6 +660,7 @@ def _naive_grid2d(resource: SchmidtState, points: int) -> tuple[float, bool]:
 )
 @example(coeffs=[1.0], points=1)
 @example(coeffs=[0.6, 0.8], points=2)
+@example(coeffs=[0.0, 1.0], points=3)  # k_0 = 0: ln g(0) = -inf reaches the edge rule
 def test_grid2d_matches_the_unfolded_grid(coeffs, points):
     # small states built by hand: grid2d sums the kernel over k_n whatever the state
     k = np.array(coeffs)
@@ -679,10 +681,10 @@ def test_grid2d_warns_when_the_window_is_too_small(monkeypatch):
 
 def test_grid_half_width_refuses_an_uncertified_window(monkeypatch):
     # no ladder point with a tail of at most 1e-12: refused, not guessed, for
-    # a state built by hand (the kernel's tail) and a constructor-built one
-    # (its generator's outcome_tail)
+    # a state built by hand and a constructor-built one (each generator's
+    # outcome_tail: a _FiniteRow's and a Ladder's)
     hand_built = SchmidtState(np.array([0.6, 0.8]), 1.0, label="hand-built")
-    monkeypatch.setattr(teleport_module, "_poisson_sum", lambda w, t: np.ones_like(t))
+    monkeypatch.setattr(_FiniteRow, "outcome_tail", lambda row, s: np.ones_like(s))
     monkeypatch.setattr(Ladder, "outcome_tail", lambda ladder, s: np.ones_like(s))
     for resource in (hand_built, make_twb(TwbParams(0.5))):
         with pytest.raises(NumericsError, match="no grid window"):
@@ -884,6 +886,19 @@ def test_nla_fidelity_closed_matches_series():
                 assert nla_fidelity_closed(chi, g, p) == pytest.approx(
                     average_fidelity_series(state), abs=1e-8
                 )
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(chi=st.floats(0.01, 0.6), g=st.floats(1.0, 1e3), p=st.integers(0, 20))
+@example(chi=0.05, g=10.0, p=8)  # the float forms gave 0.0 for 0.749932730413
+@example(chi=0.1, g=10.0, p=8)
+@example(chi=0.3, g=5.0, p=20)
+@example(chi=0.01, g=1e4, p=20)  # the float forms divided by 0
+def test_nla_fidelity_closed_at_strong_gain(chi, g, p):
+    # the head cancels nearly all of the geometric parts here; the reference
+    # is the series of a state whose dropped tail is below 1e-30
+    state, _ = make_amplified_twb(TwbParams(chi), NlaConfig(g, p), TruncationPolicy(1e-30, 4096))
+    assert abs(nla_fidelity_closed(chi, g, p) - average_fidelity_series(state)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
