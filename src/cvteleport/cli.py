@@ -41,8 +41,6 @@ from .teleport import (
     classify_fidelity,
 )
 
-SWEEP_METRICS = ("entropy", "epr", "ng", "pdist", "fbar", "fbar_grid2d", "psucc")
-
 # Largest chi grid any command builds; the figure grid at step 0.005 has 190.
 MAX_GRID_POINTS = 100_000
 
@@ -324,6 +322,7 @@ METRICS = {
     "fbar": lambda row: _series_fidelity(row.coeffs, row.column.norm_consts[row.i]),
     "fbar_grid2d": lambda row: average_fidelity_grid2d(row.column.state(row.i)),
 }
+SWEEP_METRICS = (*METRICS, "pdist", "psucc")
 
 # --method name -> (average fidelity, standard error or None) of a state under a QuadratureSpec
 ESTIMATORS = {

@@ -363,13 +363,13 @@ class _LadderColumn(NamedTuple):
             yield self.coeffs[lo:hi], probs[lo:hi], self.norm_consts[i], self.labels[i]
 
     def state(self, i: int) -> SchmidtState:
-        """Row i as a SchmidtState, its coefficients a view of the column's."""
+        """Row i as a SchmidtState on a view of the column's k_n; nothing else hands in a Ladder."""
         return SchmidtState(
             coeffs=self.coeffs[self.bounds[i] : self.bounds[i + 1]],
             norm_const=self.norm_consts[i],
             tail_bound=self.tail_bounds[i],
             label=self.labels[i],
-            generator=self.ladders[i],
+            _ladder=self.ladders[i],
         )
 
 

@@ -5,12 +5,12 @@ N * sum_n k_n |n, n>, with non-negative coefficients k_n and a separate
 normalization constant N. States are stored truncated to a finite Fock
 dimension D with an explicit bound on the discarded probability mass. Each
 state's generator, which the estimators score, is its untruncated resource
-(a resources.Ladder of closed forms) or, built by hand, its own D levels.
+(a resources.Ladder of closed forms) if a resource column built it, else its own D levels.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -82,34 +82,35 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtState:
     """Truncated Schmidt-diagonal pure state N * sum_n k_n |n, n>.
 
     coeffs holds the unnormalized k_n (n = 0..dim-1); norm_const is the
     separate normalization N with N^2 * sum k_n^2 = 1 up to tail_bound,
     the recorded upper bound on the discarded probability mass.
-    generator is what the estimators score: the resources.Ladder, unpacking
-    as (chi, power, nla), that k_n was built from, whose closed forms are the
-    untruncated resource's; else _FiniteRow(k, N), rebuilt from k and N even
-    when one is given (dataclasses.replace passes the old state's on).
+    generator, set here and never passed in, is what the estimators score: the
+    resources.Ladder, unpacking as (chi, power, nla), that a resource column built k_n
+    from and hands in as _ladder, whose closed forms are the untruncated resource's; else
+    _FiniteRow(k, N). dataclasses.replace does not carry _ladder over, so a copy is scored
+    by the levels it holds. States compare by identity, as their coeffs are arrays.
     """
 
     coeffs: np.ndarray
     norm_const: float
     tail_bound: float = 0.0
     label: str = ""
-    generator: "Ladder | _FiniteRow | None" = None
+    generator: "Ladder | _FiniteRow" = field(init=False)
+    _ladder: InitVar["Ladder | None"] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _ladder):
         k = np.asarray(self.coeffs, dtype=float)
         k.setflags(write=False)
         object.__setattr__(self, "coeffs", k)
         if k.ndim != 1 or k.size < 1:
             raise ValidationError("coeffs must be a non-empty 1-d sequence")
         _check_rows(k, (0, k.size), (self.norm_const,), (self.tail_bound,))
-        if self.generator is None or isinstance(self.generator, _FiniteRow):
-            object.__setattr__(self, "generator", _FiniteRow(k, self.norm_const))
+        object.__setattr__(self, "generator", _ladder or _FiniteRow(k, self.norm_const))
 
     @property
     def dim(self) -> int:
@@ -182,8 +183,8 @@ def _poisson_sum(weights: np.ndarray, t):
 
 
 class _FiniteRow(NamedTuple):
-    """The generator of a state built by hand, N * sum_n k_n |n, n> over its own D
-    levels and none past them, with the Ladder methods the estimators read."""
+    """Generator of a state no resource column built (by hand, or a copy): N * sum_n k_n
+    |n, n> over its own D levels and none past them, with the Ladder methods the estimators read."""
 
     coeffs: np.ndarray
     norm_const: float

@@ -8,8 +8,8 @@ weight e^-t t^n / n! at t = |alpha - beta|^2, an outcome enters only
 through t: the outcome density is p(beta) = (1/pi) sum_n p_n pois_n(t) and
 the conditional fidelity F(beta) = N^2 [sum_n k_n pois_n(t)]^2 / (pi p(beta)).
 F and that amplitude sum come from the state's generator: a constructor-built
-state's resources.Ladder, the untruncated resource in closed form, or a
-hand-built state's own D levels, summed by the Poisson kernel _poisson_sum.
+state's resources.Ladder, the untruncated resource in closed form, or any
+other state's (a copy's too) own D levels, summed by the Poisson kernel _poisson_sum.
 
 Average fidelity over outcomes is evaluated four ways, from the production
 path to progressively more independent oracles:
@@ -204,7 +204,7 @@ def _grid_half_width(resource: SchmidtState) -> float:
     s passes where the generator's outcome_tail, a bound on the mass past s, is
     at most 1e-12 and g(s)^2, g = sum_n k_n pois_n, at most 1e-12 of its
     largest value on the ladder up to s: a mass alone does not bound the edge
-    once g peaks away from t = 0. D is the generator's window_dim: a hand-built
+    once g peaks away from t = 0. D is the generator's window_dim: a finite
     row's own, a Ladder's under the default epsilon and no max_dim, whatever
     policy truncated the state, as a looser epsilon's D ends the ladder too soon.
     """

@@ -1,21 +1,39 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cvteleport import (
     NlaConfig,
+    QuadratureSpec,
     SchmidtState,
     TruncationPolicy,
     TwbParams,
     ValidationError,
+    average_fidelity_grid2d,
+    average_fidelity_sampled,
+    average_fidelity_series,
+    conditional_fidelity,
+    make_added_then_subtracted_twb,
     make_amplified_twb,
+    make_photon_subtracted_twb,
     make_twb,
     schmidt_probabilities,
 )
 from cvteleport.errors import NumericsError
+from cvteleport.resources import Ladder
 from cvteleport.schmidt import _FiniteRow
+
+# one constructor-built state of each family at chi
+FAMILIES = {
+    "twb": lambda chi: make_twb(TwbParams(chi)),
+    "amplified": lambda chi: make_amplified_twb(TwbParams(chi), NlaConfig(2.0, 2))[0],
+    "photon-subtracted": lambda chi: make_photon_subtracted_twb(TwbParams(chi)),
+    "added-then-subtracted": lambda chi: make_added_then_subtracted_twb(TwbParams(chi)),
+}
 
 
 def test_state_rejects_bad_inputs():
@@ -58,14 +76,88 @@ def test_probabilities_single_term():
 
 
 def test_a_state_built_by_hand_is_its_own_finite_row():
-    # every state has a generator; a hand-built one's is rebuilt from its own
-    # k_n and N, so a replaced copy is never scored by the old row
+    # every state a resource column did not build is scored as _FiniteRow(k, N)
+    # of its own k_n and N, a replaced copy too, so no copy keeps the old row
     state = SchmidtState(coeffs=[0.6, 0.8], norm_const=1.0)
     assert isinstance(state.generator, _FiniteRow)
     assert state.generator.coeffs is state.coeffs and state.generator.norm_const == 1.0
     vacuum = dataclasses.replace(state, coeffs=[1.0])
     assert vacuum.generator.coeffs.tolist() == [1.0]
     assert float(vacuum.generator.fidelity(1.0)) == pytest.approx(np.exp(-1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_copy_of_a_column_state_is_scored_by_the_levels_it_holds(family):
+    # replace does not carry the column's Ladder over: the vacuum the copy holds
+    # is scored as the vacuum by every estimator, not as the chi 0.5 resource
+    state = FAMILIES[family](0.5)
+    assert isinstance(state.generator, Ladder)
+    vacuum = dataclasses.replace(state, coeffs=[1.0], norm_const=1.0)
+    assert isinstance(vacuum.generator, _FiniteRow)
+    assert abs(average_fidelity_grid2d(vacuum) - 0.5) <= 1e-12
+    assert conditional_fidelity(vacuum, 0.0, 1.0) == math.exp(-1.0)
+    assert average_fidelity_series(vacuum) == 0.5
+    estimate, err = average_fidelity_sampled(vacuum, QuadratureSpec(mc_samples=20_000, rng_seed=7))
+    assert abs(estimate - 0.5) <= 4 * err
+
+
+def test_a_relabelled_copy_is_a_finite_row_with_every_other_field_kept():
+    state = make_twb(TwbParams(0.5))
+    copy = dataclasses.replace(state, label="relabelled")
+    assert copy.label == "relabelled" and isinstance(copy.generator, _FiniteRow)
+    assert copy.coeffs is state.coeffs and copy.generator.coeffs is state.coeffs
+    assert (copy.norm_const, copy.tail_bound) == (state.norm_const, state.tail_bound)
+    assert copy.generator.norm_const == state.norm_const
+    # the truncated row's value, where the column's state scores the resource
+    assert average_fidelity_grid2d(copy) == pytest.approx(0.74999999957, abs=1e-11)
+    assert average_fidelity_grid2d(state) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_a_generator_cannot_be_passed_in():
+    state = make_twb(TwbParams(0.5))
+    with pytest.raises(TypeError):
+        SchmidtState(coeffs=[1.0], norm_const=1.0, generator=state.generator)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(state, generator=state.generator)
+
+
+def test_states_compare_by_identity():
+    params = TwbParams(0.5)
+    state = make_twb(params)
+    assert (make_twb(params) == state) is False
+    assert state == state and hash(state) == hash(state)
+    assert state in [make_twb(params), state]
+
+
+def _scores(state):
+    """conditional_fidelity at several t, then grid2d, each a float or NumericsError if
+    refused, with the categories of the warnings raised."""
+
+    def score(estimator, *args):
+        try:
+            return estimator(state, *args)
+        except NumericsError as exc:
+            return type(exc)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scores = [score(conditional_fidelity, 0.0, math.sqrt(t)) for t in (0.0, 0.5, 3.0, 40.0)]
+        scores.append(score(average_fidelity_grid2d))
+    return scores, [w.category for w in caught]
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    chi=st.floats(0.05, 0.95),
+    row=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda k: max(k) > 0.01),
+)
+def test_a_copy_holding_a_row_scores_as_that_row_built_by_hand(family, chi, row):
+    # bitwise: the copy's generator is the hand-built state's, whatever it was copied from
+    k = np.array(row)
+    norm_const = 1.0 / math.sqrt(k @ k)
+    copy = dataclasses.replace(FAMILIES[family](chi), coeffs=row, norm_const=norm_const)
+    assert _scores(copy) == _scores(SchmidtState(k, norm_const))
 
 
 def test_probabilities_unit_gain_matches_twb():
