@@ -683,7 +683,8 @@ _COMMANDS = {
     ),
     "teleport": (
         _cmd_teleport,
-        ("--chi", "--gain", "--threshold", "--method", "--seed", "--epsilon", "--out"),
+        ("--chi", "--resource", "--gain", "--threshold", "--method", "--seed", "--epsilon",
+         "--out"),
     ),
     "sweep": (
         _cmd_sweep,

@@ -221,7 +221,8 @@ def _log_amplified(y, p: int, log_w: float):
 class Ladder(NamedTuple):
     """The untruncated resource k_n = h_n (n+1)^power chi^n and its closed forms,
     h_n = g^min(n-p, 0) under the amplifier nla (with power 0), else 1: the
-    generator of each constructor-built state, unpacking as (chi, power, nla)."""
+    generator of each constructor-built state, unpacking as (chi, power, nla).
+    Its outcome law (sample_t) and score (fidelity) read no truncated coefficient."""
 
     chi: float
     power: int
@@ -318,28 +319,65 @@ class Ladder(NamedTuple):
             return log_a + _log_amplified(self.chi * t, self.nla.threshold, math.log(self.nla.gain))
         return log_a + _log_touchard(self.power, self.chi * t) if self.power else log_a
 
+    def _gamma_mixture(self):
+        """(c, w) of the outcome law in t of the untruncated resource without an amplifier.
+
+        With x = chi^2, c = (1-chi)(1+chi) and Q_(2 power)(y) = sum_m q_m y^m (1 for the
+        twin-beam), sum_n k_n^2 pois_n(t) = e^-ct sum_m q_m x^m t^m, so t is Gamma(M + 1)/c
+        with M drawn from the weights w_m = q_m m! (x/c)^m, m <= 2 power, unnormalised.
+        """
+        x, c = self.chi * self.chi, (1.0 - self.chi) * (1.0 + self.chi)
+        touchard = _TOUCHARD.get(2 * self.power, (1.0,))
+        return c, [q * math.factorial(m) * (x / c) ** m for m, q in enumerate(touchard)]
+
     def outcome_tail(self, s):
         """A bound on the mass of the untruncated resource's p(beta) past t = s, elementwise.
 
-        With x = chi^2, c = 1 - x and Q_(2 power)(y) = sum_m q_m y^m (1 for the twin-beam),
-        sum_n k_n^2 pois_n(t) = e^-ct sum_m q_m x^m t^m, so the mass past s is exactly
-        sum_m w_m P(Pois(cs) <= m) / sum_m w_m, w_m = q_m m! (x/c)^m. Under the amplifier the
+        Without the amplifier it is exact: t is the Gamma mixture of _gamma_mixture, so the
+        mass past s is sum_m w_m P(Pois(cs) <= m) / sum_m w_m. Under the amplifier the
         mass sum_j pois_j(s) S_j, S_j = sum_(n>=j) p_n, has S_j <= 1 up to p and x^j/P past
         it, so with a = p + 1 it is at most P(Pois(s) <= a) + e^-cs P(Pois(xs) >= a)/P, each
         Poisson tail at most Chernoff's e^(a - l) (l/a)^a at its mean l, as l passes a.
         """
-        x = self.chi * self.chi
-        cs = (1.0 - x) * s
         if self.nla:
+            x = self.chi * self.chi
             a = self.nla.threshold + 1.0
             with np.errstate(divide="ignore"):  # l = 0 gives e^-inf = 0
                 low, high = (np.exp(a - l + a * np.log(l / a))
                              for l in (np.maximum(s, a), np.minimum(x * s, a)))
-            return low + np.exp(-cs) * high / self.success_probability()
-        touchard = _TOUCHARD.get(2 * self.power, (1.0,))
-        w = [q * math.factorial(m) * (x / (1.0 - x)) ** m for m, q in enumerate(touchard)]
+            return low + np.exp(-(1.0 - x) * s) * high / self.success_probability()
+        c, w = self._gamma_mixture()
+        cs = c * s
         pois = [np.exp(-cs) * cs**i / math.factorial(i) for i in range(len(w))]
         return sum(wm * sum(pois[: m + 1]) for m, wm in enumerate(w)) / sum(w)
+
+    def sample_t(self, rng: "np.random.Generator", size: int) -> np.ndarray:
+        """size outcome radii t = |alpha - beta|^2 drawn by rng from the untruncated resource's law.
+
+        Without the amplifier, t = Gamma(M + 1)/c with M ~ w_m of _gamma_mixture: for the
+        twin-beam one standard_exponential(size)/c, with no uniforms. Under the amplifier,
+        n ~ p_n from a (p + 1)-entry table built in log space, w_n = g^(2(n-p)) x^n for n < p
+        and w_p = x^p/c for the geometric tail n >= p, whose draws become
+        n = p + Geometric(c) - 1; then t = Gamma(n + 1).
+        """
+        c, w = self._gamma_mixture()  # the amplifier's power is 0: w = [1]
+        if self.nla:
+            g, p = self.nla.gain, self.nla.threshold
+            n = np.arange(p + 1.0)
+            log_w = 2.0 * math.log(self.chi) * n + 2.0 * math.log(g) * (n - p)
+            log_w[p] -= math.log(c)
+            w = np.exp(log_w - log_w.max())
+            n = rng.choice(p + 1, size, p=w / w.sum())
+            tail = np.flatnonzero(n == p)
+            n[tail] += rng.geometric(c, tail.size) - 1
+            return rng.standard_gamma(n + 1.0)
+        if len(w) == 1:
+            t = rng.standard_exponential(size)
+        else:
+            w = np.array(w)
+            t = rng.standard_gamma(rng.choice(w.size, size, p=w / w.sum()) + 1.0)
+        t /= c
+        return t
 
 
 class _LadderColumn(NamedTuple):

@@ -19,7 +19,9 @@ path to progressively more independent oracles:
 * 1-d Gauss-Laguerre quadrature of N^2 int_0^inf [sum_n k_n e^-t t^n/n!]^2 dt;
 * brute 2-d grid quadrature of the outcome integral (oracle), of the
   untruncated resource for a constructor-built state;
-* Monte Carlo over the outcome distribution p(beta), scored by F (oracle).
+* Monte Carlo over the outcome distribution p(beta), drawn from the
+  generator's law (the untruncated resource's for a constructor-built
+  state) and scored by F (oracle).
 
 The average fidelity is the same for every coherent input (Braunstein &
 Kimble), so none of the four takes an input amplitude.
@@ -33,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundaryMassWarning, NumericsError, ValidationError
-from .schmidt import SchmidtState, _complex, _integer, _poisson_sum, schmidt_probabilities
+from .schmidt import SchmidtState, _complex, _integer, _poisson_sum
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -263,28 +265,6 @@ def average_fidelity_grid2d(
     return float(np.trapezoid(np.trapezoid(integrand, x=axis, axis=1), x=axis))
 
 
-def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """cdf.searchsorted(u, side="right") for a non-decreasing cdf and u in [0, 1).
-
-    A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)): with K the least
-    2^m >= 8 len(cdf), guide[j] is the answer at u = j/K, so u in
-    [j/K, (j+1)/K) has its answer in [guide[j], guide[j+1]]. K is 2^m, so
-    u K and j/K are exact and j = floor(u K). Where guide[j] ==
-    guide[j+1] the answer is guide[j]; the binary search runs only on the
-    rest, the samples in buckets that hold a cdf value (at most len(cdf) of
-    the K buckets).
-    """
-    k = 1 << (8 * cdf.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(k + 1) / k, side="right")
-    searched = guide[:-1] != guide[1:]
-    j = (u * k).astype(np.intp)
-    index = guide[j]
-    hard = np.flatnonzero(searched[j])
-    del j
-    index[hard] = cdf.searchsorted(u[hard], side="right")
-    return index
-
-
 def average_fidelity_sampled(
     resource: SchmidtState, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[float, float]:
@@ -292,21 +272,14 @@ def average_fidelity_sampled(
 
     The outcome density p(beta) = (1/pi) sum_n p_n e^-t t^n / n! with
     t = |alpha - beta|^2 is a mixture of Gamma(n + 1, 1) laws in t, so each
-    outcome radius is drawn exactly: n ~ p_n, by the inverse CDF through a
-    guide table (_guide_search), then t ~ Gamma(n + 1). The stream is fully
-    determined by spec.rng_seed, and is the one Generator.choice and
-    Generator.gamma draw. Each outcome is scored by the generator's F.
+    outcome radius is drawn exactly, by the generator's sample_t: a
+    constructor-built state's from the untruncated resource's law (one Gamma
+    draw from a mixture of at most five terms, or the amplifier's table and
+    geometric tail), any other state's from its own p_n. The stream is fully
+    determined by spec.rng_seed. Each outcome is scored by the generator's F.
     """
-    pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)
-    # the cdf and uniforms of Generator.choice(dim, p=pn / pn.sum()), so n is the
-    # draw choice makes; renormalised, as a truncated state's p_n sum to 1 - tail
-    cdf = (pn / pn.sum()).cumsum()
-    cdf /= cdf[-1]
-    n = _guide_search(cdf, rng.random(spec.mc_samples))
-    t = rng.standard_gamma(n + 1.0)
-    del n  # each sample-sized buffer is dropped once read, to keep the peak down
-
+    t = resource.generator.sample_t(rng, spec.mc_samples)
     fid = _outcome_fidelity(resource, t)
     del t
     estimate = float(np.mean(fid))

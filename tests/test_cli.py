@@ -520,13 +520,14 @@ def test_main_io_exit_code(tmp_path, capsys):
         [*SMALL_SWEEP, "--seed", "5"],
         ["teleport", "--chi", "0.5", "--alpha-re", "2"],
         [*SMALL_SWEEP, "--alpha-im", "0"],
+        ["teleport", "--chi", "0.5", "--resource", "twb", "--gain", "2"],
     ],
     ids=["negative-seed", "fractional-threshold", "non-numeric-gain", "config-fractional-threshold",
          "figure-format", "twb-gain", "twb-resource-gain", "gain-without-threshold", "jobs",
          "figure-nan-step", "crossover-nan-step", "sweep-nan-chi-step", "sweep-tiny-chi-step",
          "figure-tiny-step", "crossover-tiny-step", "debug-ng", "duplicate-outputs",
          "duplicate-gains", "duplicate-thresholds", "sweep-seed", "teleport-alpha",
-         "sweep-alpha"],
+         "sweep-alpha", "teleport-twb-resource-gain"],
 )
 def test_main_bad_argv_exits_2_without_traceback(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -658,6 +659,18 @@ def test_main_metrics_baseline_resources(capsys):
     assert main(["metrics", "--chi", "0.5", "--resource", "subtracted"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["label"].startswith("photsub")
+
+
+def test_main_teleport_names_a_resource(capsys):
+    # 27/32 is the photon-subtracted twin-beam's exact average fidelity at chi 0.5
+    argv = ["teleport", "--resource", "subtracted", "--chi", "0.5"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["label"] == "photsub chi=0.5"
+    assert abs(payload["average_fidelity"] - 27 / 32) <= 1e-9
+    assert main([*argv, "--method", "mc"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["average_fidelity"] - 27 / 32) <= 4 * payload["std_error"]
 
 
 def test_main_teleport_methods_agree(capsys):
@@ -967,6 +980,17 @@ for i, argv in enumerate(runs):
     seen.append([" ".join(argv), cli.main([*argv, "--out", f"out{i}"]), scipy_modules()])
 print(json.dumps(seen))
 """
+
+
+def test_cli_import_loads_no_numpy_random(tmp_path):
+    # numpy.random costs about 20 ms and 2 MB on import; Monte Carlo loads it when first called
+    src = os.path.dirname(os.path.dirname(cvteleport.__file__))
+    probe = "import sys, cvteleport.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_and_every_command_load_no_scipy(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import warnings
@@ -31,9 +32,9 @@ from cvteleport import (
 )
 import cvteleport.teleport as teleport_module
 from cvteleport.cli import _round12, report_crossover
-from cvteleport.resources import Ladder, _family_column
-from cvteleport.schmidt import _FiniteRow
-from cvteleport.teleport import _guide_search, _poisson_sum
+from cvteleport.resources import FAMILIES, Ladder, _family_column
+from cvteleport.schmidt import _FiniteRow, _guide_search
+from cvteleport.teleport import _poisson_sum
 from helpers import (
     TIGHT,
     fidelity_matrix,
@@ -727,8 +728,9 @@ def test_sampled_large_dimension():
     assert resource.dim == 915
     estimate, err = average_fidelity_sampled(resource)
     assert abs(estimate - 0.5 * (1.0 + chi)) <= 4 * err
-    # a loosely truncated state's p_n sum to about 1 - 1e-3; the sampler renormalises them
-    loose = make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3))
+    # a copy of a loosely truncated state draws from its own p_n, which sum to
+    # about 1 - 1e-3; the finite row's sampler renormalises them
+    loose = dataclasses.replace(make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3)))
     assert schmidt_probabilities(loose).sum() < 1.0 - 1e-4
     assert np.all(np.isfinite(average_fidelity_sampled(loose)))
 
@@ -736,10 +738,10 @@ def test_sampled_large_dimension():
 @pytest.mark.parametrize(
     "chi, mean, std_error",
     [
-        (0.5, 0.750269096205, 0.000612817260761),
-        (0.9, 0.950119386346, 0.000150278338012),
-        (0.97, 0.985045814494, 4.67042756401e-05),
-        (0.985, 0.992527294576, 2.34775679351e-05),
+        pytest.param(0.5, 0.750780169922, 0.000611788208906, id="chi=0.5"),
+        pytest.param(0.9, 0.950180959044, 0.000150043451108, id="chi=0.9"),
+        pytest.param(0.97, 0.985055758427, 4.65994447191e-05, id="chi=0.97"),
+        pytest.param(0.985, 0.992528041691, 2.34728921305e-05, id="chi=0.985"),
     ],
 )
 def test_sampled_values_at_fixed_seed(chi, mean, std_error):
@@ -747,43 +749,127 @@ def test_sampled_values_at_fixed_seed(chi, mean, std_error):
     resource = make_twb(TwbParams(chi))
     estimate, err = average_fidelity_sampled(resource, QuadratureSpec(rng_seed=305))
     assert (_round12(estimate), _round12(err)) == (mean, std_error)
+    assert abs(estimate - (1 + chi) / 2) <= 4 * err
 
 
 @pytest.mark.parametrize(
-    "make, seed, mean, std_error",
+    "make, seed, mean, std_error, exact",
     [
         # README's teleport --chi 0.5 --gain 2 --threshold 2 --method mc --seed 7
-        (lambda: make_amplified_twb(TwbParams(0.5), NlaConfig(2.0, 2))[0], 7,
-         0.808914224014, 0.000681393931412),
-        (lambda: make_photon_subtracted_twb(TwbParams(0.5)), 305, 0.84383875708, 0.000562080458999),
-        (lambda: make_added_then_subtracted_twb(TwbParams(0.5)), 305,
-         0.82630905614, 0.00049826268317),
+        pytest.param(lambda: make_amplified_twb(TwbParams(0.5), NlaConfig(2.0, 2))[0], 7,
+                     0.808501583302, 0.00068332654083, nla_fidelity_closed(0.5, 2.0, 2),
+                     id="amplified"),
+        pytest.param(lambda: make_photon_subtracted_twb(TwbParams(0.5)), 305,
+                     0.843771991986, 0.000562619789677, 27 / 32, id="subtracted"),
+        pytest.param(lambda: make_added_then_subtracted_twb(TwbParams(0.5)), 305,
+                     0.825939728265, 0.000497558125485, 2511 / 3040, id="added-subtracted"),
     ],
 )
-def test_sampled_values_of_the_other_families_at_fixed_seed(make, seed, mean, std_error):
+def test_sampled_values_of_the_other_families_at_fixed_seed(make, seed, mean, std_error, exact):
     estimate, err = average_fidelity_sampled(make(), QuadratureSpec(rng_seed=seed))
     assert (_round12(estimate), _round12(err)) == (mean, std_error)
+    assert abs(estimate - exact) <= 4 * err
+
+
+# exact F-bar of each family at chi 0.5 and 0.985: (1 + chi)/2, the weighted
+# families' rationals at 0.5 and their 11 digits at 0.985 from the same
+# rational closed form, and the amplifier's (g 2, p 2) closed form
+_EXACT_FBAR = {
+    ("twb", 0.5): 0.75,
+    ("twb", 0.985): 0.9925,
+    ("subtracted", 0.5): 27 / 32,
+    ("subtracted", 0.985): 0.99266662792,
+    ("added-subtracted", 0.5): 2511 / 3040,
+    ("added-subtracted", 0.985): 0.99257444775,
+    ("amplified", 0.5): nla_fidelity_closed(0.5, 2.0, 2),
+    ("amplified", 0.985): nla_fidelity_closed(0.985, 2.0, 2),
+}
+
+
+def _resource(family, chi, policy=TruncationPolicy(max_dim=4096)):
+    """The family's state at chi (the amplifier's at g 2, p 2), under a max_dim that fits 0.985."""
+    nla = NlaConfig(2.0, 2) if family == "amplified" else None
+    return _family_column(family, (chi,), policy, nla).state(0)
+
+
+@pytest.mark.parametrize(
+    "family, chi", list(_EXACT_FBAR), ids=[f"{family} chi={chi}" for family, chi in _EXACT_FBAR]
+)
+def test_sampled_agrees_with_the_exact_average_fidelity(family, chi):
+    estimate, err = average_fidelity_sampled(_resource(family, chi))
+    assert abs(estimate - _EXACT_FBAR[family, chi]) <= 4 * err
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_sampled_reads_no_truncated_coefficient(family):
+    # the draw and the score read the resource's Ladder alone, so the truncation
+    # moves no bit of a constructor-built state's estimate
+    spec = QuadratureSpec(mc_samples=20_000, rng_seed=7)
+    loose, default = (_resource(family, 0.9, TruncationPolicy(eps)) for eps in (1e-3, 1e-12))
+    assert loose.dim < default.dim
+    assert average_fidelity_sampled(loose, spec) == average_fidelity_sampled(default, spec)
+
+
+def _ks_sqrt_n(t, state):
+    """sqrt(N) sup |F_N - F| over 257 order statistics of the N draws t, F the exact
+    outcome cdf 1 - sum_n p_n Q(n + 1, t) of state, by scipy's regularised gammaincc."""
+    from scipy.special import gammaincc
+
+    t = np.sort(t)
+    i = np.linspace(0, t.size - 1, 257).astype(int)
+    cdf = 1.0 - gammaincc(np.arange(state.dim) + 1.0, t[i, None]) @ schmidt_probabilities(state)
+    gap = np.maximum(np.abs(cdf - (i + 1) / t.size), np.abs(cdf - i / t.size))
+    return math.sqrt(t.size) * float(gap.max())
+
+
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+@given(
+    family=st.sampled_from(list(FAMILIES)),
+    chi=st.floats(0.05, 0.985),
+    g=st.floats(1.0, 10.0),
+    p=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="twb", chi=0.5, g=1.0, p=0, seed=305)
+@example(family="twb", chi=0.985, g=1.0, p=0, seed=305)
+@example(family="amplified", chi=0.5, g=2.0, p=2, seed=7)
+@example(family="amplified", chi=0.97, g=3.0, p=4, seed=305)
+@example(family="amplified", chi=0.05, g=10.0, p=8, seed=12345)
+@example(family="amplified", chi=0.9, g=2.0, p=0, seed=0)
+@example(family="subtracted", chi=0.5, g=1.0, p=0, seed=305)
+@example(family="subtracted", chi=0.97, g=1.0, p=0, seed=0)
+@example(family="added-subtracted", chi=0.98, g=1.0, p=0, seed=12345)
+def test_sampled_radius_follows_the_resource_law(family, chi, g, p, seed):
+    # a Ladder's draws of t against the cdf of its resource truncated at 1e-16;
+    # under the Kolmogorov law sqrt(N) KS passes 3 with probability 3e-8
+    nla = NlaConfig(g, p) if family == "amplified" else None
+    exact = _family_column(family, (chi,), TruncationPolicy(1e-16, 4096), nla).state(0)
+    t = exact.generator.sample_t(np.random.default_rng(seed), 20_000)
+    assert t.shape == (20_000,) and np.all(t >= 0.0) and np.all(np.isfinite(t))
+    assert _ks_sqrt_n(t, exact) <= 3.0
 
 
 @pytest.mark.parametrize(
     "resource",
     [
-        make_twb(TwbParams(0.5)),  # D = 20
-        make_twb(TwbParams(0.985)),  # D = 915
-        make_amplified_twb(TwbParams(0.9), NlaConfig(2.0, 2))[0],  # D = 133
-        make_amplified_twb(TwbParams(0.97), NlaConfig(3.0, 4))[0],
-        make_photon_subtracted_twb(TwbParams(0.5)),  # D = 25
-        make_photon_subtracted_twb(TwbParams(0.97)),  # D = 559
-        make_added_then_subtracted_twb(TwbParams(0.98)),  # D = 971
+        # copies of constructor-built states are finite rows, which keep the stream
+        dataclasses.replace(make_twb(TwbParams(0.5))),  # D = 20
+        dataclasses.replace(make_twb(TwbParams(0.985))),  # D = 915
+        dataclasses.replace(make_amplified_twb(TwbParams(0.9), NlaConfig(2.0, 2))[0]),  # D = 133
+        dataclasses.replace(make_amplified_twb(TwbParams(0.97), NlaConfig(3.0, 4))[0]),
+        dataclasses.replace(make_photon_subtracted_twb(TwbParams(0.5))),  # D = 25
+        dataclasses.replace(make_photon_subtracted_twb(TwbParams(0.97))),  # D = 559
+        dataclasses.replace(make_added_then_subtracted_twb(TwbParams(0.98))),  # D = 971
         VACUUM,
         # flat runs in the CDF, one of them at its start
         SchmidtState(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]), 1.0 / math.sqrt(3.0)),
         # p_n summing to about 1 - 1e-3, renormalised before the draw
-        make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3)),
+        dataclasses.replace(make_twb(TwbParams(0.995), TruncationPolicy(epsilon=1e-3))),
     ],
     ids=lambda resource: resource.label or f"hand-built D={resource.dim}",
 )
 def test_sampled_draws_what_choice_and_gamma_draw(resource):
+    assert isinstance(resource.generator, _FiniteRow)
     for samples in (1000, 4321, 100_000):
         for seed in (0, 305, 12345):
             spec = QuadratureSpec(mc_samples=samples, rng_seed=seed)
@@ -809,7 +895,7 @@ _EDGES = np.arange(1024) / 1024
 @example(weights=[1.0], extra=[0.0, 0.5])
 def test_guide_search_matches_searchsorted(weights, extra):
     w = np.array(weights)
-    cdf = (w / w.sum()).cumsum()  # as average_fidelity_sampled forms it
+    cdf = (w / w.sum()).cumsum()  # as _FiniteRow.sample_t forms it
     cdf /= cdf[-1]
     marks = np.concatenate([cdf, _EDGES])
     u = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0), extra])
