@@ -30,7 +30,7 @@ from .resources import (
     _heralding,
     twb_average_fidelity_closed,
 )
-from .schmidt import TruncationPolicy, schmidt_probabilities
+from .schmidt import DEFAULT_POLICY, TruncationPolicy, schmidt_probabilities
 from .teleport import (
     QuadratureSpec,
     _series_fidelity,
@@ -105,7 +105,7 @@ class SweepSpec:
     gains: tuple[float, ...] = (1.0, 2.0)
     thresholds: tuple[int, ...] = (2,)
     outputs: tuple[str, ...] = ("entropy", "epr", "ng", "fbar", "psucc")
-    epsilon: float = 1e-12
+    epsilon: float = DEFAULT_POLICY.epsilon
     format: str = "csv"
     out: str = "sweep.csv"
 
@@ -465,7 +465,7 @@ def figure_data(
     figure_id: str,
     out_path: str | None = None,
     step: float = 0.005,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> str:
     """Emit the dataset behind one reference figure as CSV; returns the path."""
     if figure_id not in FIGURES:
@@ -516,7 +516,7 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
     """
     chis = figure_grid(step)
     configs = (("amplified", g, p), ("twb", 1.0, 0))
-    blocks = _metric_blocks(("epr", "fbar"), configs, chis, TruncationPolicy())
+    blocks = _metric_blocks(("epr", "fbar"), configs, chis, DEFAULT_POLICY)
     epr_amp, epr_std, amplified, standard = (block.value for block in blocks)
     chi_c1 = next((c for c, a, s in zip(chis, epr_amp, epr_std) if a > s + 1e-9), None)
     # same estimator on both sides, so shared truncation error cancels
@@ -542,7 +542,7 @@ def report_crossover(g: float, p: int, step: float = 0.005) -> dict:
 
 
 def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy() if args.epsilon is None else TruncationPolicy(epsilon=args.epsilon)
+    return DEFAULT_POLICY if args.epsilon is None else TruncationPolicy(epsilon=args.epsilon)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:

@@ -185,7 +185,7 @@ def _poisson_sum(weights: np.ndarray, t):
 class _FiniteRow(NamedTuple):
     """Generator of a state no resource column built (by hand, or a copy): N * sum_n k_n
     |n, n> over its own D levels and none past them, with the Ladder methods the estimators
-    read, its outcome law (sample_t) drawn from its own p_n."""
+    read, its outcome law (sample_t) drawn from its own p_n, renormalised."""
 
     coeffs: np.ndarray
     norm_const: float
@@ -215,36 +215,10 @@ class _FiniteRow(NamedTuple):
         return self.coeffs.size
 
     def sample_t(self, rng: "np.random.Generator", size: int) -> np.ndarray:
-        """size outcome radii t drawn by rng: n ~ p_n, renormalised, as the stream of
-        Generator.choice(D, p=p_n / sum p_n) through a guide table (_guide_search), then
-        t ~ Gamma(n + 1), as Generator.gamma draws it."""
+        """size outcome radii t drawn by rng: n ~ p_n, renormalised (a truncated row's p_n
+        sum to 1 - tail), by Generator.choice, then t ~ Gamma(n + 1)."""
         pn = (self.norm_const * self.coeffs) ** 2
-        # renormalised, as a truncated row's p_n sum to 1 - tail
-        cdf = (pn / pn.sum()).cumsum()
-        cdf /= cdf[-1]
-        return rng.standard_gamma(_guide_search(cdf, rng.random(size)) + 1.0)
-
-
-def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """cdf.searchsorted(u, side="right") for a non-decreasing cdf and u in [0, 1).
-
-    A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)): with K the least
-    2^m >= 8 len(cdf), guide[j] is the answer at u = j/K, so u in
-    [j/K, (j+1)/K) has its answer in [guide[j], guide[j+1]]. K is 2^m, so
-    u K and j/K are exact and j = floor(u K). Where guide[j] ==
-    guide[j+1] the answer is guide[j]; the binary search runs only on the
-    rest, the samples in buckets that hold a cdf value (at most len(cdf) of
-    the K buckets).
-    """
-    k = 1 << (8 * cdf.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(k + 1) / k, side="right")
-    searched = guide[:-1] != guide[1:]
-    j = (u * k).astype(np.intp)
-    index = guide[j]
-    hard = np.flatnonzero(searched[j])
-    del j
-    index[hard] = cdf.searchsorted(u[hard], side="right")
-    return index
+        return rng.standard_gamma(rng.choice(pn.size, size, p=pn / pn.sum()) + 1.0)
 
 
 def schmidt_probabilities(state: SchmidtState) -> np.ndarray:

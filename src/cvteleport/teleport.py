@@ -275,8 +275,10 @@ def average_fidelity_sampled(
     outcome radius is drawn exactly, by the generator's sample_t: a
     constructor-built state's from the untruncated resource's law (one Gamma
     draw from a mixture of at most five terms, or the amplifier's table and
-    geometric tail), any other state's from its own p_n. The stream is fully
-    determined by spec.rng_seed. Each outcome is scored by the generator's F.
+    geometric tail), any other state's from its own p_n, renormalised: for such
+    a finite row MC gives the average fidelity of the renormalised row, and the
+    series gives sum_n p_n times that. The stream is fully determined by
+    spec.rng_seed. Each outcome is scored by the generator's F.
     """
     rng = np.random.default_rng(spec.rng_seed)
     t = resource.generator.sample_t(rng, spec.mc_samples)

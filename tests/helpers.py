@@ -104,8 +104,8 @@ def series_fidelity_direct(state) -> float:
 def sampled_reference(resource, spec) -> tuple[float, float]:
     """average_fidelity_sampled's (mean, standard error) for a state no resource
     column built (by hand, or a copy), with n drawn by Generator.choice and t by
-    Generator.gamma: the oracle of its finite row's guide-table stream, draw for
-    draw. Each outcome is scored by the package's _outcome_fidelity."""
+    Generator.gamma: the oracle of its finite row's stream, draw for draw. Each
+    outcome is scored by the package's _outcome_fidelity."""
     pn = schmidt_probabilities(resource)
     rng = np.random.default_rng(spec.rng_seed)
     n = rng.choice(resource.dim, size=spec.mc_samples, p=pn / pn.sum())
