@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-guard failure,
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -21,7 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .metrics import _entropy, _epr, _moments, _non_gaussianity, mean_photon, metrics_report
+from .metrics import (
+    _entropies,
+    _eprs,
+    _moments,
+    _non_gaussianities,
+    mean_photon,
+    metrics_report,
+)
 from .resources import (
     FAMILIES,
     NlaConfig,
@@ -298,29 +306,46 @@ def _block_chunks(blocks, fmt: str, comments):
 #
 # Sweeps and figures build each (family, gain, threshold) as one column of
 # states over the chi grid, by resources._family_column, which heralds an
-# amplified config's rows itself; each row the column yields is read through the
-# metric kernels, and no state is built or public function called per chi.
+# amplified config's rows itself; each metric reads the whole column at once,
+# and no state is built or public function called per chi.
 # The estimators and the grid2d metric are named inside the bodies below, so a
 # profiler or tracer that rebinds those names in this module sees every call.
 
 
-class _Row(NamedTuple):
-    """Row i of a resource column: its k_n and p_n, and its moment triple or False."""
+class _Column:
+    """A resource column as METRICS reads it: its rows (a resources._LadderColumn),
+    with their p_n and moment triples each formed once, on first use."""
 
-    column: object
-    i: int
-    coeffs: np.ndarray
-    probs: np.ndarray
-    moments: tuple | bool
+    def __init__(self, rows):
+        self.rows = rows
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        return self.rows.probs()
+
+    @functools.cached_property
+    def moments(self) -> tuple:
+        rows = self.rows
+        return _moments(rows.coeffs, rows.bounds, rows.norm_consts, self.probs, rows.label)
 
 
-# metric name -> value of a _Row
+def _column_series_fidelity(column: _Column) -> list[float]:
+    rows = column.rows
+    return [
+        _series_fidelity(rows.coeffs[lo:hi], norm_const)
+        for (lo, hi), norm_const in zip(itertools.pairwise(rows.bounds), rows.norm_consts)
+    ]
+
+
+# metric name -> its values at each row of a _Column
 METRICS = {
-    "entropy": lambda row: _entropy(row.probs),
-    "epr": lambda row: _epr(row.moments),
-    "ng": lambda row: _non_gaussianity(row.moments),
-    "fbar": lambda row: _series_fidelity(row.coeffs, row.column.norm_consts[row.i]),
-    "fbar_grid2d": lambda row: average_fidelity_grid2d(row.column.state(row.i)),
+    "entropy": lambda column: _entropies(column.probs, column.rows.bounds),
+    "epr": lambda column: _eprs(column.moments),
+    "ng": lambda column: _non_gaussianities(column.moments),
+    "fbar": _column_series_fidelity,
+    "fbar_grid2d": lambda column: [
+        average_fidelity_grid2d(column.rows.state(i)) for i in range(len(column.rows.chis))
+    ],
 }
 SWEEP_METRICS = (*METRICS, "pdist", "psucc")
 
@@ -340,30 +365,27 @@ def _metric_blocks(metrics, configs, chis, policy, extra=None):
     per config with one row per chi; pdist gives one block per (config, chi)
     with one row per Fock level. Each config's states are built once, as one
     column over chis, and none when psucc is the only metric; psucc is the
-    amplifier's, None off its family. Each row's moment triple is computed
-    once, for epr and ng together. extra fills the last column of the
-    fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
+    amplifier's, None off its family. Each metric reads the column at once,
+    and epr and ng share one moment triple per row. extra fills the last
+    column of the fidelity rows: None, "tag" (the family's fig5 tag) or "psucc".
     """
     groups = {metric: [] for metric in metrics}
     stateful = set(groups) != {"psucc"}
     fidelities = {"fbar", "fbar_grid2d"} & set(groups)
-    with_moments = bool({"epr", "ng"} & set(groups))
     for family, g, p in configs:
         nla = NlaConfig(gain=g, threshold=p)
-        columns = {metric: [] for metric in groups if metric not in ("pdist", "psucc")}
         if stateful:
-            column = _family_column(family, chis, policy, nla)
-            psuccs = column.psuccs
-            for i, (chi, (k, row_probs, norm_const, label)) in enumerate(zip(chis, column.rows())):
-                moments = with_moments and _moments(k, norm_const, row_probs, label)
-                row = _Row(column, i, k, row_probs, moments)
-                for metric, values in columns.items():
-                    values.append(METRICS[metric](row))
-                if "pdist" in groups:
-                    dist = row_probs.tolist()
-                    groups["pdist"].append(RowBlock(chi, g, p, "pdist", dist, range(len(dist))))
+            column = _Column(_family_column(family, chis, policy, nla))
+            psuccs = column.rows.psuccs
+            columns = {metric: METRICS[metric](column) for metric in groups if metric in METRICS}
+            if "pdist" in groups:
+                dist, bounds = column.probs.tolist(), column.rows.bounds
+                for chi, lo, hi in zip(chis, bounds, bounds[1:]):
+                    block = RowBlock(chi, g, p, "pdist", dist[lo:hi], range(hi - lo))
+                    groups["pdist"].append(block)
         else:  # psucc alone: no state
-            psuccs = _heralding(chis, nla, policy)[1] if family == "amplified" else None
+            columns = {}
+            psuccs = _heralding(chis, nla, policy) if family == "amplified" else None
         if "psucc" in groups:
             columns["psucc"] = psuccs
         cell = {"tag": FAMILIES[family][0], "psucc": psuccs}.get(extra)

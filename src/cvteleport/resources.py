@@ -101,12 +101,26 @@ def make_amplified_twb(
     return column.state(0), column.psuccs[0]
 
 
-def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> tuple[list, list[float]]:
-    """The amplifier's Ladder and heralding probability (p + 1 terms) at each chi of chis."""
+def _heralding(chis, nla: NlaConfig, policy: TruncationPolicy) -> list[float]:
+    """The amplifier's heralding probability (p + 1 terms) at each chi of chis."""
     if (p := nla.threshold) + 1 > policy.max_dim:
         raise NumericsError(f"threshold {p} does not fit below max_dim {policy.max_dim}")
-    ladders = [Ladder(chi, 0, nla) for chi in chis]
-    return ladders, [ladder.success_probability() for ladder in ladders]
+    return _success_probabilities(chis, nla)
+
+
+def _success_probabilities(chis, nla: NlaConfig) -> list[float]:
+    """success_probability at each chi of chis: the head's g^(2(n-p)) once, then one
+    fsum of the p + 1 head terms per chi and the geometric tail in closed form."""
+    g, p = nla.gain, nla.threshold
+    gains = [g ** (2 * (n - p)) for n in range(p + 1)]
+    return [
+        (1.0 - chi * chi)
+        * (
+            math.fsum(w * chi ** (2 * n) for n, w in enumerate(gains))
+            + chi ** (2 * (p + 1)) / (1.0 - chi * chi)
+        )
+        for chi in chis
+    ]
 
 
 def twb_entropy_closed(params: TwbParams) -> float:
@@ -230,65 +244,14 @@ class Ladder(NamedTuple):
 
     def success_probability(self) -> float:
         """The amplifier's heralding probability P, as success_probability gives it (1 without)."""
-        if not self.nla:
-            return 1.0
-        chi, g, p = self.chi, self.nla.gain, self.nla.threshold
-        head = math.fsum(g ** (2 * (n - p)) * chi ** (2 * n) for n in range(p + 1))
-        tail = chi ** (2 * (p + 1)) / (1.0 - chi * chi)
-        return (1.0 - chi * chi) * (head + tail)
-
-    def truncation(self, policy: TruncationPolicy, label: str, prob: float):
-        """(D, N, tail bound) of the state truncated under policy.
-
-        prob is the amplifier's heralding probability and p its threshold (0
-        without one). With x = chi^2 and k = 2*power, N^2 is the inverse of
-        sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1). D starts from the geometric
-        bound x^D <= epsilon * prob, D > p. For power > 0 the tail
-        sum_{n>=D} (n+1)^k x^n is x^D F(D), with F(D) = sum_j C(k,j) (D+1)^(k-j)
-        sum_{m>=0} m^j x^m a sum of positive terms, and D rises until
-        x^D F(D)/F(0) <= epsilon. Every truncation refusal is raised here and
-        nowhere else, as NumericsError naming the label: a state that needs more
-        than policy.max_dim levels (the D named is exact for power 0 and a lower
-        bound otherwise), and a tail budget epsilon * prob that underflows to 0.
-        """
-        chi, power, p = self.chi, self.power, self.nla.threshold if self.nla else 0
-        k, x, log_x = 2 * power, chi * chi, 2.0 * math.log(chi)
-        # power 0 keeps the twin-beam's 1 - x; (1-chi)(1+chi) holds a few ulp as
-        # chi nears 1, where the (1-x)^(k+1) of the weighted N^2 magnifies error
-        one_minus_x = (1.0 - chi) * (1.0 + chi) if power else 1.0 - x
-        if policy.epsilon * prob == 0.0:
-            raise NumericsError(
-                f"{label}: success probability underflows the tail budget: epsilon * {prob:g} = 0"
-            )
-        dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
-        weight = _eulerian(k, x) / one_minus_x**k if power else 1.0
-        if power:
-            c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
-                math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
-                for j in range(k + 1)
-            ]
-
-            def log_factor(d: int) -> float:  # ln F(d)
-                return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
-
-            log_total = log_factor(0)
-            log_budget = math.log(policy.epsilon * prob) + log_total
-            # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
-            # it one and moves up until the tail passes or D passes max_dim
-            while dim <= policy.max_dim and dim * log_x + (log_f := log_factor(dim)) > log_budget:
-                dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
-        if dim > policy.max_dim:
-            raise NumericsError(
-                f"{label} needs at least {dim} levels, over max_dim={policy.max_dim}"
-            )
-        # x^D, or x^D F(D)/F(0) in log space
-        tail = math.exp(dim * log_x + log_f - log_total) if power else chi ** (2 * dim)
-        return dim, math.sqrt(one_minus_x / (prob * weight)), tail / prob
+        return _success_probabilities((self.chi,), self.nla)[0] if self.nla else 1.0
 
     def window_dim(self, label: str) -> int:
         """D under the default epsilon and no max_dim, whatever policy truncated the state."""
         uncapped = TruncationPolicy(max_dim=2**62)
-        return self.truncation(uncapped, label, self.success_probability())[0]
+        probs = (self.success_probability(),) if self.nla else None
+        p = self.nla.threshold if self.nla else 0
+        return _truncation((self.chi,), self.power, p, probs, uncapped, (label,).__getitem__)[0][0]
 
     def fidelity(self, t):
         """The conditional fidelity F(t) of the untruncated resource, elementwise over t.
@@ -380,54 +343,113 @@ class Ladder(NamedTuple):
         return t
 
 
+def _truncation(chis, power: int, p: int, probs, policy: TruncationPolicy, label):
+    """(D, N, tail bound) of the resource k_n = h_n (n+1)^power chi^n at each chi of chis
+    truncated under policy, as three lists; label(i) is row i's label.
+
+    probs are the amplifier's heralding probabilities and p its threshold (None and 0
+    without one; the weighted families, power > 0, have none). With x = chi^2 and
+    k = 2*power, N^2 is the inverse of sum_{n>=0} k_n^2 = prob A_k(x) / (1-x)^(k+1). D
+    starts from the geometric bound x^D <= epsilon * prob, D > p, which for power 0 is
+    D itself. For power > 0 the tail sum_{n>=D} (n+1)^k x^n is x^D F(D), with
+    F(D) = sum_j C(k,j) (D+1)^(k-j) sum_{m>=0} m^j x^m a sum of positive terms, and D
+    rises until x^D F(D)/F(0) <= epsilon. Every truncation refusal is raised here and
+    nowhere else, as NumericsError naming the first refused row's label: a state that
+    needs more than policy.max_dim levels (the D named is exact for power 0 and a lower
+    bound otherwise), and a tail budget epsilon * prob that underflows to 0.
+
+    Each row's ln and powers are math.log and Python **, whose last bits np.log and
+    np.power do not always share, so the rule runs row by row over Python floats.
+    """
+    k, max_dim = 2 * power, policy.max_dim
+    dims, norm_consts, tail_bounds = [], [], []
+    for i, (chi, prob) in enumerate(zip(chis, probs or itertools.repeat(1.0))):
+        x, log_x = chi * chi, 2.0 * math.log(chi)
+        if (budget := policy.epsilon * prob) == 0.0:
+            raise NumericsError(
+                f"{label(i)}: success probability underflows the tail budget: "
+                f"epsilon * {prob:g} = 0"
+            )
+        dim = max(p + 1, math.ceil(math.log(budget) / log_x))
+        if power:
+            # (1-chi)(1+chi) holds a few ulp as chi nears 1, where (1-x)^(k+1) magnifies error
+            one_minus_x = (1.0 - chi) * (1.0 + chi)
+            c = [  # C(k,j) sum_{m>=0} m^j x^m, the coefficient of (D+1)^(k-j) in F(D)
+                math.comb(k, j) * (x if j else 1.0) * _eulerian(j, x) / one_minus_x ** (j + 1)
+                for j in range(k + 1)
+            ]
+
+            def log_factor(d: int) -> float:  # ln F(d)
+                return math.log(sum(cj * (d + 1.0) ** (k - j) for j, cj in enumerate(c)))
+
+            log_total = log_factor(0)
+            log_budget = math.log(budget) + log_total
+            # F(D) >= F(0) makes the geometric D a lower bound; every step keeps
+            # it one and moves up until the tail passes or D passes max_dim
+            while dim <= max_dim and dim * log_x + (log_f := log_factor(dim)) > log_budget:
+                dim = max(dim + 1, math.ceil((log_budget - log_f) / log_x))
+        if dim > max_dim:
+            raise NumericsError(f"{label(i)} needs at least {dim} levels, over max_dim={max_dim}")
+        dims.append(dim)
+        if power:
+            norm_consts.append(math.sqrt(one_minus_x / (prob * (_eulerian(k, x) / one_minus_x**k))))
+            tail_bounds.append(math.exp(dim * log_x + log_f - log_total) / prob)  # x^D F(D)/F(0)
+        else:  # keeps the twin-beam's 1 - x
+            norm_consts.append(math.sqrt((1.0 - x) / prob))
+            tail_bounds.append(chi ** (2 * dim) / prob)  # x^D
+    return dims, norm_consts, tail_bounds
+
+
 class _LadderColumn(NamedTuple):
     """One family's states at each chi of a grid, built by _family_column:
-    row i is ladders[i] truncated, its k_n coeffs[bounds[i]:bounds[i+1]],
-    its own D long, with N norm_consts[i] and tail bound tail_bounds[i];
-    psuccs are the amplifier's heralding probabilities, None off its family."""
+    row i is Ladder(chis[i], power, nla) truncated, labelled label(i), its k_n
+    coeffs[bounds[i]:bounds[i+1]], its own D long, with N norm_consts[i] and tail
+    bound tail_bounds[i]; psuccs are the amplifier's heralding probabilities, None
+    off its family."""
 
-    ladders: list
-    labels: list
+    chis: object
+    power: int
+    nla: NlaConfig | None
+    prefix: str
     coeffs: np.ndarray
     bounds: list
-    norm_consts: tuple
-    tail_bounds: tuple
+    norm_consts: list
+    tail_bounds: list
     psuccs: list | None
 
-    def rows(self):
-        """(k_n, p_n = N^2 k_n^2, N, label) of each row, k_n and p_n views of one array each."""
-        probs = (np.repeat(self.norm_consts, np.diff(self.bounds)) * self.coeffs) ** 2
-        for i, (lo, hi) in enumerate(itertools.pairwise(self.bounds)):
-            yield self.coeffs[lo:hi], probs[lo:hi], self.norm_consts[i], self.labels[i]
+    def label(self, i: int) -> str:
+        return f"{self.prefix} chi={self.chis[i]:g}"
+
+    def probs(self) -> np.ndarray:
+        """p_n = N^2 k_n^2 of every row, laid out as coeffs."""
+        return (np.repeat(self.norm_consts, np.diff(self.bounds)) * self.coeffs) ** 2
 
     def state(self, i: int) -> SchmidtState:
-        """Row i as a SchmidtState on a view of the column's k_n; nothing else hands in a Ladder."""
+        """Row i as a SchmidtState on a view of the column's k_n, checked with the column:
+        nothing else hands in a Ladder."""
         return SchmidtState(
             coeffs=self.coeffs[self.bounds[i] : self.bounds[i + 1]],
             norm_const=self.norm_consts[i],
             tail_bound=self.tail_bounds[i],
-            label=self.labels[i],
-            _ladder=self.ladders[i],
+            label=self.label(i),
+            _ladder=Ladder(self.chis[i], self.power, self.nla),
         )
 
 
 def _family_column(family: str, chis, policy: TruncationPolicy, nla=None):
     """The _LadderColumn of family's states at each chi of chis in (0, 1), all
     rows' k_n formed at once and checked as SchmidtState checks its own.
-    Only the amplified family reads nla: each row's one Ladder gives its psucc,
-    then its truncation; at gain 1 the rows are the twin-beam's, psuccs the amplifier's."""
-    ladders, psuccs = _heralding(chis, nla, policy) if family == "amplified" else (None, None)
+    Only the amplified family reads nla: each row's psucc comes first, then its
+    truncation; at gain 1 the rows are the twin-beam's, psuccs the amplifier's."""
+    psuccs = _heralding(chis, nla, policy) if family == "amplified" else None
     family = "twb" if family == "amplified" and nla.gain == 1.0 else family  # identity amplifier
     prefix, power = FAMILIES[family]
     if family != "amplified":  # the twin-beam's rows, label and generator at gain 1 too
-        nla, ladders = None, [Ladder(chi, power, None) for chi in chis]
+        nla = None
     prefix += f" g={nla.gain:g} p={nla.threshold}" if nla else ""
-    labels = [f"{prefix} chi={chi:g}" for chi in chis]
-    rules = [
-        ladder.truncation(policy, label, prob)
-        for ladder, label, prob in zip(ladders, labels, psuccs if nla else itertools.repeat(1.0))
-    ]
-    dims, norm_consts, tail_bounds = zip(*rules)
+    column = _LadderColumn(chis, power, nla, prefix, None, None, None, None, psuccs)
+    p, probs = (nla.threshold, psuccs) if nla else (0, None)
+    dims, norm_consts, tail_bounds = _truncation(chis, power, p, probs, policy, column.label)
     bounds = [0, *itertools.accumulate(dims)]
     n = np.arange(bounds[-1]) - np.repeat(bounds[:-1], dims)  # 0..D-1 in each row
     coeffs = np.repeat(chis, dims) ** n
@@ -436,4 +458,6 @@ def _family_column(family: str, chis, policy: TruncationPolicy, nla=None):
     if nla:
         coeffs = nla.gain ** np.minimum(n - float(nla.threshold), 0.0) * coeffs
     _check_rows(coeffs, bounds, norm_consts, tail_bounds)
-    return _LadderColumn(ladders, labels, coeffs, bounds, norm_consts, tail_bounds, psuccs)
+    return column._replace(
+        coeffs=coeffs, bounds=bounds, norm_consts=norm_consts, tail_bounds=tail_bounds
+    )

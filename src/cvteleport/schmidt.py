@@ -109,7 +109,8 @@ class SchmidtState:
         object.__setattr__(self, "coeffs", k)
         if k.ndim != 1 or k.size < 1:
             raise ValidationError("coeffs must be a non-empty 1-d sequence")
-        _check_rows(k, (0, k.size), (self.norm_const,), (self.tail_bound,))
+        if not _ladder:  # a resource column checked its rows as it built them
+            _check_rows(k, (0, k.size), (self.norm_const,), (self.tail_bound,))
         object.__setattr__(self, "generator", _ladder or _FiniteRow(k, self.norm_const))
 
     @property
@@ -121,17 +122,18 @@ def _check_rows(coeffs: np.ndarray, bounds, norm_consts, tail_bounds) -> None:
     """Refuse rows of coefficients laid end to end, row i being
     coeffs[bounds[i]:bounds[i+1]] with N norm_consts[i] and tail bound
     tail_bounds[i], unless every k_n is finite and non-negative and every
-    row has N^2 sum k_n^2 within its tail bound of 1."""
+    row has N^2 sum k_n^2 within its tail bound of 1, the sums taken at once."""
     # two reductions: a nan makes min nan, +inf fails max, -inf and negatives fail min
     if not (coeffs.min() >= 0.0 and coeffs.max() < math.inf):
         raise ValidationError("coeffs must be finite and non-negative")
-    for lo, hi, norm_const, tail_bound in zip(bounds, bounds[1:], norm_consts, tail_bounds):
+    with np.errstate(over="ignore"):  # as np.dot did, a k_n^2 past float range sums to inf
+        sums = np.add.reduceat(coeffs * coeffs, bounds[:-1]).tolist()
+    for norm_const, tail_bound, total in zip(norm_consts, tail_bounds, sums):
         if not (math.isfinite(norm_const) and norm_const > 0):
             raise ValidationError(f"norm_const must be positive, got {norm_const}")
         if tail_bound < 0:
             raise ValidationError("tail_bound must be non-negative")
-        k = coeffs[lo:hi]
-        total = norm_const**2 * float(np.dot(k, k))
+        total *= norm_const**2
         if abs(total - 1.0) > tail_bound + _FLOAT_SLACK:
             raise ValidationError(
                 f"state not normalized within tail_bound: |{total} - 1| > {tail_bound}"

@@ -34,6 +34,29 @@ from cvteleport.teleport import _outcome_fidelity
 TIGHT = TruncationPolicy(epsilon=1e-16)
 
 
+def geometric_truncation_reference(chi: float, p: int, prob: float, policy: TruncationPolicy):
+    """(D, N, tail bound) of a power-0 ladder (twin-beam, or the amplifier at threshold p
+    with heralding probability prob; p = 0 and prob = 1 without one), as the one-chi
+    rule formed them with math.log and Python **: the bitwise reference of the column's."""
+    x, log_x = chi * chi, 2.0 * math.log(chi)
+    dim = max(p + 1, math.ceil(math.log(policy.epsilon * prob) / log_x))
+    return dim, math.sqrt((1.0 - x) / prob), chi ** (2 * dim) / prob
+
+
+def entropy_reference(probs: np.ndarray) -> float:
+    """-sum p_n ln p_n over one row's nonzero p_n, as the one-row kernel formed it."""
+    p = probs[probs > 0]
+    return max(0.0, -float(np.sum(p * np.log(p))))
+
+
+def moments_reference(k: np.ndarray, norm_const: float, probs: np.ndarray) -> tuple:
+    """(<n>, <ab>, (1/2 + <n>)^2 - <ab>^2) of one row, as the one-row kernel formed them."""
+    n = float(np.arange(probs.size) @ probs)
+    ab = float(norm_const**2 * ((k[:-1] * k[1:]) @ np.arange(1, k.size)))
+    i1 = 0.5 + n
+    return n, ab, i1 * i1 - ab * ab
+
+
 def brute_success_probability(chi: float, g: float, p: int, terms: int = 10_000) -> float:
     """Partial-sum evaluation of the heralding probability, term by term."""
     total = 0.0

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -45,6 +46,7 @@ from cvteleport import (
     average_fidelity_series,
     entanglement_entropy,
     epr_correlation,
+    h_function,
     make_added_then_subtracted_twb,
     make_amplified_twb,
     make_photon_subtracted_twb,
@@ -52,7 +54,13 @@ from cvteleport import (
     non_gaussianity,
     schmidt_probabilities,
 )
-from helpers import flatten_blocks, rows_text_reference
+from helpers import (
+    entropy_reference,
+    flatten_blocks,
+    geometric_truncation_reference,
+    moments_reference,
+    rows_text_reference,
+)
 
 
 def _read_rows(path):
@@ -213,7 +221,8 @@ def test_refused_run_keeps_the_previous_output(argv, metric, tmp_path, monkeypat
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     before = out.read_bytes()
-    monkeypatch.setitem(METRICS, metric, lambda row: float("nan"))
+    column_values = METRICS[metric]  # a function of a whole column, as each METRICS entry is
+    monkeypatch.setitem(METRICS, metric, lambda column: [math.nan, *column_values(column)[1:]])
     assert main([*argv, "--out", str(out)]) == 3
     assert f"non-finite value for {metric} at chi=" in capsys.readouterr().err
     assert out.read_bytes() == before
@@ -1063,7 +1072,9 @@ _WIDE = TruncationPolicy(max_dim=2048)
 
 def _assert_column_equals_public_states(configs, chis, policy=_WIDE):
     """_metric_blocks's rows equal, as floats, what the public constructors and
-    metrics give state by state: entropy, EPR, NG, series F, psucc and pdist."""
+    metrics give state by state: entropy, EPR, NG, series F, psucc and pdist. They
+    also equal, bitwise, the one-row scalar formulas of tests/helpers.py: a power-0
+    row's D, N and tail bound, and every row's entropy and moments."""
     blocks = _metric_blocks(_COLUMN_METRICS, configs, chis, policy)
     per_config = len(configs)
     entropy, epr, ng, fbar = (blocks[i * per_config : (i + 1) * per_config] for i in range(4))
@@ -1085,9 +1096,21 @@ def _assert_column_equals_public_states(configs, chis, policy=_WIDE):
             dist = pdist[c * len(chis) + i]
             assert (dist.chi, dist.g, dist.p) == (chi, g, p), where
             assert dist.value == schmidt_probabilities(state).tolist(), where
+            probs = np.array(dist.value)
+            assert entropy[c].value[i] == entropy_reference(probs), where
+            n, ab, arg = moments_reference(state.coeffs, state.norm_const, probs)
+            assert epr[c].value[i] == 2.0 * (1.0 + 2.0 * n - 2.0 * ab), where
+            assert ng[c].value[i] == max(0.0, 2.0 * h_function(math.sqrt(max(arg, 0.25)))), where
+            if family in ("twb", "amplified"):  # the geometric rule, scalar, one chi
+                heralded = family == "amplified" and g != 1.0
+                reference = geometric_truncation_reference(
+                    chi, p if heralded else 0, psuccs[i] if heralded else 1.0, policy
+                )
+                assert (state.dim, state.norm_const, state.tail_bound) == reference, where
 
 
-_NLA_GRID = [("amplified", g, p) for g in (1.0, 1.5, 4.0) for p in (0, 2, 7)]
+# at g = 1e200 and p = 2, p_0 = p_1 = 0: the entropy's p > 0 filter runs on a column
+_NLA_GRID = [("amplified", g, p) for g in (1.0, 1.5, 4.0, 1e200) for p in (0, 2, 7)]
 _ALL_FAMILIES = [("twb", 1.0, 0), ("subtracted", 1.0, 0), ("added-subtracted", 1.0, 0), *_NLA_GRID]
 
 
@@ -1103,6 +1126,10 @@ def test_column_rows_equal_public_states():
     config=st.sampled_from(_ALL_FAMILIES),
     chis=st.lists(st.floats(min_value=0.001, max_value=0.985), min_size=1, max_size=6),
 )
+# ceil(ln epsilon / ln chi^2) lands on an integer here: D = 6, 3 and 2
+@example(config=("twb", 1.0, 0), chis=[0.1])
+@example(config=("twb", 1.0, 0), chis=[0.01])
+@example(config=("twb", 1.0, 0), chis=[0.001])
 def test_column_rows_equal_public_states_at_random_chis(config, chis):
     # unsorted and repeated chis put each row at an arbitrary offset of the column
     _assert_column_equals_public_states([config], chis)
@@ -1166,6 +1193,16 @@ def test_psucc_rows_do_not_depend_on_the_other_outputs(fmt, grid, others, count,
         assert alone == ",".join(RowBlock._fields) + "\n" + "".join(rows)
     else:
         assert alone == "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+def test_metrics_of_a_row_with_zero_probabilities(capsys):
+    # at g = 1e200 and p = 2, k_0 = k_1 = 0: the entropy skips both p_n, as it always has
+    assert main(["metrics", "--chi", "0.5", "--gain", "1e200", "--threshold", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["photon_distribution"][:2] == [0.0, 0.0]
+    assert (report["entropy"], report["epr"], report["non_gaussianity"]) == (
+        0.749780192799, 4.66666666675, 3.64212301404
+    )
 
 
 def test_psucc_is_none_off_the_amplified_family():
