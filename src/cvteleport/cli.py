@@ -22,14 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .metrics import (
-    _entropies,
-    _eprs,
-    _moments,
-    _non_gaussianities,
-    mean_photon,
-    metrics_report,
-)
+from .metrics import _entropies, _eprs, _moments, _non_gaussianities, mean_photon, metrics_report
 from .resources import (
     FAMILIES,
     NlaConfig,
